@@ -54,15 +54,14 @@
 //                        (bit-identical reproducibility check)
 //        --metrics-out FILE  JSON metrics snapshot over all fault configs
 //        --events-out FILE   flight-recorder event log (JSON; a .csv path
-//                            selects CSV). Like metrics — and unlike the
-//                            tracer — recording is pure memory append, so
-//                            the flag is KEPT under --verify and two
-//                            verified reruns export byte-identical logs.
-//        --trace-out FILE    Chrome trace of the first fault run. IGNORED
-//                            under --verify: the tracer binds to the first
-//                            run only, and its wire-header framing changes
-//                            simulated timings, so run 2 could never match
-//                            run 1's digest.
+//                            selects CSV). Like metrics, recording is pure
+//                            memory append, so two verified reruns export
+//                            byte-identical logs.
+//        --trace-out FILE    Chrome trace of the first fault run (the tracer
+//                            binds to the first run only). Spans are pure
+//                            recording too, so under --verify the traced
+//                            first run must still digest-match its untraced
+//                            rerun.
 #include <cinttypes>
 #include <cstring>
 
@@ -134,12 +133,6 @@ int main(int argc, char** argv) {
   bool legs_only = bench::arg_flag(argc, argv, "--legs-only");
   bool verify = bench::arg_flag(argc, argv, "--verify");
   auto obs = bench::Observability::from_args(argc, argv);
-  if (verify && !obs.trace_path.empty()) {
-    std::printf("note: --trace-out ignored under --verify (tracing alters "
-                "wire framing, so traced and untraced runs cannot digest-"
-                "match)\n");
-    obs.trace_path.clear();
-  }
 
   bench::print_header(
       "Fault ablation",

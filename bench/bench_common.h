@@ -81,9 +81,9 @@ inline std::string arg_str(int argc, char** argv, const char* flag,
 /// before the cluster is destroyed; `finish()` after all runs writes the
 /// requested files. All exports are keyed on simulated time and
 /// deterministic registry/span/ring state, so two identical seeded runs
-/// write byte-identical files. Unlike the tracer (which changes wire
-/// framing and is therefore forbidden under --verify), metrics and events
-/// are pure in-memory recording and stay available under --verify.
+/// write byte-identical files. Metrics, events and spans are all pure
+/// in-memory recording — none changes wire bytes or simulated timings — so
+/// every export stays available under --verify.
 struct Observability {
   std::string metrics_path;  // empty = no metrics export
   std::string trace_path;    // empty = no trace export

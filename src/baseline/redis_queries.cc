@@ -4,11 +4,9 @@
 
 namespace evostore::baseline {
 
-using common::Bytes;
-using common::Deserializer;
-using common::Serializer;
-using core::wire::deserialize_status;
-using core::wire::serialize_status;
+using core::wire::LcpQueryRequest;
+using core::wire::LcpQueryResponse;
+using net::HandlerContext;
 
 namespace {
 
@@ -18,69 +16,46 @@ constexpr const char* kQuery = "redis.query";
 constexpr const char* kUnpin = "redis.unpin";
 constexpr const char* kRetire = "redis.retire";
 
-struct BeginAddReq {
+}  // namespace
+
+struct RedisQueries::BeginAddReq {
   ModelId id;
   double quality = 0;
   ArchGraph graph;
-  void serialize(Serializer& s) const {
-    s.u64(id.value);
-    s.f64(quality);
-    graph.serialize(s);
-  }
-  static BeginAddReq deserialize(Deserializer& d) {
-    BeginAddReq r;
-    r.id.value = d.u64();
-    r.quality = d.f64();
-    r.graph = ArchGraph::deserialize(d);
-    return r;
-  }
+
+  static auto fields(auto& m) { return std::tie(m.id, m.quality, m.graph); }
+  EVOSTORE_WIRE_SERDE(BeginAddReq)
 };
 
-struct BoolResp {
+struct RedisQueries::BoolResp {
   Status status;
   bool flag = false;
-  void serialize(Serializer& s) const {
-    serialize_status(s, status);
-    s.boolean(flag);
-  }
-  static BoolResp deserialize(Deserializer& d) {
-    BoolResp r;
-    r.status = deserialize_status(d);
-    r.flag = d.boolean();
-    return r;
-  }
+
+  static auto fields(auto& m) { return std::tie(m.status, m.flag); }
+  EVOSTORE_WIRE_SERDE(BoolResp)
 };
 
-struct IdReq {
+struct RedisQueries::IdReq {
   ModelId id;
-  void serialize(Serializer& s) const { s.u64(id.value); }
-  static IdReq deserialize(Deserializer& d) { return IdReq{ModelId{d.u64()}}; }
+
+  static auto fields(auto& m) { return std::tie(m.id); }
+  EVOSTORE_WIRE_SERDE(IdReq)
 };
-
-template <typename Response>
-Bytes pack(const Response& r) {
-  Serializer s;
-  r.serialize(s);
-  return std::move(s).take();
-}
-
-}  // namespace
 
 RedisQueries::RedisQueries(net::RpcSystem& rpc, NodeId node,
                            RedisConfig config)
     : rpc_(&rpc), sim_(&rpc.simulation()), node_(node), config_(config) {
   metadata_lock_ = std::make_unique<sim::RwLock>(*sim_);
   cpu_ = std::make_unique<sim::Semaphore>(*sim_, 1);
-  rpc.register_handler(node_, kBeginAdd,
-                       [this](Bytes b) { return handle_begin_add(std::move(b)); });
-  rpc.register_handler(node_, kFinishAdd,
-                       [this](Bytes b) { return handle_finish_add(std::move(b)); });
-  rpc.register_handler(node_, kQuery,
-                       [this](Bytes b) { return handle_query(std::move(b)); });
-  rpc.register_handler(node_, kUnpin,
-                       [this](Bytes b) { return handle_unpin(std::move(b)); });
-  rpc.register_handler(node_, kRetire,
-                       [this](Bytes b) { return handle_retire(std::move(b)); });
+  using net::register_typed_handler;
+  register_typed_handler(rpc, node_, kBeginAdd, this,
+                         &RedisQueries::handle_begin_add);
+  register_typed_handler(rpc, node_, kFinishAdd, this,
+                         &RedisQueries::handle_finish_add);
+  register_typed_handler(rpc, node_, kQuery, this, &RedisQueries::handle_query);
+  register_typed_handler(rpc, node_, kUnpin, this, &RedisQueries::handle_unpin);
+  register_typed_handler(rpc, node_, kRetire, this,
+                         &RedisQueries::handle_retire);
 }
 
 sim::CoTask<void> RedisQueries::charge_op(double extra_cpu_seconds) {
@@ -102,14 +77,9 @@ size_t RedisQueries::published_count() const {
 
 // ---- server-side handlers -------------------------------------------------
 
-sim::CoTask<Bytes> RedisQueries::handle_begin_add(Bytes request) {
-  Deserializer d(request);
-  auto req = BeginAddReq::deserialize(d);
+sim::CoTask<RedisQueries::BoolResp> RedisQueries::handle_begin_add(
+    BeginAddReq req, HandlerContext) {
   BoolResp resp;
-  if (!d.ok()) {
-    resp.status = d.status();
-    co_return pack(resp);
-  }
   ++stats_.adds;
   co_await charge_op(0);
   co_await metadata_lock_->lock_exclusive();
@@ -137,33 +107,30 @@ sim::CoTask<Bytes> RedisQueries::handle_begin_add(Bytes request) {
   }
   metadata_lock_->unlock_exclusive();
   resp.status = Status::Ok();
-  co_return pack(resp);
+  co_return resp;
 }
 
-sim::CoTask<Bytes> RedisQueries::handle_finish_add(Bytes request) {
-  Deserializer d(request);
-  auto req = IdReq::deserialize(d);
+sim::CoTask<RedisQueries::BoolResp> RedisQueries::handle_finish_add(
+    IdReq req, HandlerContext) {
   BoolResp resp;
   co_await charge_op(0);
   co_await metadata_lock_->lock_exclusive();
   auto it = entries_.find(req.id);
-  if (it == entries_.end() || !d.ok()) {
+  if (it == entries_.end()) {
     metadata_lock_->unlock_exclusive();
     resp.status = Status::NotFound("model " + req.id.to_string());
-    co_return pack(resp);
+    co_return resp;
   }
   it->second.published = true;
   metadata_lock_->unlock_exclusive();
   it->second.arch_lock->unlock();
   resp.status = Status::Ok();
-  co_return pack(resp);
+  co_return resp;
 }
 
-sim::CoTask<Bytes> RedisQueries::handle_query(Bytes request) {
-  Deserializer d(request);
-  auto req = core::wire::LcpQueryRequest::deserialize(d);
-  core::wire::LcpQueryResponse resp;
-  if (!d.ok()) co_return pack(resp);
+sim::CoTask<LcpQueryResponse> RedisQueries::handle_query(LcpQueryRequest req,
+                                                        HandlerContext) {
+  LcpQueryResponse resp;
   ++stats_.queries;
   co_await charge_op(0);
   co_await metadata_lock_->lock_shared();
@@ -206,7 +173,7 @@ sim::CoTask<Bytes> RedisQueries::handle_query(Bytes request) {
   // client reads them.
   if (best != nullptr) ++best->refcount;
   metadata_lock_->unlock_shared();
-  co_return pack(resp);
+  co_return resp;
 }
 
 namespace {
@@ -216,17 +183,16 @@ struct DecOutcome {
 };
 }  // namespace
 
-sim::CoTask<Bytes> RedisQueries::handle_unpin(Bytes request) {
-  Deserializer d(request);
-  auto req = IdReq::deserialize(d);
+sim::CoTask<RedisQueries::BoolResp> RedisQueries::handle_unpin(
+    IdReq req, HandlerContext) {
   BoolResp resp;
   co_await charge_op(0);
   co_await metadata_lock_->lock_exclusive();
   auto it = entries_.find(req.id);
-  if (it == entries_.end() || !d.ok()) {
+  if (it == entries_.end()) {
     metadata_lock_->unlock_exclusive();
     resp.status = Status::NotFound("model " + req.id.to_string());
-    co_return pack(resp);
+    co_return resp;
   }
   Entry& entry = it->second;
   if (--entry.refcount <= 0) {
@@ -241,12 +207,13 @@ sim::CoTask<Bytes> RedisQueries::handle_unpin(Bytes request) {
     metadata_lock_->unlock_exclusive();
   }
   resp.status = Status::Ok();
-  co_return pack(resp);
+  co_return resp;
 }
 
-sim::CoTask<Bytes> RedisQueries::handle_retire(Bytes request) {
+sim::CoTask<RedisQueries::BoolResp> RedisQueries::handle_retire(
+    IdReq req, HandlerContext ctx) {
   ++stats_.retires;
-  co_return co_await handle_unpin(std::move(request));
+  co_return co_await handle_unpin(req, ctx);
 }
 
 // ---- client-side wrappers ---------------------------------------------------
@@ -276,13 +243,13 @@ sim::CoTask<Status> RedisQueries::finish_add(NodeId client, ModelId id) {
   co_return r->status;
 }
 
-sim::CoTask<Result<core::wire::LcpQueryResponse>> RedisQueries::query(
+sim::CoTask<Result<LcpQueryResponse>> RedisQueries::query(
     // NOLINTNEXTLINE(cppcoreguidelines-avoid-reference-coroutine-parameters)
     NodeId client, const ArchGraph& graph) {
-  core::wire::LcpQueryRequest req;
+  LcpQueryRequest req;
   req.graph = graph;
-  co_return co_await net::typed_call<core::wire::LcpQueryResponse>(
-      rpc_, client, node_, kQuery, req);
+  co_return co_await net::typed_call<LcpQueryResponse>(rpc_, client, node_,
+                                                       kQuery, req);
 }
 
 sim::CoTask<RedisQueries::UnpinResult> RedisQueries::unpin(NodeId client,

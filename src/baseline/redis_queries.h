@@ -58,6 +58,8 @@ struct RedisStats {
   uint64_t queries = 0;
   uint64_t retires = 0;
   uint64_t entries_scanned = 0;
+
+  friend bool operator==(const RedisStats&, const RedisStats&) = default;
 };
 
 class RedisQueries {
@@ -117,12 +119,19 @@ class RedisQueries {
     std::unique_ptr<sim::Mutex> arch_lock;
   };
 
+  // Wire messages (defined with their field lists in the .cc).
+  struct BeginAddReq;
+  struct BoolResp;
+  struct IdReq;
+
   // Server-side handler bodies (invoked via RPC on node_).
-  sim::CoTask<common::Bytes> handle_begin_add(common::Bytes req);
-  sim::CoTask<common::Bytes> handle_finish_add(common::Bytes req);
-  sim::CoTask<common::Bytes> handle_query(common::Bytes req);
-  sim::CoTask<common::Bytes> handle_unpin(common::Bytes req);
-  sim::CoTask<common::Bytes> handle_retire(common::Bytes req);
+  sim::CoTask<BoolResp> handle_begin_add(BeginAddReq req,
+                                         net::HandlerContext ctx);
+  sim::CoTask<BoolResp> handle_finish_add(IdReq req, net::HandlerContext ctx);
+  sim::CoTask<core::wire::LcpQueryResponse> handle_query(
+      core::wire::LcpQueryRequest req, net::HandlerContext ctx);
+  sim::CoTask<BoolResp> handle_unpin(IdReq req, net::HandlerContext ctx);
+  sim::CoTask<BoolResp> handle_retire(IdReq req, net::HandlerContext ctx);
 
   sim::CoTask<void> charge_op(double extra_cpu_seconds);
 

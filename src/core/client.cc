@@ -16,13 +16,6 @@ Status combine(Status acc, const Status& next) {
   return acc.ok() ? next : acc;
 }
 
-template <typename Response>
-common::Bytes pack(const Response& response) {
-  common::Serializer s;
-  response.serialize(s);
-  return std::move(s).take();
-}
-
 // Comma-joined provider list for flight-recorder attrs (e.g. "0,2,3").
 std::string id_list(const std::vector<common::ProviderId>& ids) {
   std::string out;
@@ -68,10 +61,8 @@ Client::Client(net::RpcSystem& rpc, NodeId self, uint32_t client_id,
     if (config_.cache.serve_peers) {
       // Context-aware registration: the serve-side span parents under the
       // RPC serve span, so a redirected read's trace shows the peer leg.
-      rpc.register_handler(
-          self_, kPeerRead, [this](common::Bytes b, net::HandlerContext ctx) {
-            return handle_peer_read(std::move(b), ctx);
-          });
+      net::register_typed_handler(rpc, self_, kPeerRead, this,
+                                  &Client::handle_peer_read);
     }
   }
 }
@@ -275,7 +266,7 @@ sim::CoTask<Status> Client::modify_refs(
         GroupLeg leg;
         leg.replica = p;
         leg.future_idx = futures.size();
-        leg.payload = pack(req);
+        leg.payload = wire::encode(req);
         gs.legs.push_back(std::move(leg));
         futures.push_back(
             sim.spawn(refs_one(provider_node(p), std::move(req), parent)));
@@ -621,7 +612,7 @@ sim::CoTask<Status> Client::put_model(const Model& m, const TransferContext* tc)
   if (committed) {
     put_status = Status::Ok();
     if (!missed.empty()) {
-      common::Bytes packed = pack(req);
+      common::Bytes packed = wire::encode(req);
       for (common::ProviderId target : missed) {
         if (!membership_->is_live(target)) continue;
         std::vector<common::ProviderId> custodians;
@@ -766,18 +757,11 @@ sim::CoTask<Result<wire::PeerReadResponse>> Client::peer_one(
   co_return std::move(r).value();
 }
 
-sim::CoTask<common::Bytes> Client::handle_peer_read(common::Bytes request,
-                                                    net::HandlerContext ctx) {
+sim::CoTask<wire::PeerReadResponse> Client::handle_peer_read(
+    wire::PeerReadRequest req, net::HandlerContext ctx) {
   obs::Span span =
       obs::Tracer::maybe_begin(tracer(), "peer_serve", self_, ctx.trace);
-  common::Deserializer d(request);
-  auto req = wire::PeerReadRequest::deserialize(d);
   wire::PeerReadResponse resp;
-  if (!d.ok()) {
-    resp.status = d.status();
-    span.tag("outcome", resp.status.to_string());
-    co_return pack(resp);
-  }
   uint64_t served = 0;
   resp.found.reserve(req.keys.size());
   for (size_t i = 0; i < req.keys.size(); ++i) {
@@ -802,7 +786,7 @@ sim::CoTask<common::Bytes> Client::handle_peer_read(common::Bytes request,
                {{"served", obs::EventLog::u64(served)},
                 {"missed", obs::EventLog::u64(req.keys.size() - served)}});
   }
-  co_return pack(resp);
+  co_return resp;
 }
 
 sim::CoTask<Status> Client::fetch_envelopes(
@@ -1357,7 +1341,7 @@ sim::CoTask<Status> Client::retire(ModelId id) {
   // of the metadata must eventually go, or a failover read would resurrect
   // a retired model.
   if (!missed.empty()) {
-    common::Bytes packed = pack(req);
+    common::Bytes packed = wire::encode(req);
     for (common::ProviderId target : missed) {
       if (!membership_->is_live(target)) continue;
       std::vector<common::ProviderId> custodians;

@@ -370,8 +370,8 @@ class Client {
   // Serves kPeerRead: answers from the local cache, exact-version matches
   // only (anything else could resurrect bytes the provider replaced). The
   // handler context parents the serve-side span under the RPC span.
-  sim::CoTask<common::Bytes> handle_peer_read(common::Bytes request,
-                                              net::HandlerContext ctx);
+  sim::CoTask<wire::PeerReadResponse> handle_peer_read(
+      wire::PeerReadRequest req, net::HandlerContext ctx);
 
   // Fan one ModifyRefs round out to the providers hosting `keys`.
   // Returns the number of keys the providers reported missing via

@@ -15,15 +15,6 @@ using common::Bytes;
 using common::ModelId;
 using common::Status;
 
-namespace {
-template <typename Response>
-Bytes pack(const Response& response) {
-  common::Serializer s;
-  response.serialize(s);
-  return std::move(s).take();
-}
-}  // namespace
-
 Provider::Provider(net::RpcSystem& rpc, common::NodeId node,
                    common::ProviderId id, ProviderConfig config,
                    storage::KvStore* backend)
@@ -79,15 +70,8 @@ std::string Provider::token_key(uint64_t token) {
 
 void Provider::persist_meta(common::ModelId id, const MetaRecord& meta) {
   if (backend_ == nullptr) return;
-  common::Serializer s;
-  meta.graph.serialize(s);
-  meta.owners.serialize(s);
-  s.f64(meta.quality);
-  s.u64(meta.ancestor.value);
-  s.f64(meta.store_time);
-  s.u64(meta.store_seq);
-  auto st = backend_->put(meta_key(id),
-                          common::Buffer::dense(std::move(s).take()));
+  auto st =
+      backend_->put(meta_key(id), common::Buffer::dense(wire::encode(meta)));
   if (!st.ok()) EVO_WARN << "persist_meta: " << st.to_string();
 }
 
@@ -99,12 +83,8 @@ void Provider::erase_meta(common::ModelId id) {
 void Provider::persist_segment(const common::SegmentKey& key,
                                const SegEntry& entry) {
   if (backend_ == nullptr) return;
-  common::Serializer s;
-  s.i64(entry.refs);
-  s.u64(entry.version);
-  entry.segment.serialize(s);
   auto st = backend_->put(segment_key(key),
-                          common::Buffer::dense(std::move(s).take()));
+                          common::Buffer::dense(wire::encode(entry)));
   if (!st.ok()) EVO_WARN << "persist_segment: " << st.to_string();
 }
 
@@ -334,12 +314,17 @@ size_t Provider::pin_ledger_size() const {
   return n;
 }
 
-const common::Bytes* Provider::dedup_lookup(uint64_t token) {
-  if (token == 0) return nullptr;
+template <typename Response>
+std::optional<Response> Provider::dedup_lookup(uint64_t token) {
+  if (token == 0) return std::nullopt;
   auto it = dedup_.find(token);
-  if (it == dedup_.end()) return nullptr;
+  if (it == dedup_.end()) return std::nullopt;
   ++stats_.deduped_replays;
-  return &it->second;
+  // The typed handler re-encodes the decoded response byte for byte.
+  common::Deserializer d(it->second);
+  Response cached = Response::deserialize(d);
+  if (!d.ok()) cached.status = d.status();
+  return cached;
 }
 
 void Provider::dedup_store(uint64_t token, const common::Bytes& response) {
@@ -433,28 +418,22 @@ void Provider::restore_from_backend() {
       // guarantee is "replayed once the target recovers", not "replayed
       // unless the custodian also crashed in between".
       uint64_t seq = std::strtoull(key.c_str() + 5, nullptr, 10);
-      wire::HintRecord hint = wire::HintRecord::deserialize(d);
-      if (!d.finish().ok()) {
+      auto hint = wire::decode<wire::HintRecord>(buf.dense_span());
+      if (!hint.ok()) {
         EVO_WARN << "restore: corrupt hint record '" << key << "'";
         continue;
       }
       hint_seq_ = std::max(hint_seq_, seq);
-      hints_.emplace(seq, std::move(hint));
+      hints_.emplace(seq, std::move(hint).value());
     } else if (key.rfind("meta/", 0) == 0) {
       common::ModelId id{std::strtoull(key.c_str() + 5, nullptr, 10)};
-      MetaRecord meta;
-      meta.graph = model::ArchGraph::deserialize(d);
-      meta.owners = OwnerMap::deserialize(d);
-      meta.quality = d.f64();
-      meta.ancestor.value = d.u64();
-      meta.store_time = d.f64();
-      meta.store_seq = d.u64();
-      if (!d.finish().ok()) {
+      auto meta = wire::decode<MetaRecord>(buf.dense_span());
+      if (!meta.ok()) {
         EVO_WARN << "restore: corrupt metadata record '" << key << "'";
         continue;
       }
-      seq_ = std::max(seq_, meta.store_seq);
-      models_.emplace(id, std::move(meta));
+      seq_ = std::max(seq_, meta->store_seq);
+      models_.emplace(id, std::move(meta).value());
     } else if (key.rfind("pin/", 0) == 0) {
       // "pin/<epoch>/<owner>/<vertex>" -> u64 outstanding pin count. The
       // ledger survives provider crashes so a client-incarnation bump can
@@ -481,15 +460,13 @@ void Provider::restore_from_backend() {
       if (end == nullptr || *end != '/') continue;
       auto vertex = static_cast<common::VertexId>(
           std::strtoul(end + 1, nullptr, 10));
-      SegEntry entry;
-      entry.refs = static_cast<int32_t>(d.i64());
-      entry.version = d.u64();
-      entry.segment = compress::CompressedSegment::deserialize(d);
-      if (!d.finish().ok() ||
-          compress::codec_for(entry.segment.codec) == nullptr) {
+      auto decoded = wire::decode<SegEntry>(buf.dense_span());
+      if (!decoded.ok() ||
+          compress::codec_for(decoded->segment.codec) == nullptr) {
         EVO_WARN << "restore: corrupt segment record '" << key << "'";
         continue;
       }
+      SegEntry entry = std::move(decoded).value();
       // Versions share the store sequence; segments can outlive their
       // model's metadata (retired model, still-referenced segments), so the
       // sequence restores from both.
@@ -560,48 +537,28 @@ sim::CoTask<void> Provider::charge_pool(double bytes) {
 }
 
 void Provider::register_handlers(net::RpcSystem& rpc) {
-  rpc.register_handler(node_, kPutModel, [this](Bytes b, net::HandlerContext c) {
-    return handle_put(std::move(b), c);
-  });
-  rpc.register_handler(node_, kGetMeta, [this](Bytes b) {
-    return handle_get_meta(std::move(b));
-  });
-  rpc.register_handler(node_, kReadSegments,
-                       [this](Bytes b, net::HandlerContext c) {
-                         return handle_read_segments(std::move(b), c);
-                       });
-  rpc.register_handler(node_, kModifyRefs,
-                       [this](Bytes b, net::HandlerContext c) {
-                         return handle_modify_refs(std::move(b), c);
-                       });
-  rpc.register_handler(node_, kRetire, [this](Bytes b) {
-    return handle_retire(std::move(b));
-  });
-  rpc.register_handler(node_, kLcpQuery,
-                       [this](Bytes b, net::HandlerContext c) {
-                         return handle_lcp_query(std::move(b), c);
-                       });
-  rpc.register_handler(node_, kGetStats, [this](Bytes b) {
-    return handle_get_stats(std::move(b));
-  });
-  rpc.register_handler(node_, kStoreHint, [this](Bytes b) {
-    return handle_store_hint(std::move(b));
-  });
-  rpc.register_handler(node_, kReplicate,
-                       [this](Bytes b, net::HandlerContext c) {
-                         return handle_replicate(std::move(b), c);
-                       });
-  rpc.register_handler(node_, kFetchChunks,
-                       [this](Bytes b, net::HandlerContext c) {
-                         return handle_fetch_chunks(std::move(b), c);
-                       });
-  rpc.register_handler(node_, kDrain, [this](Bytes b, net::HandlerContext c) {
-    return handle_drain(std::move(b), c);
-  });
-  rpc.register_handler(node_, kRepairPeer,
-                       [this](Bytes b, net::HandlerContext c) {
-                         return handle_repair(std::move(b), c);
-                       });
+  using net::register_typed_handler;
+  register_typed_handler(rpc, node_, kPutModel, this, &Provider::handle_put);
+  register_typed_handler(rpc, node_, kGetMeta, this,
+                         &Provider::handle_get_meta);
+  register_typed_handler(rpc, node_, kReadSegments, this,
+                         &Provider::handle_read_segments);
+  register_typed_handler(rpc, node_, kModifyRefs, this,
+                         &Provider::handle_modify_refs);
+  register_typed_handler(rpc, node_, kRetire, this, &Provider::handle_retire);
+  register_typed_handler(rpc, node_, kLcpQuery, this,
+                         &Provider::handle_lcp_query);
+  register_typed_handler(rpc, node_, kGetStats, this,
+                         &Provider::handle_get_stats);
+  register_typed_handler(rpc, node_, kStoreHint, this,
+                         &Provider::handle_store_hint);
+  register_typed_handler(rpc, node_, kReplicate, this,
+                         &Provider::handle_replicate);
+  register_typed_handler(rpc, node_, kFetchChunks, this,
+                         &Provider::handle_fetch_chunks);
+  register_typed_handler(rpc, node_, kDrain, this, &Provider::handle_drain);
+  register_typed_handler(rpc, node_, kRepairPeer, this,
+                         &Provider::handle_repair);
 }
 
 int Provider::refcount(const common::SegmentKey& key) const {
@@ -627,21 +584,15 @@ std::vector<ModelId> Provider::model_ids() const {
   return out;
 }
 
-sim::CoTask<Bytes> Provider::handle_put(Bytes request,
-                                        net::HandlerContext ctx) {
+sim::CoTask<wire::PutModelResponse> Provider::handle_put(
+    wire::PutModelRequest req, net::HandlerContext ctx) {
   double t0 = sim_->now();
-  common::Deserializer d(request);
-  auto req = wire::PutModelRequest::deserialize(d);
   wire::PutModelResponse resp;
-  if (!d.ok()) {
-    resp.status = d.status();
-    co_return pack(resp);
-  }
   ++stats_.puts;
   if (drained_) {
     resp.status = Status::Unavailable("provider " + std::to_string(id_) +
                                       " drained");
-    co_return pack(resp);
+    co_return resp;
   }
   // A token minted by a newer client incarnation proves the older ones are
   // gone — reap the transfer pins they leaked (DESIGN.md §14).
@@ -651,19 +602,19 @@ sim::CoTask<Bytes> Provider::handle_put(Bytes request,
                            static_cast<double>(req.new_segments.size()));
   if (models_.find(req.id) != models_.end()) {
     resp.status = Status::AlreadyExists("model " + req.id.to_string());
-    co_return pack(resp);
+    co_return resp;
   }
   uint64_t physical = 0;
   for (const auto& [v, env] : req.new_segments) {
     if (compress::codec_for(env.codec) == nullptr) {
       resp.status = Status::InvalidArgument("unknown codec in put");
-      co_return pack(resp);
+      co_return resp;
     }
     // Manifests are provider-local (they index this provider's chunk
     // store); a client can only ever submit inline envelopes.
     if (env.kind != compress::EnvelopeKind::kInline) {
       resp.status = Status::InvalidArgument("chunked envelope on the wire");
-      co_return pack(resp);
+      co_return resp;
     }
     physical += env.physical_bytes;
   }
@@ -680,14 +631,14 @@ sim::CoTask<Bytes> Provider::handle_put(Bytes request,
   if (drained_) {
     resp.status = Status::Unavailable("provider " + std::to_string(id_) +
                                       " drained");
-    co_return pack(resp);
+    co_return resp;
   }
   // ... and a deadline-driven retry of this same put may have landed while
   // the pool transfer ran (model ids are globally unique, so AlreadyExists
   // here can only mean an earlier attempt succeeded).
   if (models_.find(req.id) != models_.end()) {
     resp.status = Status::AlreadyExists("model " + req.id.to_string());
-    co_return pack(resp);
+    co_return resp;
   }
   MetaRecord meta;
   meta.graph = std::move(req.graph);
@@ -727,38 +678,27 @@ sim::CoTask<Bytes> Provider::handle_put(Bytes request,
   record(hist_put_seconds_, shared_put_seconds_, sim_->now() - t0);
   record(hist_put_bytes_, shared_put_bytes_, static_cast<double>(physical));
   resp.status = Status::Ok();
-  co_return pack(resp);
+  co_return resp;
 }
 
-sim::CoTask<Bytes> Provider::handle_get_meta(Bytes request) {
-  common::Deserializer d(request);
-  auto req = wire::GetMetaRequest::deserialize(d);
+sim::CoTask<wire::GetMetaResponse> Provider::handle_get_meta(
+    wire::GetMetaRequest req, net::HandlerContext) {
   wire::GetMetaResponse resp;
   ++stats_.meta_gets;
   co_await sim_->delay(config_.op_seconds);
   auto it = models_.find(req.id);
-  if (it != models_.end() && d.ok()) {
+  if (it != models_.end()) {
     resp.found = true;
-    resp.graph = it->second.graph;
-    resp.owners = it->second.owners;
-    resp.quality = it->second.quality;
-    resp.ancestor = it->second.ancestor;
-    resp.store_time = it->second.store_time;
-    resp.store_seq = it->second.store_seq;
+    // The found branch and the stored record share one field list.
+    wire::meta_fields(resp) = wire::meta_fields(it->second);
   }
-  co_return pack(resp);
+  co_return resp;
 }
 
-sim::CoTask<Bytes> Provider::handle_read_segments(Bytes request,
-                                                  net::HandlerContext ctx) {
+sim::CoTask<wire::ReadSegmentsResponse> Provider::handle_read_segments(
+    wire::ReadSegmentsRequest req, net::HandlerContext ctx) {
   double t0 = sim_->now();
-  common::Deserializer d(request);
-  auto req = wire::ReadSegmentsRequest::deserialize(d);
   wire::ReadSegmentsResponse resp;
-  if (!d.ok()) {
-    resp.status = d.status();
-    co_return pack(resp);
-  }
   ++stats_.segment_reads;
   co_await sim_->delay(config_.op_seconds +
                        config_.per_segment_seconds *
@@ -772,7 +712,7 @@ sim::CoTask<Bytes> Provider::handle_read_segments(Bytes request,
       resp.segments.clear();
       resp.payload_bytes = 0;
       resp.status = Status::NotFound("segment " + key.to_string());
-      co_return pack(resp);
+      co_return resp;
     }
     const uint64_t version = it->second.version;
     // Validation handshake (DESIGN.md §14): the client's cached copy is
@@ -819,7 +759,7 @@ sim::CoTask<Bytes> Provider::handle_read_segments(Bytes request,
       resp.segments.clear();
       resp.payload_bytes = 0;
       resp.status = env.status();
-      co_return pack(resp);
+      co_return resp;
     }
     resp.info.push_back({wire::ReadEntryState::kFresh, version, 0});
     resp.payload_bytes += env->physical_bytes;
@@ -837,19 +777,13 @@ sim::CoTask<Bytes> Provider::handle_read_segments(Bytes request,
   record(hist_read_bytes_, shared_read_bytes_,
          static_cast<double>(resp.payload_bytes));
   resp.status = Status::Ok();
-  co_return pack(resp);
+  co_return resp;
 }
 
-sim::CoTask<Bytes> Provider::handle_modify_refs(Bytes request,
-                                                net::HandlerContext ctx) {
+sim::CoTask<wire::ModifyRefsResponse> Provider::handle_modify_refs(
+    wire::ModifyRefsRequest req, net::HandlerContext ctx) {
   double t0 = sim_->now();
-  common::Deserializer d(request);
-  auto req = wire::ModifyRefsRequest::deserialize(d);
   wire::ModifyRefsResponse resp;
-  if (!d.ok()) {
-    resp.status = d.status();
-    co_return pack(resp);
-  }
   obs::Span span =
       obs::Tracer::maybe_begin(tracer(), "modify_refs", node_, ctx.trace);
   span.tag_u64("keys", req.keys.size());
@@ -858,8 +792,8 @@ sim::CoTask<Bytes> Provider::handle_modify_refs(Bytes request,
                        static_cast<double>(req.keys.size()));
   // Retry of an already-applied request: replay the cached response instead
   // of double-applying the deltas (the first delivery's response was lost).
-  if (const common::Bytes* cached = dedup_lookup(req.token)) {
-    co_return *cached;
+  if (auto cached = dedup_lookup<wire::ModifyRefsResponse>(req.token)) {
+    co_return std::move(*cached);
   }
   // A token from a newer client incarnation proves every older incarnation
   // is gone: reap their leaked pins before applying this request.
@@ -871,9 +805,8 @@ sim::CoTask<Bytes> Provider::handle_modify_refs(Bytes request,
     resp.status = Status::Ok();
     span.tag("pin_consume", "true");
     record(hist_refs_seconds_, shared_refs_seconds_, sim_->now() - t0);
-    Bytes consumed = pack(resp);
-    dedup_store(req.token, consumed);
-    co_return consumed;
+    dedup_store(req.token, wire::encode(resp));
+    co_return resp;
   }
   for (const auto& key : req.keys) {
     if (req.increment) {
@@ -913,30 +846,26 @@ sim::CoTask<Bytes> Provider::handle_modify_refs(Bytes request,
     }
   }
   record(hist_refs_seconds_, shared_refs_seconds_, sim_->now() - t0);
-  Bytes packed = pack(resp);
-  dedup_store(req.token, packed);
-  co_return packed;
+  dedup_store(req.token, wire::encode(resp));
+  co_return resp;
 }
 
-sim::CoTask<Bytes> Provider::handle_retire(Bytes request) {
-  common::Deserializer d(request);
-  auto req = wire::RetireRequest::deserialize(d);
+sim::CoTask<wire::RetireResponse> Provider::handle_retire(
+    wire::RetireRequest req, net::HandlerContext) {
   wire::RetireResponse resp;
   ++stats_.retires;
   co_await sim_->delay(config_.op_seconds);
   // A retried retire whose first delivery applied must replay the original
   // response (with the owner map) — a fresh lookup would answer NotFound and
   // the caller could never run the reference decrements.
-  if (d.ok()) {
-    if (const common::Bytes* cached = dedup_lookup(req.token)) {
-      co_return *cached;
-    }
-    observe_epoch(req.token);
+  if (auto cached = dedup_lookup<wire::RetireResponse>(req.token)) {
+    co_return std::move(*cached);
   }
+  observe_epoch(req.token);
   auto it = models_.find(req.id);
-  if (it == models_.end() || !d.ok()) {
+  if (it == models_.end()) {
     resp.status = Status::NotFound("model " + req.id.to_string());
-    co_return pack(resp);
+    co_return resp;
   }
   resp.owners = std::move(it->second.owners);
   // Metadata is removed eagerly; segment payloads survive until their
@@ -945,18 +874,14 @@ sim::CoTask<Bytes> Provider::handle_retire(Bytes request) {
   models_.erase(it);
   erase_meta(req.id);
   resp.status = Status::Ok();
-  Bytes packed = pack(resp);
-  dedup_store(req.token, packed);
-  co_return packed;
+  dedup_store(req.token, wire::encode(resp));
+  co_return resp;
 }
 
-sim::CoTask<Bytes> Provider::handle_lcp_query(Bytes request,
-                                              net::HandlerContext ctx) {
+sim::CoTask<wire::LcpQueryResponse> Provider::handle_lcp_query(
+    wire::LcpQueryRequest req, net::HandlerContext ctx) {
   double t0 = sim_->now();
-  common::Deserializer d(request);
-  auto req = wire::LcpQueryRequest::deserialize(d);
   wire::LcpQueryResponse resp;
-  if (!d.ok()) co_return pack(resp);
   obs::Span span = obs::Tracer::maybe_begin(
       tracer(), config_.lcp_index ? "lcp_index" : "lcp_scan", node_,
       ctx.trace);
@@ -1091,7 +1016,7 @@ sim::CoTask<Bytes> Provider::handle_lcp_query(Bytes request,
     }
   }
   record(hist_lcp_seconds_, shared_lcp_seconds_, sim_->now() - t0);
-  co_return pack(resp);
+  co_return resp;
 }
 
 // ---- replication fault model (DESIGN.md §15) ----------------------------
@@ -1108,10 +1033,8 @@ std::string Provider::hint_key(uint64_t seq) {
 uint64_t Provider::record_hint(wire::HintRecord hint) {
   uint64_t seq = ++hint_seq_;
   if (backend_ != nullptr) {
-    common::Serializer s;
-    hint.serialize(s);
     auto st = backend_->put(hint_key(seq),
-                            common::Buffer::dense(std::move(s).take()));
+                            common::Buffer::dense(wire::encode(hint)));
     if (!st.ok()) EVO_WARN << "record_hint: " << st.to_string();
   }
   common::ProviderId target = hint.target;
@@ -1218,34 +1141,23 @@ uint64_t Provider::discard_hints_for(common::ProviderId target) {
   return discarded;
 }
 
-sim::CoTask<Bytes> Provider::handle_store_hint(Bytes request) {
-  common::Deserializer d(request);
-  auto req = wire::StoreHintRequest::deserialize(d);
+sim::CoTask<wire::StoreHintResponse> Provider::handle_store_hint(
+    wire::StoreHintRequest req, net::HandlerContext) {
   wire::StoreHintResponse resp;
-  if (!d.ok()) {
-    resp.status = d.status();
-    co_return pack(resp);
-  }
   co_await sim_->delay(config_.op_seconds);
   if (drained_) {
     resp.status = Status::Unavailable("provider " + std::to_string(id_) +
                                       " drained");
-    co_return pack(resp);
+    co_return resp;
   }
   record_hint(std::move(req.hint));
   resp.status = Status::Ok();
-  co_return pack(resp);
+  co_return resp;
 }
 
-sim::CoTask<Bytes> Provider::handle_fetch_chunks(Bytes request,
-                                                 net::HandlerContext ctx) {
-  common::Deserializer d(request);
-  auto req = wire::FetchChunksRequest::deserialize(d);
+sim::CoTask<wire::FetchChunksResponse> Provider::handle_fetch_chunks(
+    wire::FetchChunksRequest req, net::HandlerContext ctx) {
   wire::FetchChunksResponse resp;
-  if (!d.ok()) {
-    resp.status = d.status();
-    co_return pack(resp);
-  }
   co_await sim_->delay(config_.op_seconds +
                        config_.per_segment_seconds *
                            static_cast<double>(req.digests.size()));
@@ -1266,21 +1178,14 @@ sim::CoTask<Bytes> Provider::handle_fetch_chunks(Bytes request,
   // Ok even when some digests were absent: the requester falls back to the
   // next peer for the remainder.
   resp.status = Status::Ok();
-  co_return pack(resp);
+  co_return resp;
 }
 
-sim::CoTask<Bytes> Provider::handle_replicate(Bytes request,
-                                              net::HandlerContext ctx) {
+sim::CoTask<wire::ReplicateResponse> Provider::handle_replicate(
+    wire::ReplicateRequest req, net::HandlerContext ctx) {
   obs::Span span =
       obs::Tracer::maybe_begin(tracer(), "replicate_serve", node_, ctx.trace);
-  common::Deserializer d(request);
-  auto req = wire::ReplicateRequest::deserialize(d);
   wire::ReplicateResponse resp;
-  if (!d.ok()) {
-    resp.status = d.status();
-    span.tag("outcome", resp.status.to_string());
-    co_return pack(resp);
-  }
   co_await sim_->delay(config_.op_seconds +
                        config_.per_segment_seconds *
                            static_cast<double>(req.segments.size()));
@@ -1288,7 +1193,7 @@ sim::CoTask<Bytes> Provider::handle_replicate(Bytes request,
     resp.status = Status::Unavailable("provider " + std::to_string(id_) +
                                       " drained");
     span.tag("outcome", resp.status.to_string());
-    co_return pack(resp);
+    co_return resp;
   }
   // Install-if-absent throughout: an entry already here is being actively
   // maintained by client traffic (its refcount is live GC state) and must
@@ -1422,7 +1327,7 @@ sim::CoTask<Bytes> Provider::handle_replicate(Bytes request,
                 {"chunks_fetched", obs::EventLog::u64(resp.fetched_chunks)}});
   }
   resp.status = Status::Ok();
-  co_return pack(resp);
+  co_return resp;
 }
 
 sim::CoTask<uint64_t> Provider::push_owner(
@@ -1470,24 +1375,18 @@ sim::CoTask<uint64_t> Provider::push_owner(
   co_return pushed;
 }
 
-sim::CoTask<Bytes> Provider::handle_drain(Bytes request,
-                                          net::HandlerContext ctx) {
-  common::Deserializer d(request);
-  auto req = wire::DrainRequest::deserialize(d);
+sim::CoTask<wire::DrainResponse> Provider::handle_drain(
+    wire::DrainRequest req, net::HandlerContext ctx) {
   wire::DrainResponse resp;
-  if (!d.ok()) {
-    resp.status = d.status();
-    co_return pack(resp);
-  }
   co_await sim_->delay(config_.op_seconds);
   if (drained_) {  // idempotent: the catalog is already gone
     resp.status = Status::Ok();
-    co_return pack(resp);
+    co_return resp;
   }
   const size_t n = req.provider_nodes.size();
   if (n <= id_ || req.live.size() < n) {
     resp.status = Status::InvalidArgument("drain ring view too small");
-    co_return pack(resp);
+    co_return resp;
   }
   obs::Span span =
       obs::Tracer::maybe_begin(tracer(), "drain_serve", node_, ctx.trace);
@@ -1623,24 +1522,18 @@ sim::CoTask<Bytes> Provider::handle_drain(Bytes request,
                 {"hints_moved", obs::EventLog::u64(resp.hints_moved)}});
   }
   resp.status = Status::Ok();
-  co_return pack(resp);
+  co_return resp;
 }
 
-sim::CoTask<Bytes> Provider::handle_repair(Bytes request,
-                                           net::HandlerContext ctx) {
-  common::Deserializer d(request);
-  auto req = wire::RepairRequest::deserialize(d);
+sim::CoTask<wire::RepairResponse> Provider::handle_repair(
+    wire::RepairRequest req, net::HandlerContext ctx) {
   wire::RepairResponse resp;
-  if (!d.ok()) {
-    resp.status = d.status();
-    co_return pack(resp);
-  }
   co_await sim_->delay(config_.op_seconds);
   const size_t n = req.provider_nodes.size();
   if (drained_ || req.target == id_ || n <= req.target ||
       req.live.size() < n) {
     resp.status = Status::Ok();  // nothing this provider can contribute
-    co_return pack(resp);
+    co_return resp;
   }
   obs::Span span =
       obs::Tracer::maybe_begin(tracer(), "repair_serve", node_, ctx.trace);
@@ -1703,11 +1596,11 @@ sim::CoTask<Bytes> Provider::handle_repair(Bytes request,
                 {"segments", obs::EventLog::u64(resp.segments_pushed)}});
   }
   resp.status = Status::Ok();
-  co_return pack(resp);
+  co_return resp;
 }
 
-sim::CoTask<Bytes> Provider::handle_get_stats(Bytes request) {
-  (void)request;
+sim::CoTask<wire::StatsResponse> Provider::handle_get_stats(
+    wire::StatsRequest, net::HandlerContext) {
   ++stats_.stat_gets;
   co_await sim_->delay(config_.op_seconds);
   wire::StatsResponse resp;
@@ -1759,7 +1652,7 @@ sim::CoTask<Bytes> Provider::handle_get_stats(Bytes request) {
         s.p99});
   }
   resp.status = Status::Ok();
-  co_return pack(resp);
+  co_return resp;
 }
 
 }  // namespace evostore::core

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <optional>
 #include <unordered_map>
 
 #include "compress/chunker.h"
@@ -135,6 +136,8 @@ struct ProviderStats {
   uint64_t lcp_index_fallback_scans = 0;
   /// Oracle disagreements seen under `lcp_index_verify` (should stay 0).
   uint64_t lcp_index_verify_mismatches = 0;
+
+  friend bool operator==(const ProviderStats&, const ProviderStats&) = default;
 };
 
 class Provider {
@@ -255,6 +258,7 @@ class Provider {
   static constexpr const char* kRepairPeer = "evostore.repair_peer";
 
  private:
+  /// Durable as meta/<id>, encoded like GetMetaResponse's found branch.
   struct MetaRecord {
     model::ArchGraph graph;
     OwnerMap owners;
@@ -262,7 +266,10 @@ class Provider {
     common::ModelId ancestor;
     double store_time = 0;
     uint64_t store_seq = 0;
+
+    static auto fields(auto& m) { return wire::meta_fields(m); }
   };
+  /// Durable as seg/<owner>/<vertex>.
   struct SegEntry {
     compress::CompressedSegment segment;
     int32_t refs = 0;
@@ -271,6 +278,10 @@ class Provider {
     /// provider, so a freed-then-recreated key always carries a newer
     /// version and a stale cache entry can never validate.
     uint64_t version = 0;
+
+    static auto fields(auto& m) {
+      return std::tie(m.refs, m.version, m.segment);
+    }
   };
 
   void register_handlers(net::RpcSystem& rpc);
@@ -332,32 +343,37 @@ class Provider {
   static std::string token_key(uint64_t token);
 
   // ---- idempotency dedup (exactly-once for tokened mutations) ----
-  /// Cached response for `token`, or nullptr. Counts a replay on hit.
-  const common::Bytes* dedup_lookup(uint64_t token);
+  /// Cached response for `token`, or nullopt. Counts a replay on hit.
+  template <typename Response>
+  std::optional<Response> dedup_lookup(uint64_t token);
   /// Cache `response` under `token` (no-op for token 0), write it through to
   /// the backend, and FIFO-evict past the window.
   void dedup_store(uint64_t token, const common::Bytes& response);
 
-  sim::CoTask<common::Bytes> handle_put(common::Bytes request,
-                                        net::HandlerContext ctx);
-  sim::CoTask<common::Bytes> handle_get_meta(common::Bytes request);
-  sim::CoTask<common::Bytes> handle_read_segments(common::Bytes request,
-                                                  net::HandlerContext ctx);
-  sim::CoTask<common::Bytes> handle_modify_refs(common::Bytes request,
-                                                net::HandlerContext ctx);
-  sim::CoTask<common::Bytes> handle_retire(common::Bytes request);
-  sim::CoTask<common::Bytes> handle_lcp_query(common::Bytes request,
-                                              net::HandlerContext ctx);
-  sim::CoTask<common::Bytes> handle_get_stats(common::Bytes request);
-  sim::CoTask<common::Bytes> handle_store_hint(common::Bytes request);
-  sim::CoTask<common::Bytes> handle_replicate(common::Bytes request,
-                                              net::HandlerContext ctx);
-  sim::CoTask<common::Bytes> handle_fetch_chunks(common::Bytes request,
+  sim::CoTask<wire::PutModelResponse> handle_put(wire::PutModelRequest req,
                                                  net::HandlerContext ctx);
-  sim::CoTask<common::Bytes> handle_drain(common::Bytes request,
-                                          net::HandlerContext ctx);
-  sim::CoTask<common::Bytes> handle_repair(common::Bytes request,
-                                           net::HandlerContext ctx);
+  sim::CoTask<wire::GetMetaResponse> handle_get_meta(wire::GetMetaRequest req,
+                                                     net::HandlerContext ctx);
+  sim::CoTask<wire::ReadSegmentsResponse> handle_read_segments(
+      wire::ReadSegmentsRequest req, net::HandlerContext ctx);
+  sim::CoTask<wire::ModifyRefsResponse> handle_modify_refs(
+      wire::ModifyRefsRequest req, net::HandlerContext ctx);
+  sim::CoTask<wire::RetireResponse> handle_retire(wire::RetireRequest req,
+                                                  net::HandlerContext ctx);
+  sim::CoTask<wire::LcpQueryResponse> handle_lcp_query(
+      wire::LcpQueryRequest req, net::HandlerContext ctx);
+  sim::CoTask<wire::StatsResponse> handle_get_stats(wire::StatsRequest req,
+                                                    net::HandlerContext ctx);
+  sim::CoTask<wire::StoreHintResponse> handle_store_hint(
+      wire::StoreHintRequest req, net::HandlerContext ctx);
+  sim::CoTask<wire::ReplicateResponse> handle_replicate(
+      wire::ReplicateRequest req, net::HandlerContext ctx);
+  sim::CoTask<wire::FetchChunksResponse> handle_fetch_chunks(
+      wire::FetchChunksRequest req, net::HandlerContext ctx);
+  sim::CoTask<wire::DrainResponse> handle_drain(wire::DrainRequest req,
+                                                net::HandlerContext ctx);
+  sim::CoTask<wire::RepairResponse> handle_repair(wire::RepairRequest req,
+                                                  net::HandlerContext ctx);
 
   // ---- replication fault model internals (DESIGN.md §15) ----
   /// Durably park one hint; returns its sequence number.

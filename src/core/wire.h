@@ -1,15 +1,23 @@
 // Wire messages of the EvoStore client/provider protocol.
 //
-// Every request/response is a plain struct with canonical serde methods so
-// `net::typed_call` can move it across the simulated fabric. Payload tensors
-// ride inside `Segment`s whose buffers keep their representation (synthetic
-// descriptors stay tiny on the wire; their byte cost is charged through the
-// separate bulk/RDMA path, mirroring Mercury's RPC-vs-bulk split).
+// Every request/response is a plain aggregate whose layout is written once,
+// as a `fields` list in wire order. The small codec below derives everything
+// else from that list: `serialize`, `deserialize` (with count checks bounded
+// by the element types), and merge_stats' counter sums — so the two
+// directions of a message cannot drift apart. Payload tensors ride inside
+// `Segment`s whose buffers keep their representation (synthetic descriptors
+// stay tiny on the wire; their byte cost is charged through the separate
+// bulk/RDMA path, mirroring Mercury's RPC-vs-bulk split).
 #pragma once
 
 #include <algorithm>
+#include <concepts>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/serde.h"
@@ -32,25 +40,354 @@ using compress::CompressedSegment;
 using model::ArchGraph;
 using model::Segment;
 
+// ---- codec ---------------------------------------------------------------
+//
+// Codec<T> encodes one value, decodes one value in place, and gives the
+// fewest bytes any encoding of T takes: the `check_count` bound that stops a
+// lying length prefix from forcing a huge allocation.
+//
+// A message declares `static auto fields(auto& m)` returning a tuple of its
+// members in wire order — std::tie for a plain layout, `list` when the
+// layout needs one of the descriptors (`when`, `parallel`, `local`) — and
+// EVOSTORE_WIRE_SERDE for its `serialize`/`deserialize` members.
+
+template <typename T>
+struct Codec;
+
+template <typename T>
+void put(Serializer& s, const T& v) {
+  Codec<T>::put(s, v);
+}
+template <typename T>
+void get(Deserializer& d, T& v) {
+  Codec<T>::get(d, v);
+}
+template <typename T>
+size_t min_bytes() {
+  return Codec<T>::min_bytes();
+}
+
+/// Decode one `T` from the stream (sticky-error: check `d.ok()` after). A
+/// codec with a `read` of its own builds the value outright instead of
+/// default-constructing it and decoding into it.
+template <typename T>
+T read(Deserializer& d) {
+  if constexpr (requires { Codec<T>::read(d); }) {
+    return Codec<T>::read(d);
+  } else {
+    T v{};
+    wire::get(d, v);
+    return v;
+  }
+}
+
+/// The canonical encoding of `v`.
+template <typename T>
+common::Bytes encode(const T& v) {
+  Serializer s;
+  wire::put(s, v);
+  return std::move(s).take();
+}
+
+/// Decode one `T` that must span all of `bytes`: the first corruption, or
+/// trailing input, fails the result.
+template <typename T>
+common::Result<T> decode(std::span<const std::byte> bytes) {
+  Deserializer d(bytes);
+  T v = read<T>(d);
+  common::Status st = d.finish();
+  if (!st.ok()) return st;
+  return v;
+}
+
+/// The `serialize`/`deserialize` members each message keeps for typed_call,
+/// the typed handlers and the benches; both follow its `fields`.
+#define EVOSTORE_WIRE_SERDE(Type)                                 \
+  void serialize(::evostore::common::Serializer& s) const {       \
+    ::evostore::core::wire::put(s, *this);                        \
+  }                                                               \
+  static Type deserialize(::evostore::common::Deserializer& d) {  \
+    return ::evostore::core::wire::read<Type>(d);                 \
+  }
+
+template <typename T, auto kPut, auto kGet, size_t kMin>
+struct PrimitiveCodec {
+  static void put(Serializer& s, const T& v) { (s.*kPut)(v); }
+  static void get(Deserializer& d, T& v) { v = (d.*kGet)(); }
+  static constexpr size_t min_bytes() { return kMin; }
+};
+template <>
+struct Codec<bool>
+    : PrimitiveCodec<bool, &Serializer::boolean, &Deserializer::boolean, 1> {};
+template <>
+struct Codec<uint8_t>
+    : PrimitiveCodec<uint8_t, &Serializer::u8, &Deserializer::u8, 1> {};
+template <>
+struct Codec<uint32_t>
+    : PrimitiveCodec<uint32_t, &Serializer::u32, &Deserializer::u32, 1> {};
+template <>
+struct Codec<uint64_t>
+    : PrimitiveCodec<uint64_t, &Serializer::u64, &Deserializer::u64, 1> {};
+template <>
+struct Codec<double>
+    : PrimitiveCodec<double, &Serializer::f64, &Deserializer::f64, 8> {};
+template <>
+struct Codec<std::string>
+    : PrimitiveCodec<std::string, &Serializer::str, &Deserializer::str, 1> {};
+template <>
+struct Codec<common::Bytes>
+    : PrimitiveCodec<common::Bytes, &Serializer::bytes, &Deserializer::bytes,
+                     1> {};
+
+/// Signed values travel zig-zag encoded.
+template <>
+struct Codec<int32_t> {
+  static void put(Serializer& s, int32_t v) { s.i64(v); }
+  static void get(Deserializer& d, int32_t& v) {
+    v = static_cast<int32_t>(d.i64());
+  }
+  static constexpr size_t min_bytes() { return 1; }
+};
+
+/// Enums travel as their one-byte underlying value.
+template <typename E>
+  requires std::is_enum_v<E>
+struct Codec<E> {
+  static_assert(sizeof(E) == 1, "wire enums are one byte");
+  static void put(Serializer& s, E v) { s.u8(static_cast<uint8_t>(v)); }
+  static void get(Deserializer& d, E& v) { v = static_cast<E>(d.u8()); }
+  static constexpr size_t min_bytes() { return 1; }
+};
+
+template <>
+struct Codec<common::Status> {
+  static void put(Serializer& s, const common::Status& st) {
+    s.u8(static_cast<uint8_t>(st.code()));
+    s.str(st.message());
+  }
+  static void get(Deserializer& d, common::Status& st) {
+    auto code = static_cast<common::ErrorCode>(d.u8());
+    st = common::Status(code, d.str());
+  }
+  static constexpr size_t min_bytes() { return 2; }
+};
+
+template <typename A, typename B>
+struct Codec<std::pair<A, B>> {
+  static void put(Serializer& s, const std::pair<A, B>& p) {
+    wire::put(s, p.first);
+    wire::put(s, p.second);
+  }
+  static void get(Deserializer& d, std::pair<A, B>& p) {
+    wire::get(d, p.first);
+    wire::get(d, p.second);
+  }
+  static size_t min_bytes() {
+    return wire::min_bytes<A>() + wire::min_bytes<B>();
+  }
+};
+
+/// Count prefix, then the elements.
+template <typename T>
+struct Codec<std::vector<T>> {
+  static void put(Serializer& s, const std::vector<T>& v) {
+    s.u64(v.size());
+    for (const T& e : v) wire::put(s, e);
+  }
+  static void get(Deserializer& d, std::vector<T>& v) {
+    uint64_t n = d.u64();
+    if (!d.check_count(n, wire::min_bytes<T>())) return;
+    v.reserve(n);
+    for (uint64_t i = 0; i < n && d.ok(); ++i) v.push_back(wire::read<T>(d));
+  }
+  static constexpr size_t min_bytes() { return 1; }
+};
+
+/// The field list of T: its own `fields` for the messages below, or a
+/// specialization for the common/ value types that travel inside them.
+template <typename T>
+struct Schema {
+  template <typename M>
+  static auto fields(M& m) -> decltype(std::remove_const_t<M>::fields(m)) {
+    return std::remove_const_t<M>::fields(m);
+  }
+};
+template <>
+struct Schema<ModelId> {
+  static auto fields(auto& m) { return std::tie(m.value); }
+};
+template <>
+struct Schema<SegmentKey> {
+  static auto fields(auto& m) { return std::tie(m.owner, m.vertex); }
+};
+template <>
+struct Schema<common::Hash128> {
+  static auto fields(auto& m) { return std::tie(m.hi, m.lo); }
+};
+
+template <typename T>
+concept HasFields = requires(T& m) { Schema<T>::fields(m); };
+
+/// A type with a field list: its fields, in order.
+template <typename T>
+  requires HasFields<T>
+struct Codec<T> {
+  static void put(Serializer& s, const T& m) {
+    std::apply([&](const auto&... f) { (wire::put(s, f), ...); },
+               Schema<T>::fields(m));
+  }
+  static void get(Deserializer& d, T& m) {
+    auto fields = Schema<T>::fields(m);
+    std::apply([&](auto&... f) { (wire::get(d, f), ...); }, fields);
+  }
+  static size_t min_bytes() {
+    using List = decltype(Schema<T>::fields(std::declval<T&>()));
+    return []<size_t... I>(std::index_sequence<I...>) {
+      return (size_t{0} + ... +
+              wire::min_bytes<std::remove_cvref_t<
+                  std::tuple_element_t<I, List>>>());
+    }(std::make_index_sequence<std::tuple_size_v<List>>{});
+  }
+};
+
+/// Types defined outside this file that bring their own serde (ArchGraph,
+/// OwnerMap, CompressedSegment).
+template <typename T>
+  requires(!HasFields<T>) && requires(const T& v, Serializer& s,
+                                      Deserializer& d) {
+    v.serialize(s);
+    { T::deserialize(d) } -> std::same_as<T>;
+  }
+struct Codec<T> {
+  static void put(Serializer& s, const T& v) { v.serialize(s); }
+  static void get(Deserializer& d, T& v) { v = T::deserialize(d); }
+  static T read(Deserializer& d) { return T::deserialize(d); }
+  /// An empty value (zero counts, zero scalars) encodes in the fewest
+  /// bytes, so its size bounds every encoding of T from below.
+  static size_t min_bytes() {
+    static const size_t n = encode(T{}).size();
+    return n;
+  }
+};
+
+// ---- descriptors for irregular layouts -----------------------------------
+
+/// A `fields` tuple: members bind by reference, descriptors by value.
+template <typename... F>
+std::tuple<F...> list(F&&... f) {
+  return std::tuple<F...>(std::forward<F>(f)...);
+}
+
+/// The `fields` travel only while `flag` — a bool listed EARLIER in the
+/// same list — is set; otherwise they are absent and decode to defaults.
+template <typename Flag, typename Fields>
+struct When {
+  Flag& flag;
+  Fields fields;
+};
+template <typename Flag, typename Fields>
+When<Flag, Fields> when(Flag& flag, Fields fields) {
+  return {flag, fields};
+}
+template <typename Flag, typename Fields>
+struct Codec<When<Flag, Fields>> {
+  static void put(Serializer& s, const When<Flag, Fields>& w) {
+    if (!w.flag) return;
+    std::apply([&](const auto&... f) { (wire::put(s, f), ...); }, w.fields);
+  }
+  static void get(Deserializer& d, When<Flag, Fields>& w) {
+    if (!w.flag) return;
+    std::apply([&](auto&... f) { (wire::get(d, f), ...); }, w.fields);
+  }
+  static constexpr size_t min_bytes() { return 0; }
+};
+
+/// Two vectors of equal length sharing one count prefix: `lead`'s elements,
+/// then `follow`'s.
+template <typename Lead, typename Follow>
+struct Parallel {
+  Lead& lead;
+  Follow& follow;
+};
+template <typename Lead, typename Follow>
+Parallel<Lead, Follow> parallel(Lead& lead, Follow& follow) {
+  return {lead, follow};
+}
+template <typename Lead, typename Follow>
+struct Codec<Parallel<Lead, Follow>> {
+  using L = typename std::remove_const_t<Lead>::value_type;
+  using F = typename std::remove_const_t<Follow>::value_type;
+  static void put(Serializer& s, const Parallel<Lead, Follow>& p) {
+    s.u64(p.lead.size());
+    for (const L& e : p.lead) wire::put(s, e);
+    for (const F& e : p.follow) wire::put(s, e);
+  }
+  static void get(Deserializer& d, Parallel<Lead, Follow>& p) {
+    uint64_t n = d.u64();
+    if (!d.check_count(n, wire::min_bytes<L>() + wire::min_bytes<F>())) {
+      return;
+    }
+    p.lead.resize(n);
+    p.follow.resize(n);
+    for (L& e : p.lead) wire::get(d, e);
+    for (F& e : p.follow) wire::get(d, e);
+  }
+  static constexpr size_t min_bytes() { return 1; }
+};
+
+/// A member listed for completeness that never travels (process-local).
+template <typename T>
+struct Local {
+  T& field;
+};
+template <typename T>
+Local<T> local(T& field) {
+  return {field};
+}
+template <typename T>
+struct Codec<Local<T>> {
+  static void put(Serializer&, const Local<T>&) {}
+  static void get(Deserializer&, Local<T>&) {}
+  static constexpr size_t min_bytes() { return 0; }
+};
+
+/// Add every uint64_t member of `part` into `total`. In the stats messages
+/// every such member is a counter or a gauge that sums across providers.
+template <typename T>
+void sum_counters(T& total, const T& part) {
+  auto to = T::fields(total);
+  auto from = T::fields(part);
+  [&]<size_t... I>(std::index_sequence<I...>) {
+    auto add = [](auto& a, const auto& b) {
+      if constexpr (std::is_same_v<std::remove_cvref_t<decltype(a)>,
+                                   uint64_t>) {
+        a += b;
+      }
+    };
+    (add(std::get<I>(to), std::get<I>(from)), ...);
+  }(std::make_index_sequence<std::tuple_size_v<decltype(to)>>{});
+}
+
 inline void serialize_status(Serializer& s, const common::Status& st) {
-  s.u8(static_cast<uint8_t>(st.code()));
-  s.str(st.message());
+  wire::put(s, st);
 }
 inline common::Status deserialize_status(Deserializer& d) {
-  auto code = static_cast<common::ErrorCode>(d.u8());
-  std::string msg = d.str();
-  return common::Status(code, std::move(msg));
+  return read<common::Status>(d);
 }
 
 inline void serialize_key(Serializer& s, const SegmentKey& k) {
-  s.u64(k.owner.value);
-  s.u32(k.vertex);
+  wire::put(s, k);
 }
 inline SegmentKey deserialize_key(Deserializer& d) {
-  SegmentKey k;
-  k.owner.value = d.u64();
-  k.vertex = d.u32();
-  return k;
+  return read<SegmentKey>(d);
+}
+
+/// The model-metadata block: GetMetaResponse's found branch and, byte for
+/// byte, the provider's durable meta/<id> record.
+template <typename M>
+auto meta_fields(M& m) {
+  return std::tie(m.graph, m.owners, m.quality, m.ancestor, m.store_time,
+                  m.store_seq);
 }
 
 // ---- put_model -----------------------------------------------------------
@@ -69,62 +406,28 @@ struct PutModelRequest {
   /// workload that only ever stores from-scratch models.
   uint64_t token = 0;
 
-  void serialize(Serializer& s) const {
-    s.u64(id.value);
-    s.u64(ancestor.value);
-    s.u64(token);
-    s.f64(quality);
-    graph.serialize(s);
-    owners.serialize(s);
-    s.u64(new_segments.size());
-    for (const auto& [v, env] : new_segments) {
-      s.u32(v);
-      env.serialize(s);
-    }
+  static auto fields(auto& m) {
+    return std::tie(m.id, m.ancestor, m.token, m.quality, m.graph, m.owners,
+                    m.new_segments);
   }
-  static PutModelRequest deserialize(Deserializer& d) {
-    PutModelRequest r;
-    r.id.value = d.u64();
-    r.ancestor.value = d.u64();
-    r.token = d.u64();
-    r.quality = d.f64();
-    r.graph = ArchGraph::deserialize(d);
-    r.owners = OwnerMap::deserialize(d);
-    uint64_t n = d.u64();
-    if (!d.check_count(n, 5)) return r;
-    r.new_segments.reserve(n);
-    for (uint64_t i = 0; i < n && d.ok(); ++i) {
-      VertexId v = d.u32();
-      r.new_segments.emplace_back(v, CompressedSegment::deserialize(d));
-    }
-    return r;
-  }
+  EVOSTORE_WIRE_SERDE(PutModelRequest)
 };
 
 struct PutModelResponse {
   common::Status status;
   uint64_t store_seq = 0;
 
-  void serialize(Serializer& s) const {
-    serialize_status(s, status);
-    s.u64(store_seq);
-  }
-  static PutModelResponse deserialize(Deserializer& d) {
-    PutModelResponse r;
-    r.status = deserialize_status(d);
-    r.store_seq = d.u64();
-    return r;
-  }
+  static auto fields(auto& m) { return std::tie(m.status, m.store_seq); }
+  EVOSTORE_WIRE_SERDE(PutModelResponse)
 };
 
 // ---- get_meta ------------------------------------------------------------
 
 struct GetMetaRequest {
   ModelId id;
-  void serialize(Serializer& s) const { s.u64(id.value); }
-  static GetMetaRequest deserialize(Deserializer& d) {
-    return GetMetaRequest{ModelId{d.u64()}};
-  }
+
+  static auto fields(auto& m) { return std::tie(m.id); }
+  EVOSTORE_WIRE_SERDE(GetMetaRequest)
 };
 
 struct GetMetaResponse {
@@ -136,28 +439,10 @@ struct GetMetaResponse {
   double store_time = 0;
   uint64_t store_seq = 0;
 
-  void serialize(Serializer& s) const {
-    s.boolean(found);
-    if (!found) return;
-    graph.serialize(s);
-    owners.serialize(s);
-    s.f64(quality);
-    s.u64(ancestor.value);
-    s.f64(store_time);
-    s.u64(store_seq);
+  static auto fields(auto& m) {
+    return list(m.found, when(m.found, meta_fields(m)));
   }
-  static GetMetaResponse deserialize(Deserializer& d) {
-    GetMetaResponse r;
-    r.found = d.boolean();
-    if (!r.found || !d.ok()) return r;
-    r.graph = ArchGraph::deserialize(d);
-    r.owners = OwnerMap::deserialize(d);
-    r.quality = d.f64();
-    r.ancestor.value = d.u64();
-    r.store_time = d.f64();
-    r.store_seq = d.u64();
-    return r;
-  }
+  EVOSTORE_WIRE_SERDE(GetMetaResponse)
 };
 
 // ---- read_segments -------------------------------------------------------
@@ -179,30 +464,11 @@ struct ReadSegmentsRequest {
   /// re-fetches set this false to guarantee termination.
   bool accept_redirect = false;
 
-  void serialize(Serializer& s) const {
-    s.u64(keys.size());
-    for (const auto& k : keys) serialize_key(s, k);
-    s.u64(cached_versions.size());
-    for (uint64_t v : cached_versions) s.u64(v);
-    s.u32(reader_node);
-    s.boolean(caching);
-    s.boolean(accept_redirect);
+  static auto fields(auto& m) {
+    return std::tie(m.keys, m.cached_versions, m.reader_node, m.caching,
+                    m.accept_redirect);
   }
-  static ReadSegmentsRequest deserialize(Deserializer& d) {
-    ReadSegmentsRequest r;
-    uint64_t n = d.u64();
-    if (!d.check_count(n, 2)) return r;
-    r.keys.reserve(n);
-    for (uint64_t i = 0; i < n && d.ok(); ++i) r.keys.push_back(deserialize_key(d));
-    uint64_t nv = d.u64();
-    if (!d.check_count(nv, 1)) return r;
-    r.cached_versions.reserve(nv);
-    for (uint64_t i = 0; i < nv && d.ok(); ++i) r.cached_versions.push_back(d.u64());
-    r.reader_node = d.u32();
-    r.caching = d.boolean();
-    r.accept_redirect = d.boolean();
-    return r;
-  }
+  EVOSTORE_WIRE_SERDE(ReadSegmentsRequest)
 };
 
 /// Per-key disposition of a read (parallel to the request's `keys`).
@@ -221,6 +487,9 @@ struct ReadEntryInfo {
   common::NodeId redirect = 0;
 
   friend bool operator==(const ReadEntryInfo&, const ReadEntryInfo&) = default;
+  static auto fields(auto& m) {
+    return std::tie(m.state, m.version, m.redirect);
+  }
 };
 
 struct ReadSegmentsResponse {
@@ -236,41 +505,10 @@ struct ReadSegmentsResponse {
   /// here.
   uint64_t payload_bytes = 0;
 
-  void serialize(Serializer& s) const {
-    serialize_status(s, status);
-    s.u64(info.size());
-    for (const auto& e : info) {
-      s.u8(static_cast<uint8_t>(e.state));
-      s.u64(e.version);
-      s.u32(e.redirect);
-    }
-    s.u64(segments.size());
-    for (const auto& env : segments) env.serialize(s);
-    s.u64(payload_bytes);
+  static auto fields(auto& m) {
+    return std::tie(m.status, m.info, m.segments, m.payload_bytes);
   }
-  static ReadSegmentsResponse deserialize(Deserializer& d) {
-    ReadSegmentsResponse r;
-    r.status = deserialize_status(d);
-    uint64_t ni = d.u64();
-    // u8 state + varint version + varint redirect: >= 3 bytes per entry.
-    if (!d.check_count(ni, 3)) return r;
-    r.info.reserve(ni);
-    for (uint64_t i = 0; i < ni && d.ok(); ++i) {
-      ReadEntryInfo e;
-      e.state = static_cast<ReadEntryState>(d.u8());
-      e.version = d.u64();
-      e.redirect = d.u32();
-      r.info.push_back(e);
-    }
-    uint64_t n = d.u64();
-    if (!d.check_count(n, 5)) return r;
-    r.segments.reserve(n);
-    for (uint64_t i = 0; i < n && d.ok(); ++i) {
-      r.segments.push_back(CompressedSegment::deserialize(d));
-    }
-    r.payload_bytes = d.u64();
-    return r;
-  }
+  EVOSTORE_WIRE_SERDE(ReadSegmentsResponse)
 };
 
 // ---- peer_read (client-to-client cooperative cache) ----------------------
@@ -282,22 +520,8 @@ struct PeerReadRequest {
   std::vector<SegmentKey> keys;
   std::vector<uint64_t> versions;  // parallel to keys; required match
 
-  void serialize(Serializer& s) const {
-    s.u64(keys.size());
-    for (const auto& k : keys) serialize_key(s, k);
-    for (uint64_t v : versions) s.u64(v);
-  }
-  static PeerReadRequest deserialize(Deserializer& d) {
-    PeerReadRequest r;
-    uint64_t n = d.u64();
-    // Varint key (>= 2 bytes) + varint version (>= 1) per entry.
-    if (!d.check_count(n, 3)) return r;
-    r.keys.reserve(n);
-    for (uint64_t i = 0; i < n && d.ok(); ++i) r.keys.push_back(deserialize_key(d));
-    r.versions.reserve(n);
-    for (uint64_t i = 0; i < n && d.ok(); ++i) r.versions.push_back(d.u64());
-    return r;
-  }
+  static auto fields(auto& m) { return list(parallel(m.keys, m.versions)); }
+  EVOSTORE_WIRE_SERDE(PeerReadRequest)
 };
 
 struct PeerReadResponse {
@@ -309,30 +533,10 @@ struct PeerReadResponse {
   /// Physical bytes the requester pulls over the bulk path.
   uint64_t payload_bytes = 0;
 
-  void serialize(Serializer& s) const {
-    serialize_status(s, status);
-    s.u64(found.size());
-    for (uint8_t f : found) s.u8(f);
-    s.u64(segments.size());
-    for (const auto& env : segments) env.serialize(s);
-    s.u64(payload_bytes);
+  static auto fields(auto& m) {
+    return std::tie(m.status, m.found, m.segments, m.payload_bytes);
   }
-  static PeerReadResponse deserialize(Deserializer& d) {
-    PeerReadResponse r;
-    r.status = deserialize_status(d);
-    uint64_t nf = d.u64();
-    if (!d.check_count(nf, 1)) return r;
-    r.found.reserve(nf);
-    for (uint64_t i = 0; i < nf && d.ok(); ++i) r.found.push_back(d.u8());
-    uint64_t n = d.u64();
-    if (!d.check_count(n, 5)) return r;
-    r.segments.reserve(n);
-    for (uint64_t i = 0; i < n && d.ok(); ++i) {
-      r.segments.push_back(CompressedSegment::deserialize(d));
-    }
-    r.payload_bytes = d.u64();
-    return r;
-  }
+  EVOSTORE_WIRE_SERDE(PeerReadResponse)
 };
 
 // ---- modify_refs ---------------------------------------------------------
@@ -357,26 +561,10 @@ struct ModifyRefsRequest {
   /// (put_model consumed it).
   bool pin_consume = false;
 
-  void serialize(Serializer& s) const {
-    s.boolean(increment);
-    s.u64(token);
-    s.u64(pin_epoch);
-    s.boolean(pin_consume);
-    s.u64(keys.size());
-    for (const auto& k : keys) serialize_key(s, k);
+  static auto fields(auto& m) {
+    return std::tie(m.increment, m.token, m.pin_epoch, m.pin_consume, m.keys);
   }
-  static ModifyRefsRequest deserialize(Deserializer& d) {
-    ModifyRefsRequest r;
-    r.increment = d.boolean();
-    r.token = d.u64();
-    r.pin_epoch = d.u64();
-    r.pin_consume = d.boolean();
-    uint64_t n = d.u64();
-    if (!d.check_count(n, 2)) return r;
-    r.keys.reserve(n);
-    for (uint64_t i = 0; i < n && d.ok(); ++i) r.keys.push_back(deserialize_key(d));
-    return r;
-  }
+  EVOSTORE_WIRE_SERDE(ModifyRefsRequest)
 };
 
 struct ModifyRefsResponse {
@@ -393,34 +581,11 @@ struct ModifyRefsResponse {
   /// freshly rebuilt) must not fail the whole operation.
   std::vector<SegmentKey> missing_keys;
 
-  void serialize(Serializer& s) const {
-    serialize_status(s, status);
-    s.u32(missing);
-    s.u64(freed_bytes);
-    s.u64(freed_bases.size());
-    for (const auto& k : freed_bases) serialize_key(s, k);
-    s.u64(missing_keys.size());
-    for (const auto& k : missing_keys) serialize_key(s, k);
+  static auto fields(auto& m) {
+    return std::tie(m.status, m.missing, m.freed_bytes, m.freed_bases,
+                    m.missing_keys);
   }
-  static ModifyRefsResponse deserialize(Deserializer& d) {
-    ModifyRefsResponse r;
-    r.status = deserialize_status(d);
-    r.missing = d.u32();
-    r.freed_bytes = d.u64();
-    uint64_t n = d.u64();
-    if (!d.check_count(n, 2)) return r;
-    r.freed_bases.reserve(n);
-    for (uint64_t i = 0; i < n && d.ok(); ++i) {
-      r.freed_bases.push_back(deserialize_key(d));
-    }
-    uint64_t nm = d.u64();
-    if (!d.check_count(nm, 2)) return r;
-    r.missing_keys.reserve(nm);
-    for (uint64_t i = 0; i < nm && d.ok(); ++i) {
-      r.missing_keys.push_back(deserialize_key(d));
-    }
-    return r;
-  }
+  EVOSTORE_WIRE_SERDE(ModifyRefsResponse)
 };
 
 // ---- retire --------------------------------------------------------------
@@ -431,32 +596,17 @@ struct RetireRequest {
   /// return the original owner map instead of NotFound, or the caller could
   /// never run the reference decrements.
   uint64_t token = 0;
-  void serialize(Serializer& s) const {
-    s.u64(id.value);
-    s.u64(token);
-  }
-  static RetireRequest deserialize(Deserializer& d) {
-    RetireRequest r;
-    r.id.value = d.u64();
-    r.token = d.u64();
-    return r;
-  }
+
+  static auto fields(auto& m) { return std::tie(m.id, m.token); }
+  EVOSTORE_WIRE_SERDE(RetireRequest)
 };
 
 struct RetireResponse {
   common::Status status;
   OwnerMap owners;  // the retired model's owner map (for ref decrements)
 
-  void serialize(Serializer& s) const {
-    serialize_status(s, status);
-    owners.serialize(s);
-  }
-  static RetireResponse deserialize(Deserializer& d) {
-    RetireResponse r;
-    r.status = deserialize_status(d);
-    r.owners = OwnerMap::deserialize(d);
-    return r;
-  }
+  static auto fields(auto& m) { return std::tie(m.status, m.owners); }
+  EVOSTORE_WIRE_SERDE(RetireResponse)
 };
 
 // ---- store_hint (hinted handoff, DESIGN.md §15) --------------------------
@@ -473,34 +623,24 @@ struct HintRecord {
 
   friend bool operator==(const HintRecord&, const HintRecord&) = default;
 
-  void serialize(Serializer& s) const {
-    s.u32(target);
-    s.str(method);
-    s.bytes(payload);
+  static auto fields(auto& m) {
+    return std::tie(m.target, m.method, m.payload);
   }
-  static HintRecord deserialize(Deserializer& d) {
-    HintRecord r;
-    r.target = d.u32();
-    r.method = d.str();
-    r.payload = d.bytes();
-    return r;
-  }
+  EVOSTORE_WIRE_SERDE(HintRecord)
 };
 
 struct StoreHintRequest {
   HintRecord hint;
-  void serialize(Serializer& s) const { hint.serialize(s); }
-  static StoreHintRequest deserialize(Deserializer& d) {
-    return StoreHintRequest{HintRecord::deserialize(d)};
-  }
+
+  static auto fields(auto& m) { return std::tie(m.hint); }
+  EVOSTORE_WIRE_SERDE(StoreHintRequest)
 };
 
 struct StoreHintResponse {
   common::Status status;
-  void serialize(Serializer& s) const { serialize_status(s, status); }
-  static StoreHintResponse deserialize(Deserializer& d) {
-    return StoreHintResponse{deserialize_status(d)};
-  }
+
+  static auto fields(auto& m) { return std::tie(m.status); }
+  EVOSTORE_WIRE_SERDE(StoreHintResponse)
 };
 
 // ---- replicate (anti-entropy push: drain migration + peer repair) --------
@@ -515,18 +655,8 @@ struct ReplicateSegment {
   CompressedSegment segment;
   uint32_t refs = 0;
 
-  void serialize(Serializer& s) const {
-    serialize_key(s, key);
-    segment.serialize(s);
-    s.u32(refs);
-  }
-  static ReplicateSegment deserialize(Deserializer& d) {
-    ReplicateSegment r;
-    r.key = deserialize_key(d);
-    r.segment = CompressedSegment::deserialize(d);
-    r.refs = d.u32();
-    return r;
-  }
+  static auto fields(auto& m) { return std::tie(m.key, m.segment, m.refs); }
+  EVOSTORE_WIRE_SERDE(ReplicateSegment)
 };
 
 struct ReplicateRequest {
@@ -545,46 +675,13 @@ struct ReplicateRequest {
   common::NodeId source_node = 0;
   std::vector<common::NodeId> peer_nodes;
 
-  void serialize(Serializer& s) const {
-    s.boolean(has_meta);
-    s.u64(id.value);
-    if (has_meta) {
-      graph.serialize(s);
-      owners.serialize(s);
-      s.f64(quality);
-      s.u64(ancestor.value);
-      s.f64(store_time);
-    }
-    s.u64(segments.size());
-    for (const auto& seg : segments) seg.serialize(s);
-    s.u32(source_node);
-    s.u64(peer_nodes.size());
-    for (common::NodeId n : peer_nodes) s.u32(n);
+  static auto fields(auto& m) {
+    return list(m.has_meta, m.id,
+                when(m.has_meta, std::tie(m.graph, m.owners, m.quality,
+                                          m.ancestor, m.store_time)),
+                m.segments, m.source_node, m.peer_nodes);
   }
-  static ReplicateRequest deserialize(Deserializer& d) {
-    ReplicateRequest r;
-    r.has_meta = d.boolean();
-    r.id.value = d.u64();
-    if (r.has_meta && d.ok()) {
-      r.graph = ArchGraph::deserialize(d);
-      r.owners = OwnerMap::deserialize(d);
-      r.quality = d.f64();
-      r.ancestor.value = d.u64();
-      r.store_time = d.f64();
-    }
-    uint64_t n = d.u64();
-    if (!d.check_count(n, 7)) return r;
-    r.segments.reserve(n);
-    for (uint64_t i = 0; i < n && d.ok(); ++i) {
-      r.segments.push_back(ReplicateSegment::deserialize(d));
-    }
-    r.source_node = d.u32();
-    uint64_t np = d.u64();
-    if (!d.check_count(np, 1)) return r;
-    r.peer_nodes.reserve(np);
-    for (uint64_t i = 0; i < np && d.ok(); ++i) r.peer_nodes.push_back(d.u32());
-    return r;
-  }
+  EVOSTORE_WIRE_SERDE(ReplicateRequest)
 };
 
 struct ReplicateResponse {
@@ -593,20 +690,11 @@ struct ReplicateResponse {
   uint32_t installed_segments = 0;
   uint32_t fetched_chunks = 0;
 
-  void serialize(Serializer& s) const {
-    serialize_status(s, status);
-    s.boolean(installed_meta);
-    s.u32(installed_segments);
-    s.u32(fetched_chunks);
+  static auto fields(auto& m) {
+    return std::tie(m.status, m.installed_meta, m.installed_segments,
+                    m.fetched_chunks);
   }
-  static ReplicateResponse deserialize(Deserializer& d) {
-    ReplicateResponse r;
-    r.status = deserialize_status(d);
-    r.installed_meta = d.boolean();
-    r.installed_segments = d.u32();
-    r.fetched_chunks = d.u32();
-    return r;
-  }
+  EVOSTORE_WIRE_SERDE(ReplicateResponse)
 };
 
 // ---- fetch_chunks (content-addressed chunk bodies by digest) -------------
@@ -614,26 +702,8 @@ struct ReplicateResponse {
 struct FetchChunksRequest {
   std::vector<common::Hash128> digests;
 
-  void serialize(Serializer& s) const {
-    s.u64(digests.size());
-    for (const auto& h : digests) {
-      s.u64(h.hi);
-      s.u64(h.lo);
-    }
-  }
-  static FetchChunksRequest deserialize(Deserializer& d) {
-    FetchChunksRequest r;
-    uint64_t n = d.u64();
-    if (!d.check_count(n, 2)) return r;
-    r.digests.reserve(n);
-    for (uint64_t i = 0; i < n && d.ok(); ++i) {
-      common::Hash128 h;
-      h.hi = d.u64();
-      h.lo = d.u64();
-      r.digests.push_back(h);
-    }
-    return r;
-  }
+  static auto fields(auto& m) { return std::tie(m.digests); }
+  EVOSTORE_WIRE_SERDE(FetchChunksRequest)
 };
 
 /// One chunk body with the modeled storage cost it carries at the source
@@ -644,20 +714,8 @@ struct ChunkBodyEntry {
   common::Bytes bytes;
   uint64_t cost = 0;
 
-  void serialize(Serializer& s) const {
-    s.u64(digest.hi);
-    s.u64(digest.lo);
-    s.bytes(bytes);
-    s.u64(cost);
-  }
-  static ChunkBodyEntry deserialize(Deserializer& d) {
-    ChunkBodyEntry e;
-    e.digest.hi = d.u64();
-    e.digest.lo = d.u64();
-    e.bytes = d.bytes();
-    e.cost = d.u64();
-    return e;
-  }
+  static auto fields(auto& m) { return std::tie(m.digest, m.bytes, m.cost); }
+  EVOSTORE_WIRE_SERDE(ChunkBodyEntry)
 };
 
 struct FetchChunksResponse {
@@ -667,24 +725,10 @@ struct FetchChunksResponse {
   std::vector<ChunkBodyEntry> chunks;
   uint64_t payload_bytes = 0;
 
-  void serialize(Serializer& s) const {
-    serialize_status(s, status);
-    s.u64(chunks.size());
-    for (const auto& c : chunks) c.serialize(s);
-    s.u64(payload_bytes);
+  static auto fields(auto& m) {
+    return std::tie(m.status, m.chunks, m.payload_bytes);
   }
-  static FetchChunksResponse deserialize(Deserializer& d) {
-    FetchChunksResponse r;
-    r.status = deserialize_status(d);
-    uint64_t n = d.u64();
-    if (!d.check_count(n, 5)) return r;
-    r.chunks.reserve(n);
-    for (uint64_t i = 0; i < n && d.ok(); ++i) {
-      r.chunks.push_back(ChunkBodyEntry::deserialize(d));
-    }
-    r.payload_bytes = d.u64();
-    return r;
-  }
+  EVOSTORE_WIRE_SERDE(FetchChunksResponse)
 };
 
 // ---- drain (decommission: migrate catalog to successor replicas) ---------
@@ -697,26 +741,10 @@ struct DrainRequest {
   std::vector<common::NodeId> provider_nodes;  ///< ProviderId -> NodeId
   std::vector<uint8_t> live;  ///< post-drain membership (self already 0)
 
-  void serialize(Serializer& s) const {
-    s.u32(replication);
-    s.u64(provider_nodes.size());
-    for (common::NodeId n : provider_nodes) s.u32(n);
-    s.u64(live.size());
-    for (uint8_t b : live) s.u8(b);
+  static auto fields(auto& m) {
+    return std::tie(m.replication, m.provider_nodes, m.live);
   }
-  static DrainRequest deserialize(Deserializer& d) {
-    DrainRequest r;
-    r.replication = d.u32();
-    uint64_t n = d.u64();
-    if (!d.check_count(n, 1)) return r;
-    r.provider_nodes.reserve(n);
-    for (uint64_t i = 0; i < n && d.ok(); ++i) r.provider_nodes.push_back(d.u32());
-    uint64_t nl = d.u64();
-    if (!d.check_count(nl, 1)) return r;
-    r.live.reserve(nl);
-    for (uint64_t i = 0; i < nl && d.ok(); ++i) r.live.push_back(d.u8());
-    return r;
-  }
+  EVOSTORE_WIRE_SERDE(DrainRequest)
 };
 
 struct DrainResponse {
@@ -725,20 +753,11 @@ struct DrainResponse {
   uint64_t segments_moved = 0;
   uint64_t hints_moved = 0;
 
-  void serialize(Serializer& s) const {
-    serialize_status(s, status);
-    s.u64(models_moved);
-    s.u64(segments_moved);
-    s.u64(hints_moved);
+  static auto fields(auto& m) {
+    return std::tie(m.status, m.models_moved, m.segments_moved,
+                    m.hints_moved);
   }
-  static DrainResponse deserialize(Deserializer& d) {
-    DrainResponse r;
-    r.status = deserialize_status(d);
-    r.models_moved = d.u64();
-    r.segments_moved = d.u64();
-    r.hints_moved = d.u64();
-    return r;
-  }
+  EVOSTORE_WIRE_SERDE(DrainResponse)
 };
 
 // ---- repair_peer (anti-entropy rebuild of a lost provider) ---------------
@@ -753,28 +772,10 @@ struct RepairRequest {
   std::vector<common::NodeId> provider_nodes;
   std::vector<uint8_t> live;  ///< full membership, target included
 
-  void serialize(Serializer& s) const {
-    s.u32(target);
-    s.u32(replication);
-    s.u64(provider_nodes.size());
-    for (common::NodeId n : provider_nodes) s.u32(n);
-    s.u64(live.size());
-    for (uint8_t b : live) s.u8(b);
+  static auto fields(auto& m) {
+    return std::tie(m.target, m.replication, m.provider_nodes, m.live);
   }
-  static RepairRequest deserialize(Deserializer& d) {
-    RepairRequest r;
-    r.target = d.u32();
-    r.replication = d.u32();
-    uint64_t n = d.u64();
-    if (!d.check_count(n, 1)) return r;
-    r.provider_nodes.reserve(n);
-    for (uint64_t i = 0; i < n && d.ok(); ++i) r.provider_nodes.push_back(d.u32());
-    uint64_t nl = d.u64();
-    if (!d.check_count(nl, 1)) return r;
-    r.live.reserve(nl);
-    for (uint64_t i = 0; i < nl && d.ok(); ++i) r.live.push_back(d.u8());
-    return r;
-  }
+  EVOSTORE_WIRE_SERDE(RepairRequest)
 };
 
 struct RepairResponse {
@@ -782,28 +783,19 @@ struct RepairResponse {
   uint64_t models_pushed = 0;
   uint64_t segments_pushed = 0;
 
-  void serialize(Serializer& s) const {
-    serialize_status(s, status);
-    s.u64(models_pushed);
-    s.u64(segments_pushed);
+  static auto fields(auto& m) {
+    return std::tie(m.status, m.models_pushed, m.segments_pushed);
   }
-  static RepairResponse deserialize(Deserializer& d) {
-    RepairResponse r;
-    r.status = deserialize_status(d);
-    r.models_pushed = d.u64();
-    r.segments_pushed = d.u64();
-    return r;
-  }
+  EVOSTORE_WIRE_SERDE(RepairResponse)
 };
 
 // ---- lcp_query (provider-side collective piece) --------------------------
 
 struct LcpQueryRequest {
   ArchGraph graph;
-  void serialize(Serializer& s) const { graph.serialize(s); }
-  static LcpQueryRequest deserialize(Deserializer& d) {
-    return LcpQueryRequest{ArchGraph::deserialize(d)};
-  }
+
+  static auto fields(auto& m) { return std::tie(m.graph); }
+  EVOSTORE_WIRE_SERDE(LcpQueryRequest)
 };
 
 struct LcpQueryResponse {
@@ -811,47 +803,26 @@ struct LcpQueryResponse {
   ModelId ancestor;
   double quality = 0;
   std::vector<std::pair<VertexId, VertexId>> matches;  // (G vertex, A vertex)
-  /// Client-side only (never serialized): set by the broadcast+reduce when
-  /// at least one provider could not be reached within the retry budget —
-  /// the reduction covers the responders only (graceful degradation).
+  /// Set by the client's broadcast+reduce when at least one provider could
+  /// not be reached within the retry budget — the reduction covers the
+  /// responders only (graceful degradation).
   bool partial = false;
 
   size_t lcp_len() const { return matches.size(); }
 
-  void serialize(Serializer& s) const {
-    s.boolean(found);
-    if (!found) return;
-    s.u64(ancestor.value);
-    s.f64(quality);
-    s.u64(matches.size());
-    for (auto [gv, av] : matches) {
-      s.u32(gv);
-      s.u32(av);
-    }
+  static auto fields(auto& m) {
+    return list(m.found,
+                when(m.found, std::tie(m.ancestor, m.quality, m.matches)),
+                local(m.partial));
   }
-  static LcpQueryResponse deserialize(Deserializer& d) {
-    LcpQueryResponse r;
-    r.found = d.boolean();
-    if (!r.found || !d.ok()) return r;
-    r.ancestor.value = d.u64();
-    r.quality = d.f64();
-    uint64_t n = d.u64();
-    if (!d.check_count(n, 2)) return r;
-    r.matches.reserve(n);
-    for (uint64_t i = 0; i < n && d.ok(); ++i) {
-      VertexId gv = d.u32();
-      VertexId av = d.u32();
-      r.matches.emplace_back(gv, av);
-    }
-    return r;
-  }
+  EVOSTORE_WIRE_SERDE(LcpQueryResponse)
 };
 
 // ---- get_stats -----------------------------------------------------------
 
 struct StatsRequest {
-  void serialize(Serializer&) const {}
-  static StatsRequest deserialize(Deserializer&) { return {}; }
+  static auto fields(auto&) { return std::tuple<>(); }
+  EVOSTORE_WIRE_SERDE(StatsRequest)
 };
 
 /// One named histogram digest from a provider's local metrics registry
@@ -871,28 +842,11 @@ struct HistogramSummaryEntry {
   friend bool operator==(const HistogramSummaryEntry&,
                          const HistogramSummaryEntry&) = default;
 
-  void serialize(Serializer& s) const {
-    s.str(name);
-    s.u64(count);
-    s.f64(sum);
-    s.f64(min);
-    s.f64(max);
-    s.f64(p50);
-    s.f64(p95);
-    s.f64(p99);
+  static auto fields(auto& m) {
+    return std::tie(m.name, m.count, m.sum, m.min, m.max, m.p50, m.p95,
+                    m.p99);
   }
-  static HistogramSummaryEntry deserialize(Deserializer& d) {
-    HistogramSummaryEntry e;
-    e.name = d.str();
-    e.count = d.u64();
-    e.sum = d.f64();
-    e.min = d.f64();
-    e.max = d.f64();
-    e.p50 = d.f64();
-    e.p95 = d.f64();
-    e.p99 = d.f64();
-    return e;
-  }
+  EVOSTORE_WIRE_SERDE(HistogramSummaryEntry)
 };
 
 /// Live per-codec stored volume on one provider.
@@ -904,8 +858,14 @@ struct CodecUsageEntry {
 
   friend bool operator==(const CodecUsageEntry&,
                          const CodecUsageEntry&) = default;
+  static auto fields(auto& m) {
+    return std::tie(m.codec, m.segments, m.logical_bytes, m.physical_bytes);
+  }
 };
 
+/// Every uint64_t member is a counter or gauge that sums across providers
+/// (merge_stats); a new one needs only its declaration and a place in
+/// `fields`.
 struct StatsResponse {
   common::Status status;
   // Operation counters (cumulative).
@@ -953,103 +913,21 @@ struct StatsResponse {
   // registry with std::map iteration, so the wire order is deterministic).
   std::vector<HistogramSummaryEntry> histograms;
 
-  void serialize(Serializer& s) const {
-    serialize_status(s, status);
-    s.u64(puts);
-    s.u64(segment_reads);
-    s.u64(refs_added);
-    s.u64(refs_removed);
-    s.u64(segments_freed);
-    s.u64(live_models);
-    s.u64(live_segments);
-    s.u64(logical_bytes);
-    s.u64(physical_bytes);
-    s.u64(pre_dedup_physical_bytes);
-    s.u64(live_chunks);
-    s.u64(chunk_physical_bytes);
-    s.u64(chunk_hits);
-    s.u64(chunk_misses);
-    s.u64(chunks_freed);
-    s.u64(dedup_saved_bytes);
-    s.u64(not_modified_reads);
-    s.u64(redirects_issued);
-    s.u64(pins_reaped);
-    s.u64(handoff_recorded);
-    s.u64(handoff_replayed);
-    s.u64(handoff_discarded);
-    s.u64(replica_installed_models);
-    s.u64(replica_installed_segments);
-    s.u64(replica_chunks_fetched);
-    s.u64(drain_models_moved);
-    s.u64(drain_segments_moved);
-    s.u64(lcp_index_answers);
-    s.u64(lcp_index_fallback_scans);
-    s.u64(lcp_index_nodes);
-    s.u64(lcp_index_bytes);
-    s.u64(codecs.size());
-    for (const auto& c : codecs) {
-      s.u8(static_cast<uint8_t>(c.codec));
-      s.u64(c.segments);
-      s.u64(c.logical_bytes);
-      s.u64(c.physical_bytes);
-    }
-    s.u64(histograms.size());
-    for (const auto& h : histograms) h.serialize(s);
+  static auto fields(auto& m) {
+    return std::tie(
+        m.status, m.puts, m.segment_reads, m.refs_added, m.refs_removed,
+        m.segments_freed, m.live_models, m.live_segments, m.logical_bytes,
+        m.physical_bytes, m.pre_dedup_physical_bytes, m.live_chunks,
+        m.chunk_physical_bytes, m.chunk_hits, m.chunk_misses, m.chunks_freed,
+        m.dedup_saved_bytes, m.not_modified_reads, m.redirects_issued,
+        m.pins_reaped, m.handoff_recorded, m.handoff_replayed,
+        m.handoff_discarded, m.replica_installed_models,
+        m.replica_installed_segments, m.replica_chunks_fetched,
+        m.drain_models_moved, m.drain_segments_moved, m.lcp_index_answers,
+        m.lcp_index_fallback_scans, m.lcp_index_nodes, m.lcp_index_bytes,
+        m.codecs, m.histograms);
   }
-  static StatsResponse deserialize(Deserializer& d) {
-    StatsResponse r;
-    r.status = deserialize_status(d);
-    r.puts = d.u64();
-    r.segment_reads = d.u64();
-    r.refs_added = d.u64();
-    r.refs_removed = d.u64();
-    r.segments_freed = d.u64();
-    r.live_models = d.u64();
-    r.live_segments = d.u64();
-    r.logical_bytes = d.u64();
-    r.physical_bytes = d.u64();
-    r.pre_dedup_physical_bytes = d.u64();
-    r.live_chunks = d.u64();
-    r.chunk_physical_bytes = d.u64();
-    r.chunk_hits = d.u64();
-    r.chunk_misses = d.u64();
-    r.chunks_freed = d.u64();
-    r.dedup_saved_bytes = d.u64();
-    r.not_modified_reads = d.u64();
-    r.redirects_issued = d.u64();
-    r.pins_reaped = d.u64();
-    r.handoff_recorded = d.u64();
-    r.handoff_replayed = d.u64();
-    r.handoff_discarded = d.u64();
-    r.replica_installed_models = d.u64();
-    r.replica_installed_segments = d.u64();
-    r.replica_chunks_fetched = d.u64();
-    r.drain_models_moved = d.u64();
-    r.drain_segments_moved = d.u64();
-    r.lcp_index_answers = d.u64();
-    r.lcp_index_fallback_scans = d.u64();
-    r.lcp_index_nodes = d.u64();
-    r.lcp_index_bytes = d.u64();
-    uint64_t n = d.u64();
-    if (!d.check_count(n, 4)) return r;
-    r.codecs.reserve(n);
-    for (uint64_t i = 0; i < n && d.ok(); ++i) {
-      CodecUsageEntry e;
-      e.codec = static_cast<compress::CodecId>(d.u8());
-      e.segments = d.u64();
-      e.logical_bytes = d.u64();
-      e.physical_bytes = d.u64();
-      r.codecs.push_back(e);
-    }
-    uint64_t nh = d.u64();
-    // >= 1 byte name-length + 7 numeric fields per entry.
-    if (!d.check_count(nh, 8)) return r;
-    r.histograms.reserve(nh);
-    for (uint64_t i = 0; i < nh && d.ok(); ++i) {
-      r.histograms.push_back(HistogramSummaryEntry::deserialize(d));
-    }
-    return r;
-  }
+  EVOSTORE_WIRE_SERDE(StatsResponse)
 };
 
 /// Cluster-wide aggregation of per-provider stats (used by
@@ -1059,50 +937,17 @@ struct StatsResponse {
 /// a union is not recoverable from per-provider digests).
 inline StatsResponse merge_stats(const std::vector<StatsResponse>& parts) {
   StatsResponse total;
-  total.status = common::Status::Ok();
   std::vector<CodecUsageEntry> codecs;
   std::vector<HistogramSummaryEntry> hists;
   for (const StatsResponse& p : parts) {
-    total.puts += p.puts;
-    total.segment_reads += p.segment_reads;
-    total.refs_added += p.refs_added;
-    total.refs_removed += p.refs_removed;
-    total.segments_freed += p.segments_freed;
-    total.live_models += p.live_models;
-    total.live_segments += p.live_segments;
-    total.logical_bytes += p.logical_bytes;
-    total.physical_bytes += p.physical_bytes;
-    total.pre_dedup_physical_bytes += p.pre_dedup_physical_bytes;
-    total.live_chunks += p.live_chunks;
-    total.chunk_physical_bytes += p.chunk_physical_bytes;
-    total.chunk_hits += p.chunk_hits;
-    total.chunk_misses += p.chunk_misses;
-    total.chunks_freed += p.chunks_freed;
-    total.dedup_saved_bytes += p.dedup_saved_bytes;
-    total.not_modified_reads += p.not_modified_reads;
-    total.redirects_issued += p.redirects_issued;
-    total.pins_reaped += p.pins_reaped;
-    total.handoff_recorded += p.handoff_recorded;
-    total.handoff_replayed += p.handoff_replayed;
-    total.handoff_discarded += p.handoff_discarded;
-    total.replica_installed_models += p.replica_installed_models;
-    total.replica_installed_segments += p.replica_installed_segments;
-    total.replica_chunks_fetched += p.replica_chunks_fetched;
-    total.drain_models_moved += p.drain_models_moved;
-    total.drain_segments_moved += p.drain_segments_moved;
-    total.lcp_index_answers += p.lcp_index_answers;
-    total.lcp_index_fallback_scans += p.lcp_index_fallback_scans;
-    total.lcp_index_nodes += p.lcp_index_nodes;
-    total.lcp_index_bytes += p.lcp_index_bytes;
+    sum_counters(total, p);
     for (const CodecUsageEntry& c : p.codecs) {
       auto it = std::find_if(codecs.begin(), codecs.end(),
                              [&](const auto& e) { return e.codec == c.codec; });
       if (it == codecs.end()) {
         codecs.push_back(c);
       } else {
-        it->segments += c.segments;
-        it->logical_bytes += c.logical_bytes;
-        it->physical_bytes += c.physical_bytes;
+        sum_counters(*it, c);
       }
     }
     for (const HistogramSummaryEntry& h : p.histograms) {

@@ -55,17 +55,6 @@ sim::CoTask<Result<Bytes>> RpcSystem::call(NodeId from, NodeId to,
   double start = simulation().now();
   obs::Span span =
       obs::Tracer::maybe_begin(tracer_, "rpc:" + method, from, options.parent);
-  if (span.active()) {
-    // Frame the trace context ahead of the payload; unframe_request strips
-    // it server-side. The extra wire bytes are honest tracing overhead and
-    // exist only while a tracer is attached.
-    obs::TraceContext ctx = span.context();
-    common::Serializer s;
-    s.u64(ctx.trace_id);
-    s.u64(ctx.span_id);
-    s.bytes(request);
-    request = std::move(s).take();
-  }
   double timeout = options.timeout != 0 ? options.timeout : default_timeout_;
   // Separate statements, NOT a conditional expression: co_await inside ?:
   // makes shipped GCC destroy the CoTask temporary (and the coroutine frame
@@ -73,10 +62,11 @@ sim::CoTask<Result<Bytes>> RpcSystem::call(NodeId from, NodeId to,
   std::optional<Result<Bytes>> result;
   if (timeout > 0) {
     result.emplace(co_await race_deadline(
-        call_inner(from, to, method, std::move(request)), timeout, method,
-        to));
+        call_inner(from, to, method, std::move(request), span.context()),
+        timeout, method, to));
   } else {
-    result.emplace(co_await call_inner(from, to, method, std::move(request)));
+    result.emplace(co_await call_inner(from, to, method, std::move(request),
+                                       span.context()));
   }
   if (hist_call_seconds_ != nullptr) {
     hist_call_seconds_->add(simulation().now() - start);
@@ -87,24 +77,10 @@ sim::CoTask<Result<Bytes>> RpcSystem::call(NodeId from, NodeId to,
   co_return std::move(*result);
 }
 
-Bytes RpcSystem::unframe_request(Bytes request,
-                                 obs::TraceContext* parent_out) {
-  common::Deserializer d(request);
-  obs::TraceContext ctx;
-  ctx.trace_id = d.u64();
-  ctx.span_id = d.u64();
-  Bytes body = d.bytes();
-  // The frame was written by `call` on this same RpcSystem, so a decode
-  // failure here would be a bug, not hostile input; fall back to the raw
-  // bytes rather than crash if it ever happens.
-  if (!d.ok() || !d.at_end()) return request;
-  *parent_out = ctx;
-  return body;
-}
-
 sim::CoTask<Result<Bytes>> RpcSystem::call_inner(NodeId from, NodeId to,
                                                  std::string method,
-                                                 Bytes request) {
+                                                 Bytes request,
+                                                 obs::TraceContext trace) {
   ++stats_.calls;
   stats_.request_bytes += static_cast<double>(request.size());
   if (hist_request_bytes_ != nullptr) {
@@ -159,13 +135,9 @@ sim::CoTask<Result<Bytes>> RpcSystem::call_inner(NodeId from, NodeId to,
     co_return common::Status::Unimplemented("no handler for '" + method +
                                             "' on " + fabric_->node_name(to));
   }
-  obs::TraceContext client_ctx;
-  if (tracer_ != nullptr) {
-    request = unframe_request(std::move(request), &client_ctx);
-  }
   // The serve span opens before any pool wait so queueing time is visible.
   obs::Span serve =
-      obs::Tracer::maybe_begin(tracer_, "serve:" + method, to, client_ctx);
+      obs::Tracer::maybe_begin(tracer_, "serve:" + method, to, trace);
   HandlerContext hctx{serve.context()};
   auto pool_it = pools_.find(to);
   Bytes response;

@@ -24,12 +24,10 @@
 // the pre-fault one: no RNG draws, no extra events.
 //
 // Observability (see obs/trace.h): when a tracer is attached, every call
-// opens a client-side span and frames its TraceContext (two varint u64s +
-// a length-prefixed body) ahead of the request payload; the server side
-// strips the frame before the handler runs and opens a `serve:` span as the
-// remote child. The framing — and therefore any change to wire sizes or
-// timings — exists only while a tracer is attached; detached runs keep the
-// pre-tracing byte stream exactly. Handlers registered with the
+// opens a client-side span and the server side opens a `serve:` span as its
+// remote child. The span context is handed to the server leg in process, as
+// an argument, never on the wire: traced and untraced runs move the same
+// bytes at the same simulated times. Handlers registered with the
 // context-aware signature receive the server span's context so they can
 // parent their own spans (e.g. a provider's KV commit) under the RPC.
 #pragma once
@@ -108,10 +106,9 @@ class RpcSystem {
   /// 0 (the default) means no deadline.
   void set_default_timeout(double seconds) { default_timeout_ = seconds; }
 
-  /// Attach a tracer: every call opens client/server spans and the trace
-  /// context travels in the wire header. Must outlive in-flight calls; do
-  /// not attach/detach while calls are running (the frame format must match
-  /// on both legs). nullptr detaches and restores the untraced byte stream.
+  /// Attach a tracer: every call opens client/server spans. Recording only:
+  /// wire bytes and simulated timings do not change. Must outlive in-flight
+  /// calls. nullptr detaches.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
   obs::Tracer* tracer() { return tracer_; }
 
@@ -124,8 +121,8 @@ class RpcSystem {
   /// Attach a flight recorder (obs/events.h). The RpcSystem itself records
   /// nothing; it is the distribution point clients, providers, and the
   /// fault injector read their `EventLog*` through. Recording is pure
-  /// memory append — unlike trace framing it never changes wire bytes or
-  /// simulated timings, so it is safe under `--verify`. nullptr detaches.
+  /// memory append — it never changes wire bytes or simulated timings, so
+  /// it is safe under `--verify`. nullptr detaches.
   void set_events(obs::EventLog* events) { events_ = events; }
   obs::EventLog* events() { return events_; }
 
@@ -165,12 +162,11 @@ class RpcSystem {
   // The call body without deadline handling (raced against the timer when a
   // deadline is set; run directly otherwise). Takes `method` BY VALUE: when
   // the deadline loses the race the abandoned frame keeps running after the
-  // caller's arguments are gone.
+  // caller's arguments are gone. `trace` is the client span's context, the
+  // parent of the server's `serve:` span.
   sim::CoTask<Result<Bytes>> call_inner(NodeId from, NodeId to,
-                                        std::string method, Bytes request);
-  // Strip the trace frame (added by `call` when a tracer is attached) off a
-  // request just before handler dispatch.
-  Bytes unframe_request(Bytes request, obs::TraceContext* parent_out);
+                                        std::string method, Bytes request,
+                                        obs::TraceContext trace);
   // Race `inner` against a deadline `timeout` seconds from now.
   sim::CoTask<Result<Bytes>> race_deadline(sim::CoTask<Result<Bytes>> inner,
                                            double timeout, std::string method,
@@ -197,7 +193,8 @@ class RpcSystem {
 /// Request/Response must provide `void serialize(common::Serializer&) const`
 /// and `static Response deserialize(common::Deserializer&)`.
 /// A malformed response is annotated with the method and target node so the
-/// failure is attributable without a packet trace.
+/// failure is attributable without a packet trace. The server-side twin is
+/// `register_typed_handler`.
 /// `rpc` is a pointer and `method` a by-value copy because both are used
 /// after the call suspends (EVO-CORO-003: the caller's frame may be gone
 /// when this coroutine resumes).
@@ -220,6 +217,47 @@ sim::CoTask<Result<Response>> typed_call(RpcSystem* rpc, NodeId from, NodeId to,
             rpc->fabric().node_name(to) + ": " + d.status().message());
   }
   co_return resp;
+}
+
+namespace detail {
+
+// Decode, dispatch, encode: the body behind every typed registration.
+template <typename Owner, typename Request, typename Response>
+sim::CoTask<Bytes> serve_typed(
+    Owner* owner,
+    sim::CoTask<Response> (Owner::*handler)(Request, HandlerContext),
+    Bytes request, HandlerContext ctx) {
+  common::Deserializer d(request);
+  Request req = Request::deserialize(d);
+  Response resp{};
+  if (d.ok()) {
+    resp = co_await (owner->*handler)(std::move(req), ctx);
+  } else if constexpr (requires { resp.status = d.status(); }) {
+    resp.status = d.status();
+  }
+  common::Serializer s;
+  resp.serialize(s);
+  co_return std::move(s).take();
+}
+
+}  // namespace detail
+
+/// Server-side twin of `typed_call`: serve (node, method) with the member
+/// coroutine `owner->handler(Request, HandlerContext) -> CoTask<Response>`.
+/// The request is decoded here and the response encoded here. A request
+/// that does not decode is answered at once — with the decode status when
+/// Response has a `status` member, else with a default Response — and the
+/// handler never runs, so a malformed request touches no state. `owner`
+/// must outlive the registration.
+template <typename Owner, typename Request, typename Response>
+void register_typed_handler(
+    RpcSystem& rpc, NodeId node, std::string method, Owner* owner,
+    sim::CoTask<Response> (Owner::*handler)(Request, HandlerContext)) {
+  rpc.register_handler(node, std::move(method),
+                       [owner, handler](Bytes request, HandlerContext ctx) {
+                         return detail::serve_typed(owner, handler,
+                                                    std::move(request), ctx);
+                       });
 }
 
 }  // namespace evostore::net

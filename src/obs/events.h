@@ -16,10 +16,9 @@
 //      instrumented paths record nothing host-dependent — identical seeded
 //      runs serialize to byte-identical JSON/CSV, and two logs fed the same
 //      events in different orders export identically.
-//   3. Pure recording. Unlike trace framing (which adds wire bytes and so
-//      shifts simulated timings), recording an event never touches the
+//   3. Pure recording. Like tracing, recording an event never touches the
 //      simulation, the RNGs, or the wire: `--events-out` is safe under
-//      `--verify` exactly like `--metrics-out`.
+//      `--verify` exactly like `--metrics-out` and `--trace-out`.
 //
 // The ring is bounded: once `capacity` events are held, each append evicts
 // the OLDEST retained event (newest events always survive) and bumps the

@@ -10,11 +10,10 @@
 // There is deliberately no ambient ("current span") context: the simulation
 // interleaves thousands of coroutines on one host thread, so thread-local
 // context would attribute children to whichever coroutine last resumed.
-// Instead a `TraceContext` is passed explicitly — through function
-// parameters inside a process, and through a 16-ish-byte header framed
-// ahead of the RPC request payload across the wire (see net/rpc.cc). That
-// framing exists only while a tracer is attached, so untraced runs keep the
-// exact pre-tracing wire format and timings.
+// Instead a `TraceContext` is passed explicitly as a function parameter —
+// across the simulated RPC too, where it travels beside the request, never
+// inside it (see net/rpc.h). Tracing therefore adds no wire bytes: traced
+// and untraced runs keep the same wire format and simulated timings.
 //
 // `Span` is a cheap RAII handle (tracer pointer + record index). A
 // default-constructed or moved-from span is inert: every operation on it is

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "baseline/redis_queries.h"
 #include "tests/core/test_env.h"
 
 namespace evostore::core {
@@ -189,6 +190,176 @@ TEST(Provider, ModelIdsSorted) {
   auto listed = env.provider().model_ids();
   ASSERT_EQ(listed.size(), 3u);
   EXPECT_TRUE(std::is_sorted(listed.begin(), listed.end()));
+}
+
+
+// A retried retire or modify_refs is answered from the idempotency cache
+// with exactly the bytes the first delivery got: re-applying would answer
+// NotFound instead, so equal bytes prove the replay.
+TEST(Provider, TokenReplaysAreByteIdentical) {
+  SingleEnv env;
+  auto m = model::Model::random(env.repo->allocate_id(), chain_graph(2, 8), 1);
+  ASSERT_TRUE(env.run(store_model(env.client(), m)).ok());
+  const common::NodeId node = env.provider_nodes[0];
+  auto deliver = [&](const char* method, const auto& req) {
+    auto r = env.run(env.rpc.call(env.worker, node, method, wire::encode(req)));
+    EXPECT_TRUE(r.ok()) << method;
+    return r.ok() ? std::move(r).value() : common::Bytes{};
+  };
+  wire::ModifyRefsRequest release;
+  release.keys = {SegmentKey{m.id(), 1}};
+  release.increment = false;
+  release.token = 0x0001000000000011ULL;
+  const common::Bytes freed = deliver(Provider::kModifyRefs, release);
+  EXPECT_EQ(deliver(Provider::kModifyRefs, release), freed);
+  const wire::RetireRequest retire{m.id(), 0x0001000000000012ULL};
+  const common::Bytes retired = deliver(Provider::kRetire, retire);
+  EXPECT_EQ(deliver(Provider::kRetire, retire), retired);
+  EXPECT_EQ(env.provider().stats().deduped_replays, 2u);
+  auto first = wire::decode<wire::RetireResponse>(retired);
+  ASSERT_TRUE(first.ok());
+  EXPECT_TRUE(first->status.ok());
+  EXPECT_EQ(first->owners.size(), 3u);
+}
+
+// ---- malformed requests ---------------------------------------------------
+
+constexpr double kOpSeconds = 1.0;  // per-op cost: any charged op would show
+
+// Sends `req` with its last byte cut off — a prefix that cannot decode —
+// checks the answer came back at once (no op cost charged), and returns it.
+template <typename Request>
+common::Bytes send_truncated(ClusterEnv& env, common::NodeId from,
+                             common::NodeId to, const char* method,
+                             const Request& req) {
+  common::Bytes bytes = wire::encode(req);
+  bytes.pop_back();
+  common::Deserializer probe(bytes);
+  (void)Request::deserialize(probe);
+  EXPECT_FALSE(probe.ok()) << method << ": truncation still decodes";
+  double t0 = env.sim.now();
+  auto r = env.run(env.rpc.call(from, to, method, std::move(bytes)));
+  EXPECT_LT(env.sim.now() - t0, kOpSeconds) << method;
+  EXPECT_TRUE(r.ok()) << method << ": " << r.status().to_string();
+  return r.ok() ? std::move(r).value() : common::Bytes{};
+}
+
+// The one answer to a malformed request: the decode status where the
+// response has a status, else the default response, byte for byte.
+template <typename Response, typename Request>
+void expect_rejected(ClusterEnv& env, common::NodeId from, common::NodeId to,
+                     const char* method, const Request& req) {
+  common::Bytes answer = send_truncated(env, from, to, method, req);
+  auto resp = wire::decode<Response>(answer);
+  ASSERT_TRUE(resp.ok()) << method << ": " << resp.status().to_string();
+  if constexpr (requires { resp->status; }) {
+    EXPECT_EQ(resp->status.code(), common::ErrorCode::kCorruption) << method;
+  } else {
+    EXPECT_EQ(answer, wire::encode(Response{})) << method;
+  }
+}
+
+// Every typed method — the provider's twelve, the client's peer read, and
+// the Redis baseline's five — answers a request that does not decode at
+// once, with that one answer, and touches no state.
+TEST(Provider, MalformedRequestsAnswerAtOnceAndTouchNothing) {
+  ProviderConfig config;
+  config.op_seconds = kOpSeconds;
+  ClientConfig client_config;
+  client_config.cache.capacity_bytes = 1 << 20;
+  ClusterEnv env(1, config, client_config);
+  Provider& provider = env.repo->provider(0);
+  const common::NodeId node = env.provider_nodes[0];
+  const common::NodeId from = env.worker;
+  auto g = chain_graph(2, 8);
+  auto m = model::Model::random(env.repo->allocate_id(), g, 1);
+  ASSERT_TRUE(env.run(store_model(env.client(), m)).ok());
+  const ProviderStats stats_before = provider.stats();
+  const std::vector<ModelId> models_before = provider.model_ids();
+  const size_t segments_before = provider.segment_count();
+  const size_t bytes_before = provider.stored_payload_bytes();
+
+  const SegmentKey key{m.id(), 1};
+  wire::PutModelRequest put;
+  put.id = env.repo->allocate_id();
+  put.graph = g;
+  put.owners = OwnerMap::self_owned(put.id, g.size());
+  wire::ReadSegmentsRequest read;
+  read.keys = {key};
+  wire::ModifyRefsRequest refs;
+  refs.keys = {key};
+  refs.increment = false;
+  refs.token = 9;
+  wire::ReplicateRequest replicate;
+  replicate.has_meta = true;
+  replicate.id = put.id;
+  replicate.graph = g;
+  replicate.owners = put.owners;
+  const wire::HintRecord hint{
+      0, Provider::kRetire, wire::encode(wire::RetireRequest{m.id(), 7})};
+  expect_rejected<wire::PutModelResponse>(env, from, node, Provider::kPutModel,
+                                          put);
+  expect_rejected<wire::GetMetaResponse>(env, from, node, Provider::kGetMeta,
+                                         wire::GetMetaRequest{m.id()});
+  expect_rejected<wire::ReadSegmentsResponse>(env, from, node,
+                                              Provider::kReadSegments, read);
+  expect_rejected<wire::ModifyRefsResponse>(env, from, node,
+                                            Provider::kModifyRefs, refs);
+  expect_rejected<wire::RetireResponse>(env, from, node, Provider::kRetire,
+                                        wire::RetireRequest{m.id(), 7});
+  expect_rejected<wire::LcpQueryResponse>(env, from, node, Provider::kLcpQuery,
+                                          wire::LcpQueryRequest{g});
+  expect_rejected<wire::StoreHintResponse>(env, from, node,
+                                           Provider::kStoreHint,
+                                           wire::StoreHintRequest{hint});
+  expect_rejected<wire::ReplicateResponse>(env, from, node,
+                                           Provider::kReplicate, replicate);
+  expect_rejected<wire::FetchChunksResponse>(
+      env, from, node, Provider::kFetchChunks,
+      wire::FetchChunksRequest{{{1, 2}}});
+  expect_rejected<wire::DrainResponse>(env, from, node, Provider::kDrain,
+                                       wire::DrainRequest{1, {node}, {1}});
+  expect_rejected<wire::RepairResponse>(
+      env, from, node, Provider::kRepairPeer,
+      wire::RepairRequest{0, 1, {node}, {1}});
+  // get_stats takes an empty request: no prefix of it can be malformed.
+  EXPECT_TRUE(wire::encode(wire::StatsRequest{}).empty());
+
+  EXPECT_EQ(provider.stats(), stats_before);
+  EXPECT_EQ(provider.model_ids(), models_before);
+  EXPECT_EQ(provider.segment_count(), segments_before);
+  EXPECT_EQ(provider.stored_payload_bytes(), bytes_before);
+  EXPECT_EQ(provider.hint_count(), 0u);
+  EXPECT_EQ(provider.refcount(key), 1);
+  EXPECT_FALSE(provider.drained());
+
+  // The client's cooperative-cache endpoint.
+  expect_rejected<wire::PeerReadResponse>(env, node, env.worker,
+                                          Client::kPeerRead,
+                                          wire::PeerReadRequest{{key}, {1}});
+
+  // The Redis baseline's endpoints. Their BoolResp leads with its status;
+  // a cut-off model id decodes as none of their requests.
+  baseline::RedisConfig redis_config;
+  redis_config.op_seconds = kOpSeconds;
+  const common::NodeId redis_node = env.fabric.add_node(25e9, 25e9);
+  baseline::RedisQueries redis(env.rpc, redis_node, redis_config);
+  ASSERT_TRUE(env.run(redis.begin_add(from, m.id(), g, 0.5)).status.ok());
+  ASSERT_TRUE(env.run(redis.finish_add(from, m.id())).ok());
+  const baseline::RedisStats redis_before = redis.stats();
+  for (const char* method : {"redis.begin_add", "redis.finish_add",
+                             "redis.unpin", "redis.retire"}) {
+    auto answer = send_truncated(env, from, redis_node, method,
+                                 wire::GetMetaRequest{m.id()});
+    common::Deserializer d(answer);
+    EXPECT_EQ(wire::deserialize_status(d).code(),
+              common::ErrorCode::kCorruption)
+        << method;
+  }
+  expect_rejected<wire::LcpQueryResponse>(env, from, redis_node, "redis.query",
+                                          wire::LcpQueryRequest{g});
+  EXPECT_EQ(redis.stats(), redis_before);
+  EXPECT_EQ(redis.published_count(), 1u);
 }
 
 }  // namespace

@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+
+#include "baseline/redis_queries.h"
+#include "core/provider.h"
+#include "storage/mem_kv.h"
 #include "tests/core/test_env.h"
 
 namespace evostore::core::wire {
@@ -540,6 +545,282 @@ TEST(Wire, LcpQueryMessages) {
   auto out2 = round_trip(nothing);
   EXPECT_FALSE(out2.found);
   EXPECT_EQ(out2.lcp_len(), 0u);
+}
+
+
+// ---- Golden bytes -----------------------------------------------------------
+//
+// Round trips cannot see a layout change made the same way on both sides, so
+// these pin the exact encoding: one fully populated instance of every message
+// (and of each gated message with its gate closed), the Redis baseline's
+// messages as they cross the RPC layer, and the provider's durable meta/ and
+// seg/ records. A failure here means the wire or on-disk format changed.
+
+std::string hex(std::span<const std::byte> bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (std::byte b : bytes) {
+    out += kDigits[std::to_integer<uint8_t>(b) >> 4];
+    out += kDigits[std::to_integer<uint8_t>(b) & 0xf];
+  }
+  return out;
+}
+
+Bytes unhex(std::string_view text) {
+  Bytes out;
+  for (size_t i = 0; i + 1 < text.size(); i += 2) {
+    out.push_back(static_cast<std::byte>(
+        std::stoi(std::string(text.substr(i, 2)), nullptr, 16)));
+  }
+  return out;
+}
+
+template <typename T>
+std::string hex_of(const T& msg) {
+  Serializer s;
+  msg.serialize(s);
+  return hex(s.data());
+}
+
+// `msg` encodes to exactly `golden`, and `golden` decodes (consuming every
+// byte) into a message that re-encodes to the same bytes.
+template <typename T>
+void expect_golden(const T& msg, std::string_view golden) {
+  EXPECT_EQ(hex_of(msg), golden);
+  Bytes bytes = unhex(golden);
+  Deserializer d(bytes);
+  T back = T::deserialize(d);
+  ASSERT_TRUE(d.finish().ok()) << d.status().to_string();
+  EXPECT_EQ(hex_of(back), golden);
+}
+
+const ModelId kGoldenId = ModelId::make(1, 2);
+const ModelId kGoldenAncestor = ModelId::make(1, 1);
+const common::Hash128 kGoldenDigest{0x1234, 0x5678};
+
+model::ArchGraph golden_graph() { return chain_graph(1, 4); }
+
+OwnerMap golden_owners() {
+  OwnerMap owners = OwnerMap::self_owned(kGoldenId, 2);
+  owners.set_entry(0, {kGoldenAncestor, 0});
+  return owners;
+}
+
+// A delta envelope carrying its base key and an inline payload.
+compress::CompressedSegment golden_inline() {
+  compress::CompressedSegment env;
+  env.codec = compress::CodecId::kDeltaVsAncestor;
+  env.logical_bytes = 300;
+  env.physical_bytes = 3;
+  env.has_base = true;
+  env.base = SegmentKey{kGoldenAncestor, 1};
+  env.payload = Bytes{std::byte{1}, std::byte{2}, std::byte{3}};
+  return env;
+}
+
+// A chunk-store manifest (travels only provider-to-provider).
+compress::CompressedSegment golden_chunked() {
+  compress::CompressedSegment env;
+  env.kind = compress::EnvelopeKind::kChunked;
+  env.codec = compress::CodecId::kZeroRle;
+  env.logical_bytes = 4096;
+  env.physical_bytes = 200;
+  env.chunks.push_back(compress::ChunkRef{kGoldenDigest, 200});
+  return env;
+}
+
+PutModelRequest golden_put() {
+  PutModelRequest req;
+  req.id = kGoldenId;
+  req.ancestor = kGoldenAncestor;
+  req.quality = 0.5;
+  req.graph = golden_graph();
+  req.owners = golden_owners();
+  req.new_segments.emplace_back(1, golden_inline());
+  req.token = 0x0001000000000007ULL;
+  return req;
+}
+
+TEST(WireGolden, ModelMessages) {
+  expect_golden(golden_put(), "8280808010818080801087808080808040000000000000e03f020000010364696d080001000304626961730202696e08036f757408000101000281808080100082808080100101010002ac02030181808080100103010203");
+  expect_golden(PutModelResponse{common::Status::AlreadyExists("dup"), 42},
+                "02036475702a");
+  expect_golden(GetMetaRequest{kGoldenId}, "8280808010");
+  expect_golden(GetMetaResponse{true, golden_graph(), golden_owners(), 0.5,
+                                kGoldenAncestor, 2.25, 3},
+                "01020000010364696d080001000304626961730202696e08036f7574080001010002818080801000828080801001000000000000e03f8180808010000000000000024003");
+  expect_golden(GetMetaResponse{}, "00");
+  expect_golden(RetireRequest{kGoldenId, 8}, "828080801008");
+  expect_golden(RetireResponse{common::Status::Unavailable("r"), golden_owners()},
+                "08017202818080801000828080801001");
+  expect_golden(LcpQueryRequest{golden_graph()}, "020000010364696d080001000304626961730202696e08036f75740800010100");
+  // `partial` is client-side only: it never reaches the wire.
+  expect_golden(LcpQueryResponse{true, kGoldenAncestor, 0.5, {{0, 0}, {1, 1}},
+                                 true},
+                "018180808010000000000000e03f0200000101");
+  expect_golden(LcpQueryResponse{}, "00");
+}
+
+TEST(WireGolden, SegmentMessages) {
+  expect_golden(ReadSegmentsRequest{{{kGoldenId, 1}, {kGoldenAncestor, 0}},
+                                    {0, 9},
+                                    5,
+                                    true,
+                                    true},
+                "02828080801001818080801000020009050101");
+  expect_golden(
+      ReadSegmentsResponse{common::Status::Unavailable("x"),
+                           {{ReadEntryState::kFresh, 3, 0},
+                            {ReadEntryState::kRedirect, 4, 6}},
+                           {golden_inline()},
+                           3},
+      "08017802000300020406010002ac0203018180808010010301020303");
+  expect_golden(PeerReadRequest{{{kGoldenId, 1}, {kGoldenAncestor, 0}}, {3, 4}},
+                "028280808010018180808010000304");
+  expect_golden(PeerReadResponse{common::Status::Internal("peer"),
+                                 {1, 0},
+                                 {golden_inline()},
+                                 3},
+                "090470656572020100010002ac0203018180808010010301020303");
+  expect_golden(ModifyRefsRequest{{{kGoldenId, 1}}, false, 7, 1, true},
+                "0007010101828080801001");
+  expect_golden(ModifyRefsResponse{common::Status::NotFound("1 missing"),
+                                   1,
+                                   300,
+                                   {{kGoldenAncestor, 1}},
+                                   {{ModelId::make(1, 3), 0}}},
+                "010931206d697373696e6701ac020181808080100101838080801000");
+}
+
+TEST(WireGolden, ReplicationMessages) {
+  HintRecord hint{2, "evostore.retire", Bytes{std::byte{10}, std::byte{11}}};
+  expect_golden(hint, "020f65766f73746f72652e726574697265020a0b");
+  expect_golden(StoreHintRequest{hint}, "020f65766f73746f72652e726574697265020a0b");
+  expect_golden(StoreHintResponse{common::Status::Unavailable("drained")},
+                "0807647261696e6564");
+  ReplicateSegment seg{SegmentKey{kGoldenId, 1}, golden_chunked(), 2};
+  expect_golden(seg, "82808080100101018020c8010001b424f8ac01c80102");
+  expect_golden(ReplicateRequest{true, kGoldenId, golden_graph(),
+                                 golden_owners(), 0.5, kGoldenAncestor, 2.25,
+                                 {seg}, 4, {5, 6}},
+                "018280808010020000010364696d080001000304626961730202696e08036f7574080001010002818080801000828080801001000000000000e03f818080801000000000000002400182808080100101018020c8010001b424f8ac01c8010204020506");
+  // Orphan push: the metadata block is absent, not defaulted.
+  ReplicateRequest orphan{false, kGoldenId, golden_graph(), golden_owners(),
+                          0.5, kGoldenAncestor, 2.25, {seg}, 4, {5, 6}};
+  expect_golden(orphan, "0082808080100182808080100101018020c8010001b424f8ac01c8010204020506");
+  expect_golden(ReplicateResponse{common::Status::IoError("a"), true, 1, 2},
+                "070161010102");
+  expect_golden(FetchChunksRequest{{kGoldenDigest}}, "01b424f8ac01");
+  ChunkBodyEntry body{kGoldenDigest, Bytes{std::byte{1}, std::byte{2}}, 200};
+  expect_golden(body, "b424f8ac01020102c801");
+  expect_golden(FetchChunksResponse{common::Status::Corruption("c"), {body}, 200},
+                "06016301b424f8ac01020102c801c801");
+  expect_golden(DrainRequest{2, {4, 5, 6}, {1, 0, 1}}, "020304050603010001");
+  expect_golden(DrainResponse{common::Status::InvalidArgument("d"), 1, 2, 3},
+                "030164010203");
+  expect_golden(RepairRequest{1, 2, {4, 5, 6}, {1, 1, 1}}, "01020304050603010101");
+  expect_golden(RepairResponse{common::Status::Unavailable("p"), 1, 2},
+                "0801700102");
+}
+
+TEST(WireGolden, StatsMessages) {
+  expect_golden(StatsRequest{}, "");
+  HistogramSummaryEntry hist{"put.seconds", 2, 1.5, 0.5, 1.0, 0.5, 1.0, 1.0};
+  expect_golden(hist, "0b7075742e7365636f6e647302000000000000f83f000000000000e03f000000000000f03f000000000000e03f000000000000f03f000000000000f03f");
+  // Every counter gets a distinct value (1..31 in declaration order), so a
+  // reordering anywhere in the list shows.
+  StatsResponse stats{common::Status::Unavailable("s"),
+                      1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16,
+                      17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30,
+                      31,
+                      {{compress::CodecId::kDeltaVsAncestor, 1, 300, 3}},
+                      {hist}};
+  expect_golden(stats, "0801730102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f010201ac0203010b7075742e7365636f6e647302000000000000f83f000000000000e03f000000000000f03f000000000000e03f000000000000f03f000000000000f03f");
+}
+
+sim::CoTask<Bytes> reply_with(Bytes reply) { co_return reply; }
+
+// The Redis baseline keeps its messages private, so they are pinned where
+// they cross the RPC layer: golden requests into the real server must yield
+// golden responses, and the client wrappers must send golden requests and
+// read golden responses.
+TEST(WireGolden, RedisBaselineMessages) {
+  sim::Simulation sim;
+  net::Fabric fabric(sim, net::FabricConfig{.latency = 1.5e-6,
+                                            .local_latency = 2e-7});
+  net::RpcSystem rpc(fabric);
+  const common::NodeId server = fabric.add_node(25e9, 25e9);
+  const common::NodeId client = fabric.add_node(25e9, 25e9);
+  baseline::RedisQueries redis(rpc, server);
+  auto serve = [&](const char* method, std::string_view request) {
+    auto r = sim.run_until_complete(
+        rpc.call(client, server, method, unhex(request)));
+    EXPECT_TRUE(r.ok()) << method << ": " << r.status().to_string();
+    return r.ok() ? hex(r.value()) : std::string();
+  };
+  const std::string begin_add = "8280808010000000000000e03f020000010364696d080001000304626961730202696e08036f75740800010100";  // id, quality, graph
+  const std::string id_req = "8280808010";
+  const std::string ok_true = "000001";
+  const std::string ok_false = "000000";
+  EXPECT_EQ(serve("redis.begin_add", begin_add), ok_true);
+  EXPECT_EQ(serve("redis.finish_add", id_req), ok_false);
+  EXPECT_EQ(serve("redis.query", hex_of(LcpQueryRequest{golden_graph()})),
+            "018280808010000000000000e03f0200000101");
+  EXPECT_EQ(serve("redis.unpin", id_req), ok_false);  // query pin released
+  EXPECT_EQ(serve("redis.retire", id_req), ok_true);  // last reference
+  EXPECT_EQ(serve("redis.finish_add", hex_of(GetMetaRequest{kGoldenAncestor})),
+            "01116d6f64656c206d3432393439363732393700");
+
+  std::string seen;
+  const std::string full = "01017801";  // NotFound("x"), flag = 1
+  for (const char* method :
+       {"redis.begin_add", "redis.finish_add", "redis.unpin", "redis.retire"}) {
+    rpc.register_handler(server, method,
+                         [seen = &seen, reply = unhex(full)](Bytes b) {
+                           *seen = hex(b);
+                           return reply_with(reply);
+                         });
+  }
+  const model::ArchGraph graph = golden_graph();
+  auto add = sim.run_until_complete(redis.begin_add(client, kGoldenId, graph, 0.5));
+  EXPECT_EQ(seen, begin_add);
+  EXPECT_EQ(add.status.code(), common::ErrorCode::kNotFound);
+  EXPECT_EQ(add.status.message(), "x");
+  EXPECT_TRUE(add.need_weights);
+  auto finish = sim.run_until_complete(redis.finish_add(client, kGoldenId));
+  EXPECT_EQ(seen, id_req);
+  EXPECT_EQ(finish.code(), common::ErrorCode::kNotFound);
+  auto unpin = sim.run_until_complete(redis.unpin(client, kGoldenId));
+  EXPECT_EQ(seen, id_req);
+  EXPECT_TRUE(unpin.remove_weights);
+  auto retire = sim.run_until_complete(redis.retire(client, kGoldenId));
+  EXPECT_EQ(seen, id_req);
+  EXPECT_TRUE(retire.remove_weights);
+}
+
+// The provider's durable records, written by a real put: meta/<id> (the
+// model's metadata) and seg/<owner>/<vertex> (refcount, version, envelope).
+TEST(WireGolden, ProviderDurableRecords) {
+  sim::Simulation sim;
+  net::Fabric fabric(sim, net::FabricConfig{.latency = 1.5e-6,
+                                            .local_latency = 2e-7});
+  net::RpcSystem rpc(fabric);
+  const common::NodeId node = fabric.add_node(25e9, 25e9);
+  const common::NodeId client = fabric.add_node(25e9, 25e9);
+  storage::MemKv kv;
+  Provider provider(rpc, node, 0, ProviderConfig{}, &kv);
+  const PutModelRequest put = golden_put();
+  auto r = sim.run_until_complete(net::typed_call<PutModelResponse>(
+      &rpc, client, node, Provider::kPutModel, put));
+  ASSERT_TRUE(r.ok() && r->status.ok());
+  auto record = [&](const std::string& key) {
+    auto v = kv.get(key);
+    EXPECT_TRUE(v.ok()) << key;
+    return v.ok() ? hex(v.value().materialize().dense_span()) : std::string();
+  };
+  EXPECT_EQ(record("meta/" + std::to_string(kGoldenId.value)), "020000010364696d080001000304626961730202696e08036f7574080001010002818080801000828080801001000000000000e03f81808080107baef0422b12cf3e01");
+  EXPECT_EQ(record("seg/" + std::to_string(kGoldenId.value) + "/1"),
+            "02010002ac02030181808080100103010203");
 }
 
 }  // namespace

@@ -315,5 +315,94 @@ TEST(Rpc, TypedCallDetectsGarbageResponse) {
   EXPECT_FALSE(env.sim.run_until_complete(task()));
 }
 
+// A typed endpoint: counts its invocations so a test can see whether the
+// handler ran at all.
+struct Doubler {
+  int calls = 0;
+  CoTask<PingResp> twice(PingReq req, HandlerContext) {
+    ++calls;
+    co_return PingResp{req.x * 2};
+  }
+};
+
+TEST(Rpc, TypedHandlerDecodesDispatchesAndEncodes) {
+  Env env;
+  Doubler doubler;
+  register_typed_handler(env.rpc, env.b, "double", &doubler, &Doubler::twice);
+  auto typed = env.sim.run_until_complete(
+      typed_call<PingResp>(&env.rpc, env.a, env.b, "double", PingReq{21}));
+  ASSERT_TRUE(typed.ok());
+  EXPECT_EQ(typed->y, 42);
+  EXPECT_EQ(doubler.calls, 1);
+
+  // A request that does not decode gets the default response (PingResp has
+  // no status member) and the handler never runs.
+  auto raw = env.sim.run_until_complete(
+      env.rpc.call(env.a, env.b, "double", Bytes{std::byte{0x80}}));
+  ASSERT_TRUE(raw.ok());
+  Deserializer d(raw.value());
+  EXPECT_EQ(PingResp::deserialize(d).y, 0);
+  EXPECT_TRUE(d.finish().ok());
+  EXPECT_EQ(doubler.calls, 1);
+}
+
+// One fixed mix of calls: plain, pooled, slow-handler, deadline-bounded.
+// Returns each call's completion time, then runs the simulation dry (the
+// deadline-abandoned handler finishes too).
+std::vector<double> run_call_mix(Env& env) {
+  env.rpc.register_handler(env.b, "echo", [](Bytes req) -> CoTask<Bytes> {
+    co_return req;
+  });
+  env.rpc.register_handler(env.b, "slow", [sim = &env.sim](Bytes) -> CoTask<Bytes> {
+    co_await sim->delay(0.5);
+    co_return Bytes(300);
+  });
+  NodeId pooled = env.fabric.add_node(1000.0, 1000.0);
+  env.rpc.set_service_pool(pooled, 1, 0.01);
+  env.rpc.register_handler(pooled, "echo", [](Bytes req) -> CoTask<Bytes> {
+    co_return req;
+  });
+  auto task = [](Env* e, NodeId pool_node) -> CoTask<std::vector<double>> {
+    std::vector<double> done;
+    (void)co_await e->rpc.call(e->a, e->b, "echo", Bytes(1000));
+    done.push_back(e->sim.now());
+    (void)co_await e->rpc.call(e->a, pool_node, "echo", Bytes(40));
+    done.push_back(e->sim.now());
+    (void)co_await e->rpc.call(e->a, e->b, "slow", Bytes(7));
+    done.push_back(e->sim.now());
+    (void)co_await e->rpc.call(e->a, e->b, "slow", Bytes(7),
+                               CallOptions{.timeout = 0.2});
+    done.push_back(e->sim.now());
+    co_return done;
+  };
+  std::vector<double> done = env.sim.run_until_complete(task(&env, pooled));
+  env.sim.run();
+  return done;
+}
+
+TEST(Rpc, TracingMovesNoBytesAndShiftsNoTimes) {
+  Env plain;
+  Env traced;
+  obs::Tracer tracer(traced.sim);
+  traced.rpc.set_tracer(&tracer);
+  EXPECT_EQ(run_call_mix(traced), run_call_mix(plain));
+  EXPECT_EQ(traced.sim.now(), plain.sim.now());
+  const RpcStats& t = traced.rpc.stats();
+  const RpcStats& p = plain.rpc.stats();
+  EXPECT_EQ(t.calls, p.calls);
+  EXPECT_EQ(t.request_bytes, p.request_bytes);
+  EXPECT_EQ(t.response_bytes, p.response_bytes);
+  EXPECT_EQ(t.deadline_exceeded, 1u);
+  EXPECT_EQ(p.deadline_exceeded, 1u);
+  // The context still links each server span to its client span.
+  size_t serve_spans = 0;
+  for (const obs::SpanRecord& r : tracer.records()) {
+    if (r.name.rfind("serve:", 0) != 0) continue;
+    ++serve_spans;
+    EXPECT_NE(r.parent_span_id, 0u) << r.name;
+  }
+  EXPECT_EQ(serve_spans, 4u);
+}
+
 }  // namespace
 }  // namespace evostore::net
