@@ -29,7 +29,8 @@
 //                        bit-identical content (exit 1 on any mismatch)
 //   --no-dedup           disable chunking (baseline sanity: deduped ==
 //                        pre-dedup physical)
-//   --metrics-out FILE   JSON metrics snapshot (chunk.hits/misses etc.)
+//   --metrics-out FILE   JSON metrics snapshot (the shared registry:
+//                        provider.chunk_payload_bytes, rpc.*, ...)
 #include <cstdio>
 #include <vector>
 

@@ -145,22 +145,8 @@ sim::CoTask<LcpQueryResponse> RedisQueries::handle_query(LcpQueryRequest req,
     if (!entry.published) continue;
     ++scanned;
     core::LcpResult r = ws.run(req.graph, entry.graph, &cost);
-    if (r.length() == 0) continue;
-    bool better = false;
-    if (!resp.found) {
-      better = true;
-    } else if (r.length() != resp.matches.size()) {
-      better = r.length() > resp.matches.size();
-    } else if (entry.quality != resp.quality) {
-      better = entry.quality > resp.quality;
-    } else {
-      better = id < resp.ancestor;
-    }
-    if (better) {
-      resp.found = true;
-      resp.ancestor = id;
-      resp.quality = entry.quality;
-      resp.matches = std::move(r.matches);
+    if (r.length() != 0 &&
+        resp.offer(id, entry.quality, std::move(r.matches))) {
       best = &entry;
     }
   }

@@ -48,12 +48,6 @@ struct CacheConfig {
   /// 0 keeps strict validation — every read revalidates with the owning
   /// provider (a metadata round trip, but no payload bytes on a match).
   double trust_seconds = 0;
-  /// Chase provider redirect hints to peer clients already holding the
-  /// segment (ScaleStore-style "cache anywhere"); a dead or cold peer falls
-  /// back to the provider.
-  bool follow_redirects = true;
-  /// Answer peer-read RPCs from this cache (serve other clients).
-  bool serve_peers = true;
 };
 
 /// Event counters; also mirrored into a bound MetricsRegistry (see

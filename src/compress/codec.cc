@@ -46,21 +46,6 @@ std::string_view codec_name(CodecId id) {
   return "unknown";
 }
 
-void export_codec_stats(const CodecStatsTable& stats,
-                        obs::MetricsRegistry& registry) {
-  for (size_t i = 0; i < kCodecCount; ++i) {
-    const CodecStats& s = stats[i];
-    std::string prefix =
-        "codec." + std::string(codec_name(static_cast<CodecId>(i))) + ".";
-    registry.counter(prefix + "encodes")->add(s.encodes);
-    registry.counter(prefix + "decodes")->add(s.decodes);
-    registry.counter(prefix + "fallbacks")->add(s.fallbacks);
-    registry.counter(prefix + "bytes_in")->add(s.bytes_in);
-    registry.counter(prefix + "bytes_out")->add(s.bytes_out);
-    registry.gauge(prefix + "ratio")->set(s.ratio());
-  }
-}
-
 const Codec* codec_for(CodecId id) {
   switch (id) {
     case CodecId::kRaw:

@@ -17,7 +17,6 @@
 #include "common/serde.h"
 #include "common/status.h"
 #include "model/model.h"
-#include "obs/metrics.h"
 #include "sim/stats.h"
 
 namespace evostore::compress {
@@ -92,14 +91,6 @@ struct CodecStats {
   }
 };
 using CodecStatsTable = std::array<CodecStats, kCodecCount>;
-
-/// Snapshot `stats` into `registry` as per-codec counters and ratio gauges
-/// (`codec.<name>.encodes/decodes/fallbacks/bytes_in/bytes_out/ratio`).
-/// Deliberately excludes the encode/decode wall-clock accumulators: they are
-/// host-time measurements and would make an exported metrics file differ
-/// between two otherwise identical runs.
-void export_codec_stats(const CodecStatsTable& stats,
-                        obs::MetricsRegistry& registry);
 
 /// Live per-codec stored aggregate (provider-side bookkeeping, surfaced in
 /// wire stat responses).

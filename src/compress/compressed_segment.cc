@@ -13,7 +13,7 @@ using common::Status;
 
 // Host-side codec profiling: CodecStats::{encode,decode}_seconds are
 // excluded from every exported artifact, so wall time never reaches
-// deterministic output (export_codec_stats drops the timing fields).
+// deterministic output.
 double seconds_since(std::chrono::steady_clock::time_point start) {
   // evo-lint: suppress(EVO-DET-001) host-only codec profiling, not exported
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -

@@ -58,12 +58,12 @@ Client::Client(net::RpcSystem& rpc, NodeId self, uint32_t client_id,
       // aggregate cluster-wide, which is what --metrics-out wants.
       cache_->bind_metrics(shared, "client.cache");
     }
-    if (config_.cache.serve_peers) {
-      // Context-aware registration: the serve-side span parents under the
-      // RPC serve span, so a redirected read's trace shows the peer leg.
-      net::register_typed_handler(rpc, self_, kPeerRead, this,
-                                  &Client::handle_peer_read);
-    }
+    // Every caching client serves its peers (ScaleStore-style "cache
+    // anywhere"). Context-aware registration: the serve-side span parents
+    // under the RPC serve span, so a redirected read's trace shows the peer
+    // leg.
+    net::register_typed_handler(rpc, self_, kPeerRead, this,
+                                &Client::handle_peer_read);
   }
 }
 
@@ -123,19 +123,10 @@ sim::CoTask<Result<wire::LcpQueryResponse>> Client::query_lcp(
       }
       co_return r.status();
     }
-    const auto& resp = r.value();
-    if (!resp.found) continue;
-    bool better = false;
-    if (!best.found) {
-      better = true;
-    } else if (resp.lcp_len() != best.lcp_len()) {
-      better = resp.lcp_len() > best.lcp_len();
-    } else if (resp.quality != best.quality) {
-      better = resp.quality > best.quality;
-    } else {
-      better = resp.ancestor < best.ancestor;
+    auto& resp = r.value();
+    if (resp.found) {
+      best.offer(resp.ancestor, resp.quality, std::move(resp.matches));
     }
-    if (better) best = resp;
   }
   if (unreachable > 0) {
     best.partial = true;
@@ -151,12 +142,6 @@ sim::CoTask<Result<wire::LcpQueryResponse>> Client::query_lcp(
 }
 
 // ---- put -----------------------------------------------------------------
-
-sim::CoTask<Result<wire::ModifyRefsResponse>> Client::refs_one(
-    NodeId to, wire::ModifyRefsRequest req, obs::TraceContext parent) {
-  co_return co_await call_retried<wire::ModifyRefsResponse>(
-      to, Provider::kModifyRefs, std::move(req), parent);
-}
 
 sim::CoTask<Status> Client::put_one(NodeId home, wire::PutModelRequest req,
                                     size_t payload_bytes,
@@ -268,8 +253,8 @@ sim::CoTask<Status> Client::modify_refs(
         leg.future_idx = futures.size();
         leg.payload = wire::encode(req);
         gs.legs.push_back(std::move(leg));
-        futures.push_back(
-            sim.spawn(refs_one(provider_node(p), std::move(req), parent)));
+        futures.push_back(sim.spawn(call_retried<wire::ModifyRefsResponse>(
+            provider_node(p), Provider::kModifyRefs, std::move(req), parent)));
       }
       states.push_back(std::move(gs));
     }
@@ -312,13 +297,9 @@ sim::CoTask<Status> Client::modify_refs(
       // Park a hint for each unreachable still-member replica: the delta
       // must land there eventually or the copies diverge.
       for (size_t i = 0; i < failed_reps.size(); ++i) {
-        std::vector<common::ProviderId> custodians;
-        for (common::ProviderId p : states[s].reps) {
-          if (p != failed_reps[i]) custodians.push_back(p);
-        }
         Status hs = co_await send_hint(failed_reps[i], Provider::kModifyRefs,
                                        std::move(failed_payloads[i]),
-                                       std::move(custodians), parent);
+                                       states[s].reps, parent);
         if (!hs.ok()) status = combine(status, hs);
       }
       // A key is only globally missing when EVERY responding replica
@@ -358,15 +339,15 @@ sim::CoTask<Status> Client::modify_refs(
 
 sim::CoTask<Status> Client::send_hint(common::ProviderId target,
                                       std::string method, common::Bytes payload,
-                                      std::vector<common::ProviderId> custodians,
+                                      std::vector<common::ProviderId> replicas,
                                       obs::TraceContext parent) {
   wire::StoreHintRequest req;
   req.hint.target = target;
   req.hint.method = std::move(method);
   req.hint.payload = std::move(payload);
   Status last = Status::Unavailable("no live custodian for hint");
-  for (common::ProviderId custodian : custodians) {
-    if (!membership_->is_live(custodian)) continue;
+  for (common::ProviderId custodian : replicas) {
+    if (custodian == target || !membership_->is_live(custodian)) continue;
     auto r = co_await call_retried<wire::StoreHintResponse>(
         provider_node(custodian), Provider::kStoreHint, req, parent);
     Status st = r.ok() ? r->status : r.status();
@@ -615,14 +596,10 @@ sim::CoTask<Status> Client::put_model(const Model& m, const TransferContext* tc)
       common::Bytes packed = wire::encode(req);
       for (common::ProviderId target : missed) {
         if (!membership_->is_live(target)) continue;
-        std::vector<common::ProviderId> custodians;
-        for (common::ProviderId p : put_reps) {
-          if (p != target) custodians.push_back(p);
-        }
         // Best-effort: a failed hint only delays convergence until the next
         // anti-entropy repair, it never loses the committed write.
         (void)co_await send_hint(target, Provider::kPutModel, packed,
-                                 std::move(custodians), span.context());
+                                 put_reps, span.context());
       }
     }
   } else if (!put_status.ok() && common::is_retryable(put_status.code())) {
@@ -672,12 +649,7 @@ sim::CoTask<Result<ModelMeta>> Client::get_meta(ModelId id,
       continue;
     }
     ModelMeta meta;
-    meta.graph = std::move(r->graph);
-    meta.owners = std::move(r->owners);
-    meta.quality = r->quality;
-    meta.ancestor = r->ancestor;
-    meta.store_time = r->store_time;
-    meta.store_seq = r->store_seq;
+    wire::move_meta(meta, r.value());
     if (obs::EventLog* ev = events()) {
       // `replicas` lets the analyzer assert no read was ever served by a
       // node outside the model's replica set (a placement-routing bug).
@@ -796,16 +768,14 @@ sim::CoTask<Status> Client::fetch_envelopes(
     obs::TraceContext parent) {
   const double now = rpc_->simulation().now();
   auto& sim = rpc_->simulation();
-  // Phase 1 — serve trusted cache entries locally; everything else enters
-  // the failover loop at its preferred replica (attempt index 0). A
-  // cached-but-untrusted entry travels as its version: the provider can
-  // then answer kNotModified instead of shipping payload.
+  // Phase 1 — serve trusted cache entries locally; everything else goes to
+  // the providers. A cached-but-untrusted entry travels as its version: the
+  // provider can then answer kNotModified instead of shipping payload.
   std::vector<common::SegmentKey> todo;
-  std::unordered_map<common::SegmentKey, size_t> attempt;
-  std::unordered_map<common::SegmentKey, uint64_t> cached_version;
+  ValidatedRound round;
   uint64_t trusted_hits = 0;
   for (const auto& key : keys) {
-    if (out->count(key) != 0 || attempt.count(key) != 0) continue;
+    if (out->count(key) != 0) continue;
     const cache::SegmentCache::Entry* e =
         cache_ != nullptr ? cache_->lookup(key) : nullptr;
     if (e != nullptr && cache_->trusted(*e, now)) {
@@ -814,9 +784,8 @@ sim::CoTask<Status> Client::fetch_envelopes(
       out->emplace(key, e->envelope);
       continue;
     }
-    attempt.emplace(key, 0);
     if (cache_ != nullptr) {
-      cached_version.emplace(key, e != nullptr ? e->version : 0);
+      round.versions.emplace(key, e != nullptr ? e->version : 0);
     }
     todo.push_back(key);
   }
@@ -826,21 +795,93 @@ sim::CoTask<Status> Client::fetch_envelopes(
                  {{"hits", obs::EventLog::u64(trusted_hits)}});
     }
   }
-  // Phase 2 — provider rounds with read failover: keys group by their
-  // current replica choice; per-key dispositions (fresh envelopes fill the
-  // cache, NotModified serves the revalidated cached copy, redirects queue
-  // a peer fetch). A group whose replica fails retryably — or answers
-  // NotFound, which a freshly rebuilt replica briefly does — requeues its
-  // keys at each key's NEXT replica; only a key that exhausts its whole
-  // replica set fails the read.
-  std::map<NodeId, wire::PeerReadRequest> redirects;
-  std::vector<common::SegmentKey> fallback;
+  // Phase 2 — the validated provider round: fresh envelopes fill the cache,
+  // NotModified serves the revalidated cached copy, redirects queue a peer
+  // fetch.
+  Status st = co_await read_rounds(std::move(todo), &round, out, parent);
+  if (!st.ok()) co_return st;
+  // Phase 3 — chase redirect hints to peer caches. The hint is best-effort:
+  // a crashed, cold, or version-skewed peer demotes the key to the provider
+  // fallback. A peer-served envelope is provider-validated transitively (the
+  // redirect named its exact current version and the peer matched it).
+  if (!round.redirects.empty()) {
+    std::vector<wire::PeerReadRequest> peer_reqs;
+    std::vector<NodeId> peer_ids;
+    std::vector<sim::Future<Result<wire::PeerReadResponse>>> peer_futures;
+    for (auto& [peer, preq] : round.redirects) {
+      peer_reqs.push_back(preq);
+      peer_ids.push_back(peer);
+      peer_futures.push_back(sim.spawn(peer_one(peer, std::move(preq), parent)));
+    }
+    for (size_t i = 0; i < peer_futures.size(); ++i) {
+      auto r = co_await peer_futures[i];
+      const wire::PeerReadRequest& preq = peer_reqs[i];
+      uint64_t peer_hits = 0;
+      uint64_t peer_misses = 0;
+      if (!r.ok() || !r->status.ok() ||
+          r->found.size() != preq.keys.size()) {
+        for (const auto& key : preq.keys) {
+          cache_->count_peer_miss();
+          ++peer_misses;
+          round.fallback.push_back(key);
+        }
+      } else {
+        size_t seg_idx = 0;
+        for (size_t j = 0; j < preq.keys.size(); ++j) {
+          if (r->found[j] != 0 && seg_idx < r->segments.size()) {
+            CompressedSegment env = std::move(r->segments[seg_idx++]);
+            cache_->count_peer_hit();
+            ++peer_hits;
+            cache_->insert(preq.keys[j], env, preq.versions[j], sim.now());
+            out->emplace(preq.keys[j], std::move(env));
+          } else {
+            cache_->count_peer_miss();
+            ++peer_misses;
+            round.fallback.push_back(preq.keys[j]);
+          }
+        }
+      }
+      if (obs::EventLog* ev = events()) {
+        ev->record(sim.now(), "cache.peer", self_,
+                   {{"peer", obs::EventLog::u64(peer_ids[i])},
+                    {"hits", obs::EventLog::u64(peer_hits)},
+                    {"misses", obs::EventLog::u64(peer_misses)}});
+      }
+    }
+  }
+  // Phase 4 — provider re-fetch for everything the optimistic paths missed
+  // (evicted cache entries, cold or dead redirect peers): the same round
+  // without cached versions or redirects, so providers answer kFresh only.
+  // It still fails over down each key's replica set, so a redirect that
+  // named a now-dead peer never strands the read on an equally dead owner.
+  co_return co_await read_rounds(std::move(round.fallback), nullptr, out,
+                                 parent);
+}
+
+sim::CoTask<Status> Client::read_rounds(
+    std::vector<common::SegmentKey> keys, ValidatedRound* validation,
+    std::unordered_map<common::SegmentKey, CompressedSegment>* out,
+    obs::TraceContext parent) {
+  auto& sim = rpc_->simulation();
+  const bool validated = validation != nullptr;
+  // Every key enters at its preferred replica (attempt index 0).
+  std::unordered_map<common::SegmentKey, size_t> attempt;
+  std::vector<common::SegmentKey> todo;
+  for (const auto& key : keys) {
+    if (attempt.emplace(key, 0).second) todo.push_back(key);
+  }
+  // Keys group by their current replica choice. A group whose replica
+  // fails retryably — or answers NotFound, which a freshly rebuilt replica
+  // briefly does — requeues its keys at each key's NEXT replica; only a key
+  // that exhausts its whole replica set fails the read.
   while (!todo.empty()) {
     std::map<common::ProviderId, wire::ReadSegmentsRequest> groups;
     for (const auto& key : todo) {
       auto& req = groups[replicas_of(key.owner)[attempt[key]]];
       req.keys.push_back(key);
-      if (cache_ != nullptr) req.cached_versions.push_back(cached_version[key]);
+      if (validated && cache_ != nullptr) {
+        req.cached_versions.push_back(validation->versions[key]);
+      }
     }
     todo.clear();
     std::vector<std::vector<common::SegmentKey>> order;
@@ -850,7 +891,7 @@ sim::CoTask<Status> Client::fetch_envelopes(
       if (cache_ != nullptr) {
         req.reader_node = self_;
         req.caching = true;
-        req.accept_redirect = config_.cache.follow_redirects;
+        req.accept_redirect = validated;
       }
       order.push_back(req.keys);
       order_provider.push_back(provider);
@@ -882,7 +923,9 @@ sim::CoTask<Status> Client::fetch_envelopes(
           size_t next = ++attempt[key];
           if (next >= replicas_of(key.owner).size()) co_return st;
           ++fault_stats_.read_failovers;
-          if (cache_ != nullptr) cached_version[key] = 0;
+          // Versions are per-provider store sequences: the next replica
+          // cannot validate this one's.
+          if (validated) validation->versions[key] = 0;
           todo.push_back(key);
         }
         continue;
@@ -897,6 +940,9 @@ sim::CoTask<Status> Client::fetch_envelopes(
       for (size_t j = 0; j < order[i].size(); ++j) {
         const common::SegmentKey& key = order[i][j];
         const wire::ReadEntryInfo& info = resp.info[j];
+        if (!validated && info.state != wire::ReadEntryState::kFresh) {
+          co_return Status::Internal("non-fresh entry in read fallback");
+        }
         switch (info.state) {
           case wire::ReadEntryState::kFresh: {
             if (fresh_idx >= resp.segments.size()) {
@@ -920,146 +966,27 @@ sim::CoTask<Status> Client::fetch_envelopes(
               cache_->count_revalidation(e->envelope.physical_bytes);
               out->emplace(key, e->envelope);
             } else {
-              fallback.push_back(key);
+              validation->fallback.push_back(key);
             }
             break;
           }
           case wire::ReadEntryState::kRedirect: {
             ++redirect_count;
-            auto& preq = redirects[info.redirect];
+            auto& preq = validation->redirects[info.redirect];
             preq.keys.push_back(key);
             preq.versions.push_back(info.version);
             break;
           }
         }
       }
-      if (obs::EventLog* ev = events()) {
+      // The fallback round validates nothing, so it has no lookup to report.
+      obs::EventLog* ev = validated ? events() : nullptr;
+      if (ev != nullptr) {
         ev->record(sim.now(), "cache.lookup", self_,
                    {{"provider", obs::EventLog::u64(order_provider[i])},
                     {"fresh", obs::EventLog::u64(fresh_idx)},
                     {"not_modified", obs::EventLog::u64(nm_count)},
                     {"redirect", obs::EventLog::u64(redirect_count)}});
-      }
-    }
-  }
-  // Phase 3 — chase redirect hints to peer caches. The hint is best-effort:
-  // a crashed, cold, or version-skewed peer demotes the key to the provider
-  // fallback. A peer-served envelope is provider-validated transitively (the
-  // redirect named its exact current version and the peer matched it).
-  if (!redirects.empty()) {
-    std::vector<wire::PeerReadRequest> peer_reqs;
-    std::vector<NodeId> peer_ids;
-    std::vector<sim::Future<Result<wire::PeerReadResponse>>> peer_futures;
-    for (auto& [peer, preq] : redirects) {
-      peer_reqs.push_back(preq);
-      peer_ids.push_back(peer);
-      peer_futures.push_back(sim.spawn(peer_one(peer, std::move(preq), parent)));
-    }
-    for (size_t i = 0; i < peer_futures.size(); ++i) {
-      auto r = co_await peer_futures[i];
-      const wire::PeerReadRequest& preq = peer_reqs[i];
-      uint64_t peer_hits = 0;
-      uint64_t peer_misses = 0;
-      if (!r.ok() || !r->status.ok() ||
-          r->found.size() != preq.keys.size()) {
-        for (const auto& key : preq.keys) {
-          cache_->count_peer_miss();
-          ++peer_misses;
-          fallback.push_back(key);
-        }
-      } else {
-        size_t seg_idx = 0;
-        for (size_t j = 0; j < preq.keys.size(); ++j) {
-          if (r->found[j] != 0 && seg_idx < r->segments.size()) {
-            CompressedSegment env = std::move(r->segments[seg_idx++]);
-            cache_->count_peer_hit();
-            ++peer_hits;
-            cache_->insert(preq.keys[j], env, preq.versions[j], sim.now());
-            out->emplace(preq.keys[j], std::move(env));
-          } else {
-            cache_->count_peer_miss();
-            ++peer_misses;
-            fallback.push_back(preq.keys[j]);
-          }
-        }
-      }
-      if (obs::EventLog* ev = events()) {
-        ev->record(sim.now(), "cache.peer", self_,
-                   {{"peer", obs::EventLog::u64(peer_ids[i])},
-                    {"hits", obs::EventLog::u64(peer_hits)},
-                    {"misses", obs::EventLog::u64(peer_misses)}});
-      }
-    }
-  }
-  // Phase 4 — provider re-fetch for everything the optimistic paths missed
-  // (evicted cache entries, cold or dead redirect peers). No cached
-  // versions, no redirects: providers answer kFresh only — but the fetch
-  // still fails over down each key's replica set, so a redirect that named
-  // a now-dead peer never strands the read on an equally dead owner.
-  if (!fallback.empty()) {
-    std::unordered_map<common::SegmentKey, size_t> fb_attempt;
-    std::vector<common::SegmentKey> fb_todo;
-    for (const auto& key : fallback) {
-      if (fb_attempt.emplace(key, 0).second) fb_todo.push_back(key);
-    }
-    while (!fb_todo.empty()) {
-      std::map<common::ProviderId, wire::ReadSegmentsRequest> fb_groups;
-      for (const auto& key : fb_todo) {
-        fb_groups[replicas_of(key.owner)[fb_attempt[key]]].keys.push_back(key);
-      }
-      fb_todo.clear();
-      std::vector<std::vector<common::SegmentKey>> fb_order;
-      std::vector<common::ProviderId> fb_provider;
-      std::vector<sim::Future<Result<wire::ReadSegmentsResponse>>> fb_futures;
-      for (auto& [provider, req] : fb_groups) {
-        if (cache_ != nullptr) {
-          req.reader_node = self_;
-          req.caching = true;
-        }
-        fb_order.push_back(req.keys);
-        fb_provider.push_back(provider);
-        fb_futures.push_back(sim.spawn(
-            read_one(provider_node(provider), std::move(req), parent)));
-      }
-      for (size_t i = 0; i < fb_futures.size(); ++i) {
-        auto r = co_await fb_futures[i];
-        if (!r.ok()) {
-          if (cache_ != nullptr) {
-            for (const auto& key : fb_order[i]) cache_->invalidate(key);
-          }
-          Status st = r.status();
-          if (!common::is_retryable(st.code()) &&
-              st.code() != common::ErrorCode::kNotFound) {
-            co_return st;
-          }
-          if (obs::EventLog* ev = events()) {
-            ev->record(sim.now(), "read.failover", self_,
-                       {{"from", obs::EventLog::u64(fb_provider[i])},
-                        {"keys", obs::EventLog::u64(fb_order[i].size())},
-                        {"error", st.to_string()}});
-          }
-          for (const auto& key : fb_order[i]) {
-            size_t next = ++fb_attempt[key];
-            if (next >= replicas_of(key.owner).size()) co_return st;
-            ++fault_stats_.read_failovers;
-            fb_todo.push_back(key);
-          }
-          continue;
-        }
-        auto& resp = r.value();
-        if (resp.segments.size() != fb_order[i].size() ||
-            resp.info.size() != fb_order[i].size()) {
-          co_return Status::Internal("segment count mismatch in read fallback");
-        }
-        for (size_t j = 0; j < fb_order[i].size(); ++j) {
-          CompressedSegment env = std::move(resp.segments[j]);
-          if (cache_ != nullptr) {
-            cache_->count_miss();
-            cache_->insert(fb_order[i][j], env, resp.info[j].version,
-                           sim.now());
-          }
-          out->emplace(fb_order[i][j], std::move(env));
-        }
       }
     }
   }
@@ -1291,12 +1218,6 @@ sim::CoTask<Status> Client::abandon_transfer(const TransferContext& tc) {
 
 // ---- retire ----------------------------------------------------------------
 
-sim::CoTask<Result<wire::RetireResponse>> Client::retire_one(
-    NodeId to, wire::RetireRequest req, obs::TraceContext parent) {
-  co_return co_await call_retried<wire::RetireResponse>(
-      to, Provider::kRetire, std::move(req), parent);
-}
-
 sim::CoTask<Status> Client::retire(ModelId id) {
   obs::Span span = obs::Tracer::maybe_begin(tracer(), "retire", self_);
   span.tag("model", id.to_string());
@@ -1310,8 +1231,8 @@ sim::CoTask<Status> Client::retire(ModelId id) {
   std::vector<sim::Future<Result<wire::RetireResponse>>> futures;
   futures.reserve(reps.size());
   for (common::ProviderId p : reps) {
-    futures.push_back(
-        sim.spawn(retire_one(provider_node(p), req, span.context())));
+    futures.push_back(sim.spawn(call_retried<wire::RetireResponse>(
+        provider_node(p), Provider::kRetire, req, span.context())));
   }
   std::optional<OwnerMap> owners;
   Status status;
@@ -1344,12 +1265,8 @@ sim::CoTask<Status> Client::retire(ModelId id) {
     common::Bytes packed = wire::encode(req);
     for (common::ProviderId target : missed) {
       if (!membership_->is_live(target)) continue;
-      std::vector<common::ProviderId> custodians;
-      for (common::ProviderId p : reps) {
-        if (p != target) custodians.push_back(p);
-      }
-      (void)co_await send_hint(target, Provider::kRetire, packed,
-                               std::move(custodians), span.context());
+      (void)co_await send_hint(target, Provider::kRetire, packed, reps,
+                               span.context());
     }
   }
   // Drop every cached segment the retired model contributed — the bytes may
@@ -1377,17 +1294,13 @@ sim::CoTask<Result<wire::StatsResponse>> Client::provider_stats(
   co_return std::move(r).value();
 }
 
-sim::CoTask<Result<wire::StatsResponse>> Client::stats_one(NodeId to) {
-  co_return co_await call_retried<wire::StatsResponse>(
-      to, Provider::kGetStats, wire::StatsRequest{});
-}
-
 sim::CoTask<Result<Client::ClusterStats>> Client::collect_stats() {
   auto& sim = rpc_->simulation();
   std::vector<sim::Future<Result<wire::StatsResponse>>> futures;
   futures.reserve(provider_nodes_.size());
   for (NodeId node : provider_nodes_) {
-    futures.push_back(sim.spawn(stats_one(node)));
+    futures.push_back(sim.spawn(call_retried<wire::StatsResponse>(
+        node, Provider::kGetStats, wire::StatsRequest{})));
   }
   ClusterStats out;
   out.per_provider.reserve(futures.size());

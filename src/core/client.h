@@ -10,6 +10,7 @@
 // surviving peer (DESIGN.md §15).
 #pragma once
 
+#include <map>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -142,20 +143,10 @@ struct TransferContext {
   size_t lcp_len() const { return matches.size(); }
 };
 
-/// Full metadata of a stored model.
-struct ModelMeta {
-  ArchGraph graph;
-  OwnerMap owners;
-  double quality = 0;
-  ModelId ancestor;
-  double store_time = 0;
-  uint64_t store_seq = 0;
-};
-
 class Client {
  public:
   /// RPC method peers answer segment-cache reads on (registered on this
-  /// client's node when `config.cache.serve_peers` and the cache is enabled).
+  /// client's node when the cache is enabled).
   static constexpr const char* kPeerRead = "evostore.peer_read";
 
   /// `provider_nodes[i]` is the fabric node hosting provider i.
@@ -344,23 +335,19 @@ class Client {
   // trace context is likewise by value.
   sim::CoTask<Result<wire::LcpQueryResponse>> lcp_one(
       NodeId to, wire::LcpQueryRequest req, obs::TraceContext parent);
-  sim::CoTask<Result<wire::ModifyRefsResponse>> refs_one(
-      NodeId to, wire::ModifyRefsRequest req, obs::TraceContext parent);
   sim::CoTask<Status> put_one(NodeId home, wire::PutModelRequest req,
                               size_t payload_bytes, obs::TraceContext parent,
                               int attempt_cap, bool prior_rounds);
   sim::CoTask<Result<wire::ReadSegmentsResponse>> read_one(
       NodeId to, wire::ReadSegmentsRequest req, obs::TraceContext parent);
-  sim::CoTask<Result<wire::StatsResponse>> stats_one(NodeId to);
-  sim::CoTask<Result<wire::RetireResponse>> retire_one(
-      NodeId to, wire::RetireRequest req, obs::TraceContext parent);
   // Park a hinted handoff for `target` (a replica that stayed unreachable
-  // through a write's retry budget) on the first custodian in `custodians`
-  // that accepts it. `payload` is the serialized original request — token
-  // included, so the eventual replay deduplicates exactly like a retry.
+  // through a write's retry budget) on the first other live member of
+  // `replicas` that accepts it. `payload` is the serialized original
+  // request — token included, so the eventual replay deduplicates exactly
+  // like a retry.
   sim::CoTask<Status> send_hint(common::ProviderId target, std::string method,
                                 common::Bytes payload,
-                                std::vector<common::ProviderId> custodians,
+                                std::vector<common::ProviderId> replicas,
                                 obs::TraceContext parent);
   // One peer-cache fetch after a provider redirect hint. Single attempt —
   // a dead or cold peer is not worth a retry budget; the caller falls back
@@ -396,6 +383,23 @@ class Client {
   sim::CoTask<Status> fan_out_refs(const OwnerMap& owners, bool increment,
                                    ModelId exclude_owner,
                                    obs::TraceContext parent = {});
+  // What fetch_envelopes' validated provider round carries: the cached
+  // version sent per key (cache on), and the keys it leaves to the peer
+  // phase (`redirects`) and to the fallback round (`fallback`).
+  struct ValidatedRound {
+    std::unordered_map<common::SegmentKey, uint64_t> versions;
+    std::map<NodeId, wire::PeerReadRequest> redirects;
+    std::vector<common::SegmentKey> fallback;
+  };
+  // Read `keys` into `out` with replica failover: one read_one per replica
+  // group per round, a failed or NotFound group moving on to each key's
+  // next replica. With `validation` the requests carry cached versions and
+  // accept redirects, and the keys the round cannot settle land in it;
+  // without it (the fallback round) providers answer fresh envelopes only.
+  sim::CoTask<Status> read_rounds(
+      std::vector<common::SegmentKey> keys, ValidatedRound* validation,
+      std::unordered_map<common::SegmentKey, compress::CompressedSegment>* out,
+      obs::TraceContext parent);
   // Fetch the envelopes for `keys` (skipping ones already in `out`),
   // grouped by provider, charging bulk transfers at physical size.
   sim::CoTask<Status> fetch_envelopes(

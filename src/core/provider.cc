@@ -38,8 +38,6 @@ Provider::Provider(net::RpcSystem& rpc, common::NodeId node,
   hist_lcp_seconds_ = metrics_.histogram("lcp.seconds");
   hist_refs_seconds_ = metrics_.histogram("refs.seconds");
   hist_chunk_bytes_ = metrics_.histogram("chunk.payload_bytes");
-  counter_chunk_hits_ = metrics_.counter("chunk.hits");
-  counter_chunk_misses_ = metrics_.counter("chunk.misses");
   if (obs::MetricsRegistry* shared = rpc.metrics()) {
     shared_put_seconds_ = shared->histogram("provider.put_seconds");
     shared_put_bytes_ = shared->histogram("provider.put_physical_bytes");
@@ -68,7 +66,7 @@ std::string Provider::token_key(uint64_t token) {
   return "tok/" + std::to_string(token);
 }
 
-void Provider::persist_meta(common::ModelId id, const MetaRecord& meta) {
+void Provider::persist_meta(common::ModelId id, const ModelMeta& meta) {
   if (backend_ == nullptr) return;
   auto st =
       backend_->put(meta_key(id), common::Buffer::dense(wire::encode(meta)));
@@ -172,9 +170,7 @@ void Provider::maybe_chunk(compress::CompressedSegment& env) {
     // telescoping floors make per-envelope chunk costs sum to exactly
     // env.physical_bytes, so dedup-free accounting is unchanged.
     uint64_t cost = physical * end / total - physical * start / total;
-    bool miss = chunk_store_.add_ref(digest, piece, cost);
-    (miss ? counter_chunk_misses_ : counter_chunk_hits_)->add(1);
-    if (!miss) ++dedup_hits;
+    if (!chunk_store_.add_ref(digest, piece, cost)) ++dedup_hits;
     record(hist_chunk_bytes_, shared_chunk_bytes_,
            static_cast<double>(piece.size()));
     env.chunks.push_back(
@@ -217,6 +213,25 @@ void Provider::release_chunks(const compress::CompressedSegment& env) {
   for (const compress::ChunkRef& c : env.chunks) {
     chunk_store_.release(c.digest);
   }
+}
+
+bool Provider::reference_chunks(
+    const compress::CompressedSegment& env,
+    const std::map<common::Hash128, wire::ChunkBodyEntry>* fetched) {
+  size_t taken = 0;
+  for (const compress::ChunkRef& c : env.chunks) {
+    if (!chunk_store_.add_ref_existing(c.digest)) {
+      if (fetched == nullptr) break;
+      auto fit = fetched->find(c.digest);
+      if (fit == fetched->end()) break;
+      std::span<const std::byte> body(fit->second.bytes);
+      chunk_store_.add_ref(c.digest, body, fit->second.cost);
+    }
+    ++taken;
+  }
+  if (taken == env.chunks.size()) return true;
+  for (size_t i = 0; i < taken; ++i) chunk_store_.release(env.chunks[i].digest);
+  return false;
 }
 
 void Provider::erase_segment_record(const common::SegmentKey& key) {
@@ -339,7 +354,7 @@ void Provider::dedup_store(uint64_t token, const common::Bytes& response) {
                             common::Buffer::dense(std::move(s).take()));
     if (!st.ok()) EVO_WARN << "dedup_store: " << st.to_string();
   }
-  while (dedup_order_.size() > config_.dedup_window) {
+  while (dedup_order_.size() > kDedupWindow) {
     uint64_t evict = dedup_order_.front();
     dedup_order_.pop_front();
     dedup_.erase(evict);
@@ -427,7 +442,7 @@ void Provider::restore_from_backend() {
       hints_.emplace(seq, std::move(hint).value());
     } else if (key.rfind("meta/", 0) == 0) {
       common::ModelId id{std::strtoull(key.c_str() + 5, nullptr, 10)};
-      auto meta = wire::decode<MetaRecord>(buf.dense_span());
+      auto meta = wire::decode<ModelMeta>(buf.dense_span());
       if (!meta.ok()) {
         EVO_WARN << "restore: corrupt metadata record '" << key << "'";
         continue;
@@ -471,28 +486,15 @@ void Provider::restore_from_backend() {
       // model's metadata (retired model, still-referenced segments), so the
       // sequence restores from both.
       seq_ = std::max(seq_, entry.version);
-      if (entry.segment.kind == compress::EnvelopeKind::kChunked) {
-        // Re-take the manifest's chunk references. A manifest pointing at a
-        // chunk whose record did not survive is unreadable: drop it (and its
-        // backend record) rather than restore a segment no read can serve.
-        size_t taken = 0;
-        bool complete = true;
-        for (const compress::ChunkRef& c : entry.segment.chunks) {
-          if (!chunk_store_.add_ref_existing(c.digest)) {
-            complete = false;
-            break;
-          }
-          ++taken;
-        }
-        if (!complete) {
-          for (size_t i = 0; i < taken; ++i) {
-            chunk_store_.release(entry.segment.chunks[i].digest);
-          }
-          EVO_WARN << "restore: segment record '" << key
-                   << "' references missing chunks; dropped";
-          (void)backend_->erase(key);
-          continue;
-        }
+      // Re-take the manifest's chunk references. A manifest pointing at a
+      // chunk whose record did not survive is unreadable: drop it (and its
+      // backend record) rather than restore a segment no read can serve.
+      if (entry.segment.kind == compress::EnvelopeKind::kChunked &&
+          !reference_chunks(entry.segment, nullptr)) {
+        EVO_WARN << "restore: segment record '" << key
+                 << "' references missing chunks; dropped";
+        (void)backend_->erase(key);
+        continue;
       }
       account_stored(entry.segment, +1);
       segments_.emplace(common::SegmentKey{owner, vertex}, std::move(entry));
@@ -523,7 +525,7 @@ void Provider::restore_from_backend() {
   if (config_.lcp_index) {
     lcp_index_.clear();
     for (ModelId id : model_ids()) {
-      const MetaRecord& meta = models_.at(id);
+      const ModelMeta& meta = models_.at(id);
       lcp_index_.insert(id, meta.quality, meta.graph);
     }
   }
@@ -584,14 +586,31 @@ std::vector<ModelId> Provider::model_ids() const {
   return out;
 }
 
+uint64_t Provider::install_model(common::ModelId id, model::ArchGraph graph,
+                                 OwnerMap owners, double quality,
+                                 common::ModelId ancestor, double store_time) {
+  ModelMeta meta;
+  meta.graph = std::move(graph);
+  meta.owners = std::move(owners);
+  meta.quality = quality;
+  meta.ancestor = ancestor;
+  meta.store_time = store_time;
+  meta.store_seq = ++seq_;
+  persist_meta(id, meta);
+  auto [it, inserted] = models_.emplace(id, std::move(meta));
+  if (config_.lcp_index && inserted) {
+    lcp_index_.insert(id, it->second.quality, it->second.graph);
+  }
+  return seq_;
+}
+
 sim::CoTask<wire::PutModelResponse> Provider::handle_put(
     wire::PutModelRequest req, net::HandlerContext ctx) {
   double t0 = sim_->now();
   wire::PutModelResponse resp;
   ++stats_.puts;
   if (drained_) {
-    resp.status = Status::Unavailable("provider " + std::to_string(id_) +
-                                      " drained");
+    resp.status = drained_status();
     co_return resp;
   }
   // A token minted by a newer client incarnation proves the older ones are
@@ -629,8 +648,7 @@ sim::CoTask<wire::PutModelResponse> Provider::handle_put(
   // Re-check after the await: a drain may have started (committing into a
   // catalog the drain already migrated would strand the model) ...
   if (drained_) {
-    resp.status = Status::Unavailable("provider " + std::to_string(id_) +
-                                      " drained");
+    resp.status = drained_status();
     co_return resp;
   }
   // ... and a deadline-driven retry of this same put may have landed while
@@ -640,14 +658,6 @@ sim::CoTask<wire::PutModelResponse> Provider::handle_put(
     resp.status = Status::AlreadyExists("model " + req.id.to_string());
     co_return resp;
   }
-  MetaRecord meta;
-  meta.graph = std::move(req.graph);
-  meta.owners = std::move(req.owners);
-  meta.quality = req.quality;
-  meta.ancestor = req.ancestor;
-  meta.store_time = sim_->now();
-  meta.store_seq = ++seq_;
-  resp.store_seq = meta.store_seq;
   {
     // Commit metadata + segments to the catalog and (when backed) the
     // persistent KV. Instantaneous in sim time — the span exists for its
@@ -656,11 +666,9 @@ sim::CoTask<wire::PutModelResponse> Provider::handle_put(
         obs::Tracer::maybe_begin(tracer(), "kv_commit", node_, ctx.trace);
     commit.tag_u64("segments", req.new_segments.size());
     commit.tag("backed", backend_ != nullptr ? "true" : "false");
-    persist_meta(req.id, meta);
-    auto [mit, inserted] = models_.emplace(req.id, std::move(meta));
-    if (config_.lcp_index && inserted) {
-      lcp_index_.insert(req.id, mit->second.quality, mit->second.graph);
-    }
+    resp.store_seq =
+        install_model(req.id, std::move(req.graph), std::move(req.owners),
+                      req.quality, req.ancestor, sim_->now());
     for (auto& [v, env] : req.new_segments) {
       common::SegmentKey key{req.id, v};
       stats_.logical_bytes_ingested += env.logical_bytes;
@@ -888,29 +896,13 @@ sim::CoTask<wire::LcpQueryResponse> Provider::handle_lcp_query(
   ++stats_.lcp_queries;
   LcpCost cost;
   LcpWorkspace ws;
-  // Scan the local catalog with Algorithm 1; keep the best by
-  // (prefix length, quality, lower id). Also the verify oracle and the
+  // Scan the local catalog with Algorithm 1, keeping the best answer in
+  // LcpQueryResponse::offer's order. Also the verify oracle and the
   // fallback body for the index path below.
   auto scan_catalog = [&](wire::LcpQueryResponse& out, LcpCost* c) {
     for (const auto& [id, meta] : models_) {
       LcpResult r = ws.run(req.graph, meta.graph, c);
-      if (r.length() == 0) continue;
-      bool better = false;
-      if (!out.found) {
-        better = true;
-      } else if (r.length() != out.matches.size()) {
-        better = r.length() > out.matches.size();
-      } else if (meta.quality != out.quality) {
-        better = meta.quality > out.quality;
-      } else {
-        better = id < out.ancestor;
-      }
-      if (better) {
-        out.found = true;
-        out.ancestor = id;
-        out.quality = meta.quality;
-        out.matches = std::move(r.matches);
-      }
+      if (r.length() != 0) out.offer(id, meta.quality, std::move(r.matches));
     }
   };
   bool scan_needed = !config_.lcp_index;
@@ -1030,6 +1022,21 @@ std::string Provider::hint_key(uint64_t seq) {
   return buf;
 }
 
+Status Provider::drained_status() const {
+  return Status::Unavailable("provider " + std::to_string(id_) + " drained");
+}
+
+std::vector<std::pair<ModelId, bool>> Provider::owner_ids() const {
+  std::vector<std::pair<ModelId, bool>> out;
+  for (ModelId id : model_ids()) out.emplace_back(id, true);
+  std::set<ModelId> orphan_owners;
+  for (const auto& [key, entry] : segments_) {
+    if (models_.find(key.owner) == models_.end()) orphan_owners.insert(key.owner);
+  }
+  for (ModelId owner : orphan_owners) out.emplace_back(owner, false);
+  return out;
+}
+
 uint64_t Provider::record_hint(wire::HintRecord hint) {
   uint64_t seq = ++hint_seq_;
   if (backend_ != nullptr) {
@@ -1146,8 +1153,7 @@ sim::CoTask<wire::StoreHintResponse> Provider::handle_store_hint(
   wire::StoreHintResponse resp;
   co_await sim_->delay(config_.op_seconds);
   if (drained_) {
-    resp.status = Status::Unavailable("provider " + std::to_string(id_) +
-                                      " drained");
+    resp.status = drained_status();
     co_return resp;
   }
   record_hint(std::move(req.hint));
@@ -1190,8 +1196,7 @@ sim::CoTask<wire::ReplicateResponse> Provider::handle_replicate(
                        config_.per_segment_seconds *
                            static_cast<double>(req.segments.size()));
   if (drained_) {
-    resp.status = Status::Unavailable("provider " + std::to_string(id_) +
-                                      " drained");
+    resp.status = drained_status();
     span.tag("outcome", resp.status.to_string());
     co_return resp;
   }
@@ -1199,18 +1204,8 @@ sim::CoTask<wire::ReplicateResponse> Provider::handle_replicate(
   // maintained by client traffic (its refcount is live GC state) and must
   // never be overwritten by an anti-entropy copy.
   if (req.has_meta && models_.find(req.id) == models_.end()) {
-    MetaRecord meta;
-    meta.graph = std::move(req.graph);
-    meta.owners = std::move(req.owners);
-    meta.quality = req.quality;
-    meta.ancestor = req.ancestor;
-    meta.store_time = req.store_time;
-    meta.store_seq = ++seq_;
-    persist_meta(req.id, meta);
-    auto [mit, inserted] = models_.emplace(req.id, std::move(meta));
-    if (config_.lcp_index && inserted) {
-      lcp_index_.insert(req.id, mit->second.quality, mit->second.graph);
-    }
+    (void)install_model(req.id, std::move(req.graph), std::move(req.owners),
+                        req.quality, req.ancestor, req.store_time);
     resp.installed_meta = true;
     ++stats_.replica_installed_models;
   }
@@ -1268,35 +1263,12 @@ sim::CoTask<wire::ReplicateResponse> Provider::handle_replicate(
     if (segments_.find(seg.key) != segments_.end()) continue;
     compress::CompressedSegment env = std::move(seg.segment);
     if (compress::codec_for(env.codec) == nullptr) continue;
-    if (env.kind == compress::EnvelopeKind::kChunked) {
-      // Re-reference chunks already here; store fetched bodies fresh. An
-      // unfetchable body makes the segment unservable — skip it whole (a
-      // later repair pass retries) and roll back the references taken.
-      size_t taken = 0;
-      bool complete = true;
-      for (const compress::ChunkRef& c : env.chunks) {
-        if (chunk_store_.find(c.digest) != nullptr) {
-          if (!chunk_store_.add_ref_existing(c.digest)) {
-            complete = false;
-            break;
-          }
-        } else {
-          auto fit = fetched.find(c.digest);
-          if (fit == fetched.end()) {
-            complete = false;
-            break;
-          }
-          std::span<const std::byte> body(fit->second.bytes);
-          chunk_store_.add_ref(c.digest, body, fit->second.cost);
-        }
-        ++taken;
-      }
-      if (!complete) {
-        for (size_t i = 0; i < taken; ++i) {
-          chunk_store_.release(env.chunks[i].digest);
-        }
-        continue;
-      }
+    // Re-reference chunks already here; store fetched bodies fresh. An
+    // unfetchable body makes the segment unservable — skip it whole (a later
+    // repair pass retries).
+    if (env.kind == compress::EnvelopeKind::kChunked &&
+        !reference_chunks(env, &fetched)) {
+      continue;
     }
     // The refcount travels: replication copies GC state, so the symmetric
     // decrements that arrive later balance on every replica. The version is
@@ -1407,13 +1379,6 @@ sim::CoTask<wire::DrainResponse> Provider::handle_drain(
   new_live[id_] = false;  // this provider is leaving, whatever the view says
   std::vector<bool> old_live = new_live;
   old_live[id_] = true;
-  // Every owner id with local state: models first, then orphan segment
-  // owners (meta retired, payloads alive through inherited references).
-  std::vector<ModelId> with_meta = model_ids();
-  std::set<ModelId> orphan_owners;
-  for (const auto& [key, entry] : segments_) {
-    if (models_.find(key.owner) == models_.end()) orphan_owners.insert(key.owner);
-  }
   // HRW's minimal-movement property does the routing: each key's new
   // replica set differs from the old one only by the joiner(s) replacing
   // this provider, so only those targets need a push.
@@ -1432,21 +1397,15 @@ sim::CoTask<wire::DrainResponse> Provider::handle_drain(
     }
     return std::make_pair(joiners, peers);
   };
-  for (ModelId id : with_meta) {
+  for (auto [id, with_meta] : owner_ids()) {
     auto [joiners, peers] = joiners_of(id);
-    uint64_t segs = co_await push_owner(id, /*with_meta=*/true, joiners,
+    uint64_t segs = co_await push_owner(id, with_meta, joiners,
                                         req.provider_nodes, peers,
                                         span.context());
-    ++resp.models_moved;
-    resp.segments_moved += segs;
-    ++stats_.drain_models_moved;
-    stats_.drain_segments_moved += segs;
-  }
-  for (ModelId owner : orphan_owners) {
-    auto [joiners, peers] = joiners_of(owner);
-    uint64_t segs = co_await push_owner(owner, /*with_meta=*/false, joiners,
-                                        req.provider_nodes, peers,
-                                        span.context());
+    if (with_meta) {
+      ++resp.models_moved;
+      ++stats_.drain_models_moved;
+    }
     resp.segments_moved += segs;
     stats_.drain_segments_moved += segs;
   }
@@ -1564,26 +1523,13 @@ sim::CoTask<wire::RepairResponse> Provider::handle_repair(
     }
     return peers;
   };
-  std::vector<ModelId> with_meta = model_ids();
-  std::set<ModelId> orphan_owners;
-  for (const auto& [key, entry] : segments_) {
-    if (models_.find(key.owner) == models_.end()) orphan_owners.insert(key.owner);
-  }
   const std::vector<common::ProviderId> target_only{req.target};
-  for (ModelId id : with_meta) {
+  for (auto [id, with_meta] : owner_ids()) {
     if (!responsible(id)) continue;
     uint64_t segs =
-        co_await push_owner(id, /*with_meta=*/true, target_only,
-                            req.provider_nodes, peers_of(id), span.context());
-    ++resp.models_pushed;
-    resp.segments_pushed += segs;
-  }
-  for (ModelId owner : orphan_owners) {
-    if (!responsible(owner)) continue;
-    uint64_t segs =
-        co_await push_owner(owner, /*with_meta=*/false, target_only,
-                            req.provider_nodes, peers_of(owner),
-                            span.context());
+        co_await push_owner(id, with_meta, target_only, req.provider_nodes,
+                            peers_of(id), span.context());
+    if (with_meta) ++resp.models_pushed;
     resp.segments_pushed += segs;
   }
   span.tag_u64("models_pushed", resp.models_pushed);

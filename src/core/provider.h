@@ -47,10 +47,6 @@ struct ProviderConfig {
   /// put/read payload bytes flow through a per-provider fair-share port.
   /// 0 disables pool modelling (metadata-only deployments).
   double pool_bandwidth = 7e9;
-  /// Most recent idempotency tokens whose responses are cached for replay
-  /// (FIFO-evicted). Must exceed the number of tokened requests a client can
-  /// have in flight across one retry horizon.
-  size_t dedup_window = 1 << 16;
   /// Content-defined chunk dedup (DESIGN.md §13). When enabled, an incoming
   /// inline payload of at least `chunker.min_bytes` is split into
   /// content-defined chunks stored once per provider (deduplicating identical
@@ -140,6 +136,19 @@ struct ProviderStats {
   friend bool operator==(const ProviderStats&, const ProviderStats&) = default;
 };
 
+/// Full metadata of a stored model: what `Client::get_meta` returns and,
+/// byte for byte, the provider's durable meta/<id> record.
+struct ModelMeta {
+  model::ArchGraph graph;
+  OwnerMap owners;
+  double quality = 0;
+  common::ModelId ancestor;
+  double store_time = 0;
+  uint64_t store_seq = 0;
+
+  static auto fields(auto& m) { return wire::meta_fields(m); }
+};
+
 class Provider {
  public:
   /// Constructs the provider and registers its RPC handlers on `node`.
@@ -209,11 +218,6 @@ class Provider {
   /// counts and the memory-footprint model for tests, benches, and stats.
   const PrefixIndex& prefix_index() const { return lcp_index_; }
 
-  /// Always-on local metrics (sim-time latencies + payload sizes per
-  /// operation class). Exported as histogram digests in StatsResponse so
-  /// `Client::collect_stats` can aggregate cluster-wide.
-  const obs::MetricsRegistry& metrics() const { return metrics_; }
-
   /// Crash-recovery entry point (wired to FaultInjector::on_restart by the
   /// repository): drop all volatile state — catalogs, segments, refcounts,
   /// the idempotency cache — and reconstruct everything from the persistent
@@ -258,17 +262,11 @@ class Provider {
   static constexpr const char* kRepairPeer = "evostore.repair_peer";
 
  private:
-  /// Durable as meta/<id>, encoded like GetMetaResponse's found branch.
-  struct MetaRecord {
-    model::ArchGraph graph;
-    OwnerMap owners;
-    double quality = 0;
-    common::ModelId ancestor;
-    double store_time = 0;
-    uint64_t store_seq = 0;
+  /// Most recent idempotency tokens whose responses are cached for replay
+  /// (FIFO-evicted). Must exceed the number of tokened requests a client can
+  /// have in flight across one retry horizon.
+  static constexpr size_t kDedupWindow = 1 << 16;
 
-    static auto fields(auto& m) { return wire::meta_fields(m); }
-  };
   /// Durable as seg/<owner>/<vertex>.
   struct SegEntry {
     compress::CompressedSegment segment;
@@ -304,6 +302,13 @@ class Provider {
       const compress::CompressedSegment& env) const;
   /// Release the chunk references a freed kChunked envelope held.
   void release_chunks(const compress::CompressedSegment& env);
+  /// Take one chunk-store reference per chunk of a kChunked manifest, all or
+  /// nothing. A chunk not stored here is stored from `fetched` (null: local
+  /// chunks only); one found in neither rolls back the references already
+  /// taken and returns false (the segment is unservable here).
+  bool reference_chunks(
+      const compress::CompressedSegment& env,
+      const std::map<common::Hash128, wire::ChunkBodyEntry>* fetched);
 
   // ---- GC core ----
   /// Decrement one reference on `key`. At zero the envelope is freed:
@@ -330,14 +335,19 @@ class Provider {
                                     const common::SegmentKey& key);
 
   // ---- persistence (no-ops when backend_ == nullptr) ----
-  struct MetaRecord;
   struct SegEntry;
-  void persist_meta(common::ModelId id, const MetaRecord& meta);
+  void persist_meta(common::ModelId id, const ModelMeta& meta);
   void erase_meta(common::ModelId id);
   void persist_segment(const common::SegmentKey& key, const SegEntry& entry);
   void erase_segment_record(const common::SegmentKey& key);
   /// Rebuild models_/segments_ from the backend (called at construction).
   void restore_from_backend();
+  /// Commit a new model record (put, replicate install): the next store
+  /// sequence, the backend record, the catalog, and the prefix index.
+  /// Returns the store sequence.
+  uint64_t install_model(common::ModelId id, model::ArchGraph graph,
+                         OwnerMap owners, double quality,
+                         common::ModelId ancestor, double store_time);
   static std::string meta_key(common::ModelId id);
   static std::string segment_key(const common::SegmentKey& key);
   static std::string token_key(uint64_t token);
@@ -380,6 +390,12 @@ class Provider {
   uint64_t record_hint(wire::HintRecord hint);
   void erase_hint(uint64_t seq);
   static std::string hint_key(uint64_t seq);
+  /// The answer to a write (put, hint, replicate push) once drained.
+  common::Status drained_status() const;
+  /// Every owner id with local state, in push order for drain and repair:
+  /// models first (`true`: push the metadata too), then orphan segment
+  /// owners (meta retired, payloads alive through inherited references).
+  std::vector<std::pair<common::ModelId, bool>> owner_ids() const;
   /// Push one owner id's local state (metadata when `with_meta`, plus every
   /// locally stored segment owned by it) to each provider in `targets` via
   /// evostore.replicate. `peer_nodes` names where missing chunk bodies can
@@ -417,7 +433,7 @@ class Provider {
   bool pool_enabled_ = false;
   uint64_t seq_ = 0;
 
-  std::unordered_map<common::ModelId, MetaRecord> models_;
+  std::unordered_map<common::ModelId, ModelMeta> models_;
   std::unordered_map<common::SegmentKey, SegEntry> segments_;
   /// Cache directory: last client node known to cache each segment
   /// (volatile — a stale hint only costs a peer miss + provider fallback,
@@ -463,10 +479,8 @@ class Provider {
   obs::Histogram* hist_lcp_seconds_;
   obs::Histogram* hist_refs_seconds_;
   // Chunk dedup observability: payload size of every chunk an ingest
-  // produced, plus hit/miss counters (also exported via StatsResponse).
+  // produced (hit/miss counts live in the chunk store's stats).
   obs::Histogram* hist_chunk_bytes_;
-  obs::Counter* counter_chunk_hits_;
-  obs::Counter* counter_chunk_misses_;
   // Cluster-wide mirrors in the RpcSystem's registry (null when detached).
   obs::Histogram* shared_put_seconds_ = nullptr;
   obs::Histogram* shared_put_bytes_ = nullptr;

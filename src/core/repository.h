@@ -94,9 +94,10 @@ class EvoStoreRepository final : public ModelRepository {
   Client& client(NodeId node);
 
   /// Cluster-wide stats through the RPC path: one GetStats fan-out over
-  /// every provider from `node`'s client, reduced via wire::merge_stats.
-  /// This is what `--metrics-out` harnesses call so the exported snapshot
-  /// reflects the same wire-visible digests a monitoring client would see.
+  /// every provider from `node`'s client, reduced via wire::merge_stats —
+  /// the wire-visible digests a monitoring client would see. Benches use it
+  /// to cross-check direct provider introspection; their `--metrics-out`
+  /// snapshot is the shared registry instead, not this.
   sim::CoTask<Result<Client::ClusterStats>> collect_stats(NodeId node);
 
   size_t provider_count() const { return providers_.size(); }

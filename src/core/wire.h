@@ -383,11 +383,20 @@ inline SegmentKey deserialize_key(Deserializer& d) {
 }
 
 /// The model-metadata block: GetMetaResponse's found branch and, byte for
-/// byte, the provider's durable meta/<id> record.
+/// byte, the provider's durable meta/<id> record (core::ModelMeta).
 template <typename M>
 auto meta_fields(M& m) {
   return std::tie(m.graph, m.owners, m.quality, m.ancestor, m.store_time,
                   m.store_seq);
+}
+
+/// Move the metadata block of `from` into `to`: the graph and owner map
+/// change hands instead of being copied.
+template <typename To, typename From>
+void move_meta(To& to, From& from) {
+  meta_fields(to) = std::apply(
+      [](auto&... f) { return std::forward_as_tuple(std::move(f)...); },
+      meta_fields(from));
 }
 
 // ---- put_model -----------------------------------------------------------
@@ -809,6 +818,24 @@ struct LcpQueryResponse {
   bool partial = false;
 
   size_t lcp_len() const { return matches.size(); }
+
+  /// The LCP answer order, shared by the provider scan, the client reduce
+  /// and the Redis baseline: the longest prefix wins, then the higher
+  /// quality, then the lower model id; any candidate beats "not found".
+  /// Takes the candidate and returns true when it ranks above this answer.
+  bool offer(ModelId id, double q,
+             std::vector<std::pair<VertexId, VertexId>>&& m) {
+    const bool better = !found                  ? true
+                        : m.size() != lcp_len() ? m.size() > lcp_len()
+                        : q != quality          ? q > quality
+                                                : id < ancestor;
+    if (!better) return false;
+    found = true;
+    ancestor = id;
+    quality = q;
+    matches = std::move(m);
+    return true;
+  }
 
   static auto fields(auto& m) {
     return list(m.found,

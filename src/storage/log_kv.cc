@@ -254,30 +254,8 @@ Result<Buffer> LogKv::read_record(const Location& loc,
   return value;
 }
 
-void LogKv::set_metrics(obs::MetricsRegistry* registry,
-                        std::string_view prefix) {
-  if (registry == nullptr) {
-    ctr_puts_ = nullptr;
-    ctr_gets_ = nullptr;
-    ctr_erases_ = nullptr;
-    ctr_compactions_ = nullptr;
-    hist_put_bytes_ = nullptr;
-    return;
-  }
-  std::string p(prefix);
-  ctr_puts_ = registry->counter(p + ".puts");
-  ctr_gets_ = registry->counter(p + ".gets");
-  ctr_erases_ = registry->counter(p + ".erases");
-  ctr_compactions_ = registry->counter(p + ".compactions");
-  hist_put_bytes_ = registry->histogram(p + ".put_bytes");
-}
-
 Status LogKv::put(std::string_view key, Buffer value) {
   std::lock_guard lock(mu_);
-  if (ctr_puts_ != nullptr) {
-    ctr_puts_->add(1);
-    hist_put_bytes_->add(static_cast<double>(value.size()));
-  }
   auto it = index_.find(key);
   size_t old_value_size = 0;
   size_t old_physical_size = 0;
@@ -308,7 +286,6 @@ Status LogKv::put(std::string_view key, Buffer value) {
 
 Result<Buffer> LogKv::get(std::string_view key) const {
   std::lock_guard lock(mu_);
-  if (ctr_gets_ != nullptr) ctr_gets_->add(1);
   auto it = index_.find(key);
   if (it == index_.end()) {
     return Status::NotFound("key '" + std::string(key) + "'");
@@ -318,7 +295,6 @@ Result<Buffer> LogKv::get(std::string_view key) const {
 
 Status LogKv::erase(std::string_view key) {
   std::lock_guard lock(mu_);
-  if (ctr_erases_ != nullptr) ctr_erases_->add(1);
   auto it = index_.find(key);
   if (it == index_.end()) {
     return Status::NotFound("key '" + std::string(key) + "'");
@@ -366,7 +342,6 @@ size_t LogKv::logical_value_bytes() const {
 
 Result<size_t> LogKv::compact() {
   std::lock_guard lock(mu_);
-  if (ctr_compactions_ != nullptr) ctr_compactions_->add(1);
   size_t before = 0;
   for (const auto& [id, sz] : segments_) before += sz;
 

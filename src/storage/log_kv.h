@@ -22,7 +22,6 @@
 #include <mutex>
 #include <string_view>
 
-#include "obs/metrics.h"
 #include "storage/kv_store.h"
 
 namespace evostore::storage {
@@ -63,14 +62,6 @@ class LogKv final : public KvStore {
   /// tombstones. Returns bytes reclaimed on disk.
   Result<size_t> compact();
 
-  /// Attach operation counters (`<prefix>.puts/gets/erases/compactions`)
-  /// and a value-size histogram (`<prefix>.put_bytes`) to `registry`;
-  /// nullptr detaches. Not synchronized — attach only under single-threaded
-  /// use. No wall-clock timings are recorded (file I/O runs on the host
-  /// clock, which would leak nondeterminism into exports).
-  void set_metrics(obs::MetricsRegistry* registry,
-                   std::string_view prefix = "log_kv");
-
   /// Bytes currently occupied by all segment files.
   size_t disk_bytes() const;
   /// Bytes occupied by records that are no longer live (compaction target).
@@ -105,12 +96,6 @@ class LogKv final : public KvStore {
   size_t live_logical_bytes_ = 0;
   size_t live_physical_bytes_ = 0;
   size_t dead_bytes_ = 0;
-
-  obs::Counter* ctr_puts_ = nullptr;
-  obs::Counter* ctr_gets_ = nullptr;
-  obs::Counter* ctr_erases_ = nullptr;
-  obs::Counter* ctr_compactions_ = nullptr;
-  obs::Histogram* hist_put_bytes_ = nullptr;
 };
 
 }  // namespace evostore::storage

@@ -15,27 +15,7 @@ MemKv::Shard& MemKv::shard_for(std::string_view key) const {
   return shards_[common::fnv1a64(key) % shard_count_];
 }
 
-void MemKv::set_metrics(obs::MetricsRegistry* registry,
-                        std::string_view prefix) {
-  if (registry == nullptr) {
-    ctr_puts_ = nullptr;
-    ctr_gets_ = nullptr;
-    ctr_erases_ = nullptr;
-    hist_put_bytes_ = nullptr;
-    return;
-  }
-  std::string p(prefix);
-  ctr_puts_ = registry->counter(p + ".puts");
-  ctr_gets_ = registry->counter(p + ".gets");
-  ctr_erases_ = registry->counter(p + ".erases");
-  hist_put_bytes_ = registry->histogram(p + ".put_bytes");
-}
-
 Status MemKv::put(std::string_view key, Buffer value) {
-  if (ctr_puts_ != nullptr) {
-    ctr_puts_->add(1);
-    hist_put_bytes_->add(static_cast<double>(value.size()));
-  }
   Shard& s = shard_for(key);
   std::unique_lock lock(s.mu);
   auto it = s.entries.find(key);
@@ -54,7 +34,6 @@ Status MemKv::put(std::string_view key, Buffer value) {
 }
 
 Result<Buffer> MemKv::get(std::string_view key) const {
-  if (ctr_gets_ != nullptr) ctr_gets_->add(1);
   Shard& s = shard_for(key);
   std::shared_lock lock(s.mu);
   auto it = s.entries.find(key);
@@ -65,7 +44,6 @@ Result<Buffer> MemKv::get(std::string_view key) const {
 }
 
 Status MemKv::erase(std::string_view key) {
-  if (ctr_erases_ != nullptr) ctr_erases_->add(1);
   Shard& s = shard_for(key);
   std::unique_lock lock(s.mu);
   auto it = s.entries.find(key);

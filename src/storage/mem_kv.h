@@ -12,7 +12,6 @@
 #include <shared_mutex>
 #include <string_view>
 
-#include "obs/metrics.h"
 #include "storage/kv_store.h"
 
 namespace evostore::storage {
@@ -30,14 +29,6 @@ class MemKv final : public KvStore {
   size_t value_bytes() const override;
   size_t logical_value_bytes() const override;
 
-  /// Attach operation counters (`<prefix>.puts/gets/erases`) and a
-  /// value-size histogram (`<prefix>.put_bytes`) to `registry`; nullptr
-  /// detaches. The registry is NOT synchronized — attach only when the store
-  /// is driven from a single thread (the simulation). Unattached, each op
-  /// pays one null check.
-  void set_metrics(obs::MetricsRegistry* registry,
-                   std::string_view prefix = "mem_kv");
-
  private:
   struct Shard {
     mutable std::shared_mutex mu;
@@ -49,11 +40,6 @@ class MemKv final : public KvStore {
 
   size_t shard_count_;
   std::unique_ptr<Shard[]> shards_;
-
-  obs::Counter* ctr_puts_ = nullptr;
-  obs::Counter* ctr_gets_ = nullptr;
-  obs::Counter* ctr_erases_ = nullptr;
-  obs::Histogram* hist_put_bytes_ = nullptr;
 };
 
 }  // namespace evostore::storage

@@ -190,5 +190,23 @@ TEST(RedisQueries, StatsAccounting) {
   EXPECT_EQ(env.redis->stats().entries_scanned, 2u);
 }
 
+TEST(RedisQueries, QueryBreaksLengthTieOnQualityThenLowerId) {
+  RedisEnv env;
+  // The best quality, but a shorter prefix: length is compared first.
+  ASSERT_TRUE(env.run(env.add(ModelId::make(1, 1), chain_graph(6, 8, 3), 0.9)));
+  // Four full-length matches: 0.6 loses on quality, and of the three 0.7s
+  // the lowest id wins whatever order the catalog scan visits them in.
+  ASSERT_TRUE(env.run(env.add(ModelId::make(1, 5), chain_graph(6, 8), 0.7)));
+  ASSERT_TRUE(env.run(env.add(ModelId::make(1, 2), chain_graph(6, 8), 0.6)));
+  ASSERT_TRUE(env.run(env.add(ModelId::make(1, 3), chain_graph(6, 8), 0.7)));
+  ASSERT_TRUE(env.run(env.add(ModelId::make(1, 4), chain_graph(6, 8), 0.7)));
+  auto r = env.run(env.redis->query(env.client_node, chain_graph(6, 8)));
+  ASSERT_TRUE(r.ok());
+  ASSERT_TRUE(r->found);
+  EXPECT_EQ(r->ancestor, ModelId::make(1, 3));
+  EXPECT_DOUBLE_EQ(r->quality, 0.7);
+  EXPECT_EQ(r->lcp_len(), 7u);
+}
+
 }  // namespace
 }  // namespace evostore::baseline

@@ -212,5 +212,62 @@ TEST_F(CacheReadTest, DisabledCacheKeepsWireTrafficIdentical) {
   EXPECT_EQ(traffic(ClientConfig{}), traffic(cached_config(1 << 20)));
 }
 
+TEST_F(CacheReadTest, FallbackRoundFailsOverPastCrashedReplica) {
+  // Room for exactly one model's envelopes: reading a second model of the
+  // same shape evicts the first.
+  const auto g = chain_graph(6, 32);
+  uint64_t one_model = 0;
+  auto probe = model::Model::random(ModelId::make(9, 9), g, 1);
+  for (VertexId v = 0; v < probe.vertex_count(); ++v) {
+    one_model += probe.segment(v).nbytes();
+  }
+  ClusterEnv env{4, ProviderConfig{}, cached_config(one_model)};
+  net::FaultInjector injector(env.sim);
+  env.rpc.set_fault_injector(&injector);
+
+  auto m = make_and_store(env);
+  auto other = model::Model::random(env.repo->allocate_id(), g, 7);
+  auto put_other = [&]() -> sim::CoTask<common::Status> {
+    co_return co_await env.client().put_model(other, nullptr);
+  };
+  ASSERT_TRUE(env.run(put_other()).ok());
+  const size_t n = m.vertex_count();
+
+  // The first replica of M stays down for the whole test. Every read runs
+  // in one task: each env.run drains the event queue, restart included.
+  auto reps = env.repo->membership().replicas(m.id());
+  ASSERT_EQ(reps.size(), 2u);
+  injector.schedule_crash(env.provider_nodes[reps[0]], env.sim.now(),
+                          /*downtime=*/1e9);
+  Client& cli_a = env.client();
+  NodeId node_b = env.fabric.add_node(25e9, 25e9);
+  Client& cli_b = env.repo->client(node_b);
+  uint64_t a_evictions = 0;
+  auto reads = [&]() -> sim::CoTask<void> {
+    // Client A reads M from the second replica, which records A as a
+    // holder of every segment; reading the other model then evicts M from
+    // A's cache.
+    auto a_m = co_await cli_a.get_model(m.id());
+    expect_identical(a_m, m);
+    auto a_other = co_await cli_a.get_model(other.id());
+    expect_identical(a_other, other);
+    a_evictions = cli_a.segment_cache()->stats().evictions;
+    // Client B is redirected to A, whose cache misses. The fallback round
+    // starts again at the crashed replica and fails over to the live one.
+    auto b_m = co_await cli_b.get_model(m.id());
+    expect_identical(b_m, m);
+  };
+  env.run(reads());
+  ASSERT_EQ(a_evictions, n);
+
+  const auto& bs = cli_b.segment_cache()->stats();
+  EXPECT_EQ(bs.peer_hits, 0u);
+  EXPECT_EQ(bs.peer_misses, n);
+  EXPECT_EQ(bs.misses, n);
+  // One metadata failover, then one per key in the validated round and one
+  // per key in the fallback round.
+  EXPECT_EQ(cli_b.fault_stats().read_failovers, 1 + 2 * n);
+}
+
 }  // namespace
 }  // namespace evostore::core

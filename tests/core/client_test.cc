@@ -208,5 +208,43 @@ TEST(Client, TransferAfterAncestorRetiredFallsBackToScratch) {
   EXPECT_FALSE(r->has_value());  // catalog empty again
 }
 
+TEST(Client, QueryLcpTieOnLengthAndQualityPicksLowerId) {
+  // One replica per model: each provider's scan answers with its own model,
+  // so only the client reduce sees both answers. They tie on prefix length
+  // and quality, and the reduce sees the higher id's answer first.
+  ClientConfig one_replica;
+  one_replica.replication = 1;
+  ClusterEnv env(4, ProviderConfig{}, one_replica);
+  const Membership& ring = env.repo->membership();
+  std::vector<ModelId> ids;
+  for (int i = 0; i < 32; ++i) ids.push_back(env.repo->allocate_id());
+  ModelId low;
+  ModelId high;
+  for (size_t a = 0; a < ids.size() && !high.valid(); ++a) {
+    for (size_t b = a + 1; b < ids.size() && !high.valid(); ++b) {
+      if (ring.replicas(ids[b]).front() < ring.replicas(ids[a]).front()) {
+        low = ids[a];
+        high = ids[b];
+      }
+    }
+  }
+  ASSERT_TRUE(high.valid());
+  ASSERT_LT(low, high);
+
+  auto g = chain_graph(6, 16);
+  for (ModelId id : {high, low}) {
+    auto m = model::Model::random(id, g, id.value);
+    m.set_quality(0.5);
+    ASSERT_TRUE(env.run(store(env.client(), m)).ok());
+  }
+  EXPECT_FALSE(env.repo->provider(ring.replicas(high).front()).has_model(low));
+
+  auto r = env.run(env.client().query_lcp(g));
+  ASSERT_TRUE(r.ok() && r->found);
+  EXPECT_EQ(r->ancestor, low);
+  EXPECT_EQ(r->lcp_len(), g.size());
+  EXPECT_DOUBLE_EQ(r->quality, 0.5);
+}
+
 }  // namespace
 }  // namespace evostore::core
