@@ -19,7 +19,7 @@
 //    rejects all others at the root for exactly one vertex visit), so it
 //    scans the root-signature bucket and charges 1 visit per model outside
 //    it. Reported latencies are the provider cost model's (deterministic:
-//    lcp_per_model_seconds * catalog + lcp_visit_seconds * visits for the
+//    kLcpPerModelSeconds * catalog + kLcpVisitSeconds * visits for the
 //    scan; visits only for the index), so reruns are byte-identical.
 //
 // Catalogs are fine-tune families: linear chains sharing a family spine
@@ -131,7 +131,6 @@ struct LegResult {
 
 LegResult run_direct(uint64_t size, int query_count, bool verify) {
   LegResult out;
-  core::ProviderConfig cost_model;  // only the cost constants are used
   core::PrefixIndex idx;
   // Root-signature buckets: model indices by root width. Regenerating
   // graphs on demand keeps resident memory at the index plus one bucket of
@@ -185,8 +184,8 @@ LegResult run_direct(uint64_t size, int query_count, bool verify) {
     }
     scan_cost.vertex_visits += size - buckets[root_bucket].size();
     double scan_seconds =
-        cost_model.lcp_per_model_seconds * static_cast<double>(size) +
-        cost_model.lcp_visit_seconds *
+        core::Provider::kLcpPerModelSeconds * static_cast<double>(size) +
+        core::Provider::kLcpVisitSeconds *
             static_cast<double>(scan_cost.vertex_visits);
     scan_hist.add(scan_seconds);
     fold_answer(scan_digest, scan);
@@ -216,7 +215,7 @@ LegResult run_direct(uint64_t size, int query_count, bool verify) {
       indexed = scan;
       index_hist.add(scan_seconds);
     } else {
-      index_hist.add(cost_model.lcp_visit_seconds *
+      index_hist.add(core::Provider::kLcpVisitSeconds *
                      static_cast<double>(index_cost.vertex_visits));
     }
     fold_answer(index_digest, indexed);

@@ -69,11 +69,10 @@ Client::Client(net::RpcSystem& rpc, NodeId self, uint32_t client_id,
 
 double Client::backoff_delay(int attempt) {
   const RetryPolicy& rp = config_.retry;
-  double b = rp.initial_backoff * std::pow(rp.backoff_multiplier, attempt - 1);
+  double b = rp.initial_backoff *
+             std::pow(RetryPolicy::kBackoffMultiplier, attempt - 1);
   b = std::min(b, rp.max_backoff);
-  if (rp.jitter_fraction > 0) {
-    b *= 1.0 + rp.jitter_fraction * (2.0 * retry_rng_.uniform() - 1.0);
-  }
+  b *= 1.0 + RetryPolicy::kJitterFraction * (2.0 * retry_rng_.uniform() - 1.0);
   return b;
 }
 

@@ -41,13 +41,15 @@ using model::Segment;
 /// code (Unavailable, DeadlineExceeded). The default (`max_attempts == 1`)
 /// disables retries entirely: every call behaves exactly as before.
 struct RetryPolicy {
-  int max_attempts = 1;
-  double initial_backoff = 0.05;
-  double backoff_multiplier = 2.0;
-  double max_backoff = 2.0;
+  /// Growth of the backoff from one retry to the next.
+  static constexpr double kBackoffMultiplier = 2.0;
   /// Backoff is scaled by a factor drawn uniformly from
   /// [1 - jitter, 1 + jitter] (seeded RNG — deterministic per client).
-  double jitter_fraction = 0.1;
+  static constexpr double kJitterFraction = 0.1;
+
+  int max_attempts = 1;
+  double initial_backoff = 0.05;
+  double max_backoff = 2.0;
   /// Two-tier budget for replicated writes. 0 (default) keeps the classic
   /// behavior: each replica leg retries up to `max_attempts` before the
   /// caller parks a hinted handoff. A positive value caps each leg at that
@@ -271,12 +273,6 @@ class Client {
   std::vector<common::ProviderId> replicas_of(ModelId id) const {
     return membership_->replicas(id);
   }
-  /// The preferred replica for `id` (first element of replicas_of).
-  common::ProviderId home_of(ModelId id) const {
-    std::vector<common::ProviderId> r = membership_->replicas(id);
-    return r.empty() ? 0 : r.front();
-  }
-
   /// Fresh idempotency token, never 0: incarnation epoch (16 bits) | client
   /// id (16 bits) | sequence (32 bits). One token covers one logical
   /// mutation across all its retries. Unique as long as a deployment stays

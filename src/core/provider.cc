@@ -1,8 +1,6 @@
 #include "core/provider.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <set>
 
 #include "common/log.h"
@@ -24,7 +22,7 @@ Provider::Provider(net::RpcSystem& rpc, common::NodeId node,
       node_(node),
       id_(id),
       config_(config),
-      backend_(backend),
+      records_(backend),
       chunk_store_(backend) {
   if (config_.pool_bandwidth > 0) {
     pool_port_ = flows_->add_port(config_.pool_bandwidth,
@@ -47,81 +45,26 @@ Provider::Provider(net::RpcSystem& rpc, common::NodeId node,
     shared_refs_seconds_ = shared->histogram("provider.refs_seconds");
     shared_chunk_bytes_ = shared->histogram("provider.chunk_payload_bytes");
   }
-  if (backend_ != nullptr) restore_from_backend();
+  if (records_.attached()) restore_from_backend();
   register_handlers(rpc);
 }
 
-// ---- persistence --------------------------------------------------------
-
-std::string Provider::meta_key(common::ModelId id) {
-  return "meta/" + std::to_string(id.value);
-}
-
-std::string Provider::segment_key(const common::SegmentKey& key) {
-  return "seg/" + std::to_string(key.owner.value) + "/" +
-         std::to_string(key.vertex);
-}
-
-std::string Provider::token_key(uint64_t token) {
-  return "tok/" + std::to_string(token);
-}
-
-void Provider::persist_meta(common::ModelId id, const ModelMeta& meta) {
-  if (backend_ == nullptr) return;
-  auto st =
-      backend_->put(meta_key(id), common::Buffer::dense(wire::encode(meta)));
-  if (!st.ok()) EVO_WARN << "persist_meta: " << st.to_string();
-}
-
-void Provider::erase_meta(common::ModelId id) {
-  if (backend_ == nullptr) return;
-  (void)backend_->erase(meta_key(id));
-}
-
-void Provider::persist_segment(const common::SegmentKey& key,
-                               const SegEntry& entry) {
-  if (backend_ == nullptr) return;
-  auto st = backend_->put(segment_key(key),
-                          common::Buffer::dense(wire::encode(entry)));
-  if (!st.ok()) EVO_WARN << "persist_segment: " << st.to_string();
-}
-
-std::string Provider::pin_record_key(uint64_t epoch,
-                                     const common::SegmentKey& key) {
-  return "pin/" + std::to_string(epoch) + "/" +
-         std::to_string(key.owner.value) + "/" + std::to_string(key.vertex);
-}
-
-void Provider::persist_pin(uint64_t epoch, const common::SegmentKey& key,
-                           uint32_t count) {
-  if (backend_ == nullptr) return;
-  if (count == 0) {
-    (void)backend_->erase(pin_record_key(epoch, key));
-    return;
-  }
-  common::Serializer s;
-  s.u64(count);
-  auto st = backend_->put(pin_record_key(epoch, key),
-                          common::Buffer::dense(std::move(s).take()));
-  if (!st.ok()) EVO_WARN << "persist_pin: " << st.to_string();
-}
-
 void Provider::pin_add(uint64_t epoch, const common::SegmentKey& key) {
-  uint32_t& count = pins_[epoch][key];
-  ++count;
+  PinKey pin{epoch, key};
+  uint32_t count = ++pins_[pin];
   ++stats_.pins_recorded;
-  persist_pin(epoch, key, count);
+  records_.put(kPinRecord, pin, count);
 }
 
 void Provider::pin_remove(uint64_t epoch, const common::SegmentKey& key) {
-  auto eit = pins_.find(epoch);
-  if (eit == pins_.end()) return;
-  auto kit = eit->second.find(key);
-  if (kit == eit->second.end()) return;
-  uint32_t remaining = --kit->second;
-  if (remaining == 0) eit->second.erase(kit);
-  persist_pin(epoch, key, remaining);
-  if (eit->second.empty()) pins_.erase(eit);
+  auto it = pins_.find(PinKey{epoch, key});
+  if (it == pins_.end()) return;
+  if (--it->second > 0) {
+    records_.put(kPinRecord, it->first, it->second);
+    return;
+  }
+  records_.erase(kPinRecord, it->first);
+  pins_.erase(it);
 }
 
 void Provider::account_stored(const compress::CompressedSegment& env,
@@ -234,11 +177,6 @@ bool Provider::reference_chunks(
   return false;
 }
 
-void Provider::erase_segment_record(const common::SegmentKey& key) {
-  if (backend_ == nullptr) return;
-  (void)backend_->erase(segment_key(key));
-}
-
 bool Provider::release_ref(const common::SegmentKey& key,
                            uint64_t* freed_bytes,
                            std::vector<common::SegmentKey>* freed_bases) {
@@ -256,11 +194,11 @@ bool Provider::release_ref(const common::SegmentKey& key,
     release_chunks(env);
     account_stored(env, -1);
     segments_.erase(it);
-    erase_segment_record(key);
+    records_.erase(kSegRecord, key);
     cache_dir_.erase(key);
     ++stats_.segments_freed;
   } else {
-    persist_segment(key, it->second);
+    records_.put(kSegRecord, key, it->second);
   }
   return true;
 }
@@ -278,29 +216,27 @@ void Provider::observe_epoch(uint64_t token) {
 void Provider::reap_stale_pins(uint64_t current_epoch) {
   uint64_t reaped = 0;
   for (auto it = pins_.begin();
-       it != pins_.end() && it->first < current_epoch;) {
-    for (const auto& [key, count] : it->second) {
-      // Release the leaked pins, cascading through locally stored delta
-      // bases. A base living on another provider can't be reached from
-      // here; its own pin record (if the transfer pinned it) is reaped by
-      // that provider when it observes the epoch bump.
-      std::vector<common::SegmentKey> frontier(count, key);
-      while (!frontier.empty()) {
-        common::SegmentKey k = frontier.back();
-        frontier.pop_back();
-        uint64_t bytes = 0;
-        std::vector<common::SegmentKey> bases;
-        if (!release_ref(k, &bytes, &bases)) {
-          EVO_WARN << "pin reap: segment " << k.to_string()
-                   << " not stored locally; skipped";
-          continue;
-        }
-        for (const auto& b : bases) frontier.push_back(b);
+       it != pins_.end() && it->first.first < current_epoch;
+       it = pins_.erase(it)) {
+    // Release the leaked pins, cascading through locally stored delta
+    // bases. A base living on another provider can't be reached from here;
+    // its own pin record (if the transfer pinned it) is reaped by that
+    // provider when it observes the epoch bump.
+    std::vector<common::SegmentKey> frontier(it->second, it->first.second);
+    while (!frontier.empty()) {
+      common::SegmentKey k = frontier.back();
+      frontier.pop_back();
+      uint64_t bytes = 0;
+      std::vector<common::SegmentKey> bases;
+      if (!release_ref(k, &bytes, &bases)) {
+        EVO_WARN << "pin reap: segment " << k.to_string()
+                 << " not stored locally; skipped";
+        continue;
       }
-      reaped += count;
-      persist_pin(it->first, key, 0);
+      for (const auto& b : bases) frontier.push_back(b);
     }
-    it = pins_.erase(it);
+    reaped += it->second;
+    records_.erase(kPinRecord, it->first);
   }
   if (reaped > 0) {
     stats_.pins_reaped += reaped;
@@ -309,23 +245,11 @@ void Provider::reap_stale_pins(uint64_t current_epoch) {
   }
 }
 
-uint64_t Provider::segment_version(const common::SegmentKey& key) const {
-  auto it = segments_.find(key);
-  return it == segments_.end() ? 0 : it->second.version;
-}
-
 uint64_t Provider::pinned_count(const common::SegmentKey& key) const {
   uint64_t n = 0;
-  for (const auto& [epoch, keys] : pins_) {
-    auto it = keys.find(key);
-    if (it != keys.end()) n += it->second;
+  for (const auto& [pin, count] : pins_) {
+    if (pin.second == key) n += count;
   }
-  return n;
-}
-
-size_t Provider::pin_ledger_size() const {
-  size_t n = 0;
-  for (const auto& [epoch, keys] : pins_) n += keys.size();
   return n;
 }
 
@@ -342,23 +266,19 @@ std::optional<Response> Provider::dedup_lookup(uint64_t token) {
   return cached;
 }
 
-void Provider::dedup_store(uint64_t token, const common::Bytes& response) {
+void Provider::dedup_store(uint64_t token, Bytes response) {
   if (token == 0) return;
-  if (!dedup_.emplace(token, response).second) return;  // already cached
+  auto [it, fresh] = dedup_.try_emplace(token);
+  if (!fresh) return;  // already cached
   dedup_order_.push_back(token);
-  if (backend_ != nullptr) {
-    common::Serializer s;
-    s.u64(++dedup_seq_);
-    s.bytes(response);
-    auto st = backend_->put(token_key(token),
-                            common::Buffer::dense(std::move(s).take()));
-    if (!st.ok()) EVO_WARN << "dedup_store: " << st.to_string();
-  }
+  std::pair<uint64_t, Bytes> record{++dedup_seq_, std::move(response)};
+  records_.put(kTokenRecord, token, record);
+  it->second = std::move(record.second);
   while (dedup_order_.size() > kDedupWindow) {
     uint64_t evict = dedup_order_.front();
     dedup_order_.pop_front();
     dedup_.erase(evict);
-    if (backend_ != nullptr) (void)backend_->erase(token_key(evict));
+    records_.erase(kTokenRecord, evict);
   }
 }
 
@@ -381,7 +301,7 @@ void Provider::restart() {
   codec_usage_ = {};
   seq_ = 0;
   dedup_seq_ = 0;
-  if (backend_ != nullptr) restore_from_backend();
+  if (records_.attached()) restore_from_backend();
   if (obs::EventLog* ev = events()) {
     ev->record(sim_->now(), "provider.recover", node_,
                {{"models", obs::EventLog::u64(models_.size())},
@@ -393,113 +313,61 @@ void Provider::restart() {
 }
 
 void Provider::restore_from_backend() {
-  // Sort for a deterministic rebuild regardless of the backend's native key
-  // order (MemKv hashes, LogKv replays the log).
-  std::vector<std::string> keys = backend_->keys();
-  std::sort(keys.begin(), keys.end());
-  // (dedup seq, token, packed response) — ordered below to rebuild the FIFO.
-  std::vector<std::tuple<uint64_t, uint64_t, common::Bytes>> tokens;
-  for (const auto& key : keys) {
-    auto value = backend_->get(key);
-    if (!value.ok()) continue;
-    common::Buffer buf = value.value().materialize();
-    common::Deserializer d(buf.dense_span());
-    if (key.rfind("chunk/", 0) == 0) {
-      // Sorted iteration visits "chunk/" before "meta/" and "seg/", so every
-      // chunk record is installed (at zero references) before any surviving
-      // segment manifest re-references it below.
-      uint64_t seq = std::strtoull(key.c_str() + 6, nullptr, 10);
-      common::Hash128 digest;
-      digest.hi = d.u64();
-      digest.lo = d.u64();
-      uint64_t cost = d.u64();
-      common::Bytes bytes = d.bytes();
-      if (!d.finish().ok()) {
-        EVO_WARN << "restore: corrupt chunk record '" << key << "'";
-        continue;
-      }
-      chunk_store_.install(digest, std::move(bytes), cost, seq);
-    } else if (key.rfind("tok/", 0) == 0) {
-      uint64_t token = std::strtoull(key.c_str() + 4, nullptr, 10);
-      uint64_t at = d.u64();
-      common::Bytes resp = d.bytes();
-      if (!d.finish().ok()) {
-        EVO_WARN << "restore: corrupt token record '" << key << "'";
-        continue;
-      }
-      tokens.emplace_back(at, token, std::move(resp));
-    } else if (key.rfind("hint/", 0) == 0) {
+  std::vector<std::string> keys = records_.keys();
+  // Chunks first, at zero references: the segment manifests restored below
+  // re-reference them. The chunk store takes its records out of `keys`.
+  chunk_store_.restore(&keys);
+  // (dedup seq, token, cached response), sorted below to rebuild the FIFO.
+  std::vector<std::tuple<uint64_t, uint64_t, Bytes>> tokens;
+  records_.restore(
+      keys,
       // Parked hinted handoffs survive this provider's own crashes: the
       // guarantee is "replayed once the target recovers", not "replayed
       // unless the custodian also crashed in between".
-      uint64_t seq = std::strtoull(key.c_str() + 5, nullptr, 10);
-      auto hint = wire::decode<wire::HintRecord>(buf.dense_span());
-      if (!hint.ok()) {
-        EVO_WARN << "restore: corrupt hint record '" << key << "'";
-        continue;
-      }
-      hint_seq_ = std::max(hint_seq_, seq);
-      hints_.emplace(seq, std::move(hint).value());
-    } else if (key.rfind("meta/", 0) == 0) {
-      common::ModelId id{std::strtoull(key.c_str() + 5, nullptr, 10)};
-      auto meta = wire::decode<ModelMeta>(buf.dense_span());
-      if (!meta.ok()) {
-        EVO_WARN << "restore: corrupt metadata record '" << key << "'";
-        continue;
-      }
-      seq_ = std::max(seq_, meta->store_seq);
-      models_.emplace(id, std::move(meta).value());
-    } else if (key.rfind("pin/", 0) == 0) {
-      // "pin/<epoch>/<owner>/<vertex>" -> u64 outstanding pin count. The
-      // ledger survives provider crashes so a client-incarnation bump can
-      // still reap pins recorded before the crash.
-      const char* p = key.c_str() + 4;
-      char* end = nullptr;
-      uint64_t epoch = std::strtoull(p, &end, 10);
-      if (end == nullptr || *end != '/') continue;
-      common::ModelId owner{std::strtoull(end + 1, &end, 10)};
-      if (end == nullptr || *end != '/') continue;
-      auto vertex =
-          static_cast<common::VertexId>(std::strtoul(end + 1, nullptr, 10));
-      uint64_t count = d.u64();
-      if (!d.finish().ok() || count == 0) {
-        EVO_WARN << "restore: corrupt pin record '" << key << "'";
-        continue;
-      }
-      pins_[epoch][common::SegmentKey{owner, vertex}] =
-          static_cast<uint32_t>(count);
-    } else if (key.rfind("seg/", 0) == 0) {
-      const char* p = key.c_str() + 4;
-      char* end = nullptr;
-      common::ModelId owner{std::strtoull(p, &end, 10)};
-      if (end == nullptr || *end != '/') continue;
-      auto vertex = static_cast<common::VertexId>(
-          std::strtoul(end + 1, nullptr, 10));
-      auto decoded = wire::decode<SegEntry>(buf.dense_span());
-      if (!decoded.ok() ||
-          compress::codec_for(decoded->segment.codec) == nullptr) {
-        EVO_WARN << "restore: corrupt segment record '" << key << "'";
-        continue;
-      }
-      SegEntry entry = std::move(decoded).value();
-      // Versions share the store sequence; segments can outlive their
-      // model's metadata (retired model, still-referenced segments), so the
-      // sequence restores from both.
-      seq_ = std::max(seq_, entry.version);
-      // Re-take the manifest's chunk references. A manifest pointing at a
-      // chunk whose record did not survive is unreadable: drop it (and its
-      // backend record) rather than restore a segment no read can serve.
-      if (entry.segment.kind == compress::EnvelopeKind::kChunked &&
-          !reference_chunks(entry.segment, nullptr)) {
-        EVO_WARN << "restore: segment record '" << key
-                 << "' references missing chunks; dropped";
-        (void)backend_->erase(key);
-        continue;
-      }
-      account_stored(entry.segment, +1);
-      segments_.emplace(common::SegmentKey{owner, vertex}, std::move(entry));
-    }
-  }
+      records::on(kHintRecord, [&](uint64_t seq, wire::HintRecord hint) {
+        hint_seq_ = std::max(hint_seq_, seq);
+        hints_.emplace(seq, std::move(hint));
+        return Status::Ok();
+      }),
+      records::on(kMetaRecord, [&](ModelId id, ModelMeta meta) {
+        seq_ = std::max(seq_, meta.store_seq);
+        models_.emplace(id, std::move(meta));
+        return Status::Ok();
+      }),
+      // The ledger survives provider crashes so a client-incarnation bump
+      // can still reap pins recorded before the crash.
+      records::on(kPinRecord, [&](const PinKey& pin, uint64_t count) {
+        if (count == 0) return Status::Corruption("zero pin count");
+        pins_[pin] = static_cast<uint32_t>(count);
+        return Status::Ok();
+      }),
+      records::on(kSegRecord, [&](const common::SegmentKey& key,
+                                  SegEntry entry) {
+        if (compress::codec_for(entry.segment.codec) == nullptr) {
+          return Status::Corruption("unknown codec");
+        }
+        // Versions share the store sequence; segments can outlive their
+        // model's metadata (retired model, still-referenced segments), so
+        // the sequence restores from both.
+        seq_ = std::max(seq_, entry.version);
+        // Re-take the manifest's chunk references. A manifest pointing at a
+        // chunk whose record did not survive is unreadable: drop it (and its
+        // record) rather than restore a segment no read can serve.
+        if (entry.segment.kind == compress::EnvelopeKind::kChunked &&
+            !reference_chunks(entry.segment, nullptr)) {
+          records_.erase(kSegRecord, key);
+          return Status::Corruption("references missing chunks; dropped");
+        }
+        account_stored(entry.segment, +1);
+        segments_.emplace(key, std::move(entry));
+        return Status::Ok();
+      }),
+      records::on(kTokenRecord,
+                  [&](uint64_t token, std::pair<uint64_t, Bytes> record) {
+                    tokens.emplace_back(record.first, token,
+                                        std::move(record.second));
+                    return Status::Ok();
+                  }));
   // Rebuild the idempotency cache in its original FIFO order so a retry
   // arriving after a crash still replays instead of re-applying.
   std::sort(tokens.begin(), tokens.end(),
@@ -596,7 +464,7 @@ uint64_t Provider::install_model(common::ModelId id, model::ArchGraph graph,
   meta.ancestor = ancestor;
   meta.store_time = store_time;
   meta.store_seq = ++seq_;
-  persist_meta(id, meta);
+  records_.put(kMetaRecord, id, meta);
   auto [it, inserted] = models_.emplace(id, std::move(meta));
   if (config_.lcp_index && inserted) {
     lcp_index_.insert(id, it->second.quality, it->second.graph);
@@ -617,7 +485,7 @@ sim::CoTask<wire::PutModelResponse> Provider::handle_put(
   // gone — reap the transfer pins they leaked (DESIGN.md §14).
   observe_epoch(req.token);
   co_await sim_->delay(config_.op_seconds +
-                       config_.per_segment_seconds *
+                       kPerSegmentSeconds *
                            static_cast<double>(req.new_segments.size()));
   if (models_.find(req.id) != models_.end()) {
     resp.status = Status::AlreadyExists("model " + req.id.to_string());
@@ -665,7 +533,7 @@ sim::CoTask<wire::PutModelResponse> Provider::handle_put(
     obs::Span commit =
         obs::Tracer::maybe_begin(tracer(), "kv_commit", node_, ctx.trace);
     commit.tag_u64("segments", req.new_segments.size());
-    commit.tag("backed", backend_ != nullptr ? "true" : "false");
+    commit.tag("backed", records_.attached() ? "true" : "false");
     resp.store_seq =
         install_model(req.id, std::move(req.graph), std::move(req.owners),
                       req.quality, req.ancestor, sim_->now());
@@ -679,8 +547,9 @@ sim::CoTask<wire::PutModelResponse> Provider::handle_put(
       account_stored(env, +1);
       // The segment's cache-validation version is the put's store sequence:
       // monotonic, so re-created keys always look newer than stale copies.
-      segments_[key] = SegEntry{std::move(env), 1, resp.store_seq};
-      persist_segment(key, segments_[key]);
+      SegEntry& entry = segments_[key];
+      entry = SegEntry{std::move(env), 1, resp.store_seq};
+      records_.put(kSegRecord, key, entry);
     }
   }
   record(hist_put_seconds_, shared_put_seconds_, sim_->now() - t0);
@@ -709,7 +578,7 @@ sim::CoTask<wire::ReadSegmentsResponse> Provider::handle_read_segments(
   wire::ReadSegmentsResponse resp;
   ++stats_.segment_reads;
   co_await sim_->delay(config_.op_seconds +
-                       config_.per_segment_seconds *
+                       kPerSegmentSeconds *
                            static_cast<double>(req.keys.size()));
   resp.info.reserve(req.keys.size());
   for (size_t i = 0; i < req.keys.size(); ++i) {
@@ -796,7 +665,7 @@ sim::CoTask<wire::ModifyRefsResponse> Provider::handle_modify_refs(
       obs::Tracer::maybe_begin(tracer(), "modify_refs", node_, ctx.trace);
   span.tag_u64("keys", req.keys.size());
   span.tag("increment", req.increment ? "true" : "false");
-  co_await sim_->delay(config_.per_segment_seconds *
+  co_await sim_->delay(kPerSegmentSeconds *
                        static_cast<double>(req.keys.size()));
   // Retry of an already-applied request: replay the cached response instead
   // of double-applying the deltas (the first delivery's response was lost).
@@ -826,7 +695,7 @@ sim::CoTask<wire::ModifyRefsResponse> Provider::handle_modify_refs(
       }
       ++it->second.refs;
       ++stats_.refs_added;
-      persist_segment(key, it->second);
+      records_.put(kSegRecord, key, it->second);
       if (req.pin_epoch != 0) pin_add(req.pin_epoch, key);
     } else {
       // Pinned decrements clear their ledger entry whether or not the
@@ -880,7 +749,7 @@ sim::CoTask<wire::RetireResponse> Provider::handle_retire(
   // reference counts (decremented by the client fan-out) reach zero.
   if (config_.lcp_index) (void)lcp_index_.remove(req.id, it->second.graph);
   models_.erase(it);
-  erase_meta(req.id);
+  records_.erase(kMetaRecord, req.id);
   resp.status = Status::Ok();
   dedup_store(req.token, wire::encode(resp));
   co_return resp;
@@ -983,10 +852,9 @@ sim::CoTask<wire::LcpQueryResponse> Provider::handle_lcp_query(
   // Charge the CPU time of whichever path served (the map step of the
   // collective query): the scan pays a per-model term, the index does not.
   co_await sim_->delay(
-      (scan_needed ? config_.lcp_per_model_seconds *
-                         static_cast<double>(models_.size())
+      (scan_needed ? kLcpPerModelSeconds * static_cast<double>(models_.size())
                    : 0.0) +
-      config_.lcp_visit_seconds * static_cast<double>(cost.vertex_visits));
+      kLcpVisitSeconds * static_cast<double>(cost.vertex_visits));
   if (scan_needed) span.tag_u64("models_scanned", models_.size());
   span.tag_u64("vertex_visits", cost.vertex_visits);
   span.tag("found", resp.found ? "true" : "false");
@@ -1013,15 +881,6 @@ sim::CoTask<wire::LcpQueryResponse> Provider::handle_lcp_query(
 
 // ---- replication fault model (DESIGN.md §15) ----------------------------
 
-std::string Provider::hint_key(uint64_t seq) {
-  // Zero-padded so the backend's lexicographic key sort (restore order)
-  // equals numeric arrival order.
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "hint/%020llu",
-                static_cast<unsigned long long>(seq));
-  return buf;
-}
-
 Status Provider::drained_status() const {
   return Status::Unavailable("provider " + std::to_string(id_) + " drained");
 }
@@ -1039,11 +898,7 @@ std::vector<std::pair<ModelId, bool>> Provider::owner_ids() const {
 
 uint64_t Provider::record_hint(wire::HintRecord hint) {
   uint64_t seq = ++hint_seq_;
-  if (backend_ != nullptr) {
-    auto st = backend_->put(hint_key(seq),
-                            common::Buffer::dense(wire::encode(hint)));
-    if (!st.ok()) EVO_WARN << "record_hint: " << st.to_string();
-  }
+  records_.put(kHintRecord, seq, hint);
   common::ProviderId target = hint.target;
   hints_.emplace(seq, std::move(hint));
   ++stats_.hints_recorded;
@@ -1060,7 +915,7 @@ uint64_t Provider::record_hint(wire::HintRecord hint) {
 
 void Provider::erase_hint(uint64_t seq) {
   hints_.erase(seq);
-  if (backend_ != nullptr) (void)backend_->erase(hint_key(seq));
+  records_.erase(kHintRecord, seq);
 }
 
 size_t Provider::hint_count_for(common::ProviderId target) const {
@@ -1095,7 +950,7 @@ sim::CoTask<uint64_t> Provider::replay_hints(common::ProviderId target,
     std::string method = it->second.method;
     Bytes payload = it->second.payload;
     net::CallOptions opts;
-    opts.timeout = config_.peer_rpc_timeout;
+    opts.timeout = kPeerRpcTimeout;
     opts.parent = span.context();
     auto r = co_await rpc_->call(node_, target_node, method,
                                  std::move(payload), opts);
@@ -1130,7 +985,7 @@ uint64_t Provider::discard_hints_for(common::ProviderId target) {
   uint64_t discarded = 0;
   for (auto it = hints_.begin(); it != hints_.end();) {
     if (it->second.target == target) {
-      if (backend_ != nullptr) (void)backend_->erase(hint_key(it->first));
+      records_.erase(kHintRecord, it->first);
       it = hints_.erase(it);
       ++discarded;
     } else {
@@ -1165,7 +1020,7 @@ sim::CoTask<wire::FetchChunksResponse> Provider::handle_fetch_chunks(
     wire::FetchChunksRequest req, net::HandlerContext ctx) {
   wire::FetchChunksResponse resp;
   co_await sim_->delay(config_.op_seconds +
-                       config_.per_segment_seconds *
+                       kPerSegmentSeconds *
                            static_cast<double>(req.digests.size()));
   for (const auto& digest : req.digests) {
     const storage::ChunkStore::Chunk* chunk = chunk_store_.find(digest);
@@ -1193,7 +1048,7 @@ sim::CoTask<wire::ReplicateResponse> Provider::handle_replicate(
       obs::Tracer::maybe_begin(tracer(), "replicate_serve", node_, ctx.trace);
   wire::ReplicateResponse resp;
   co_await sim_->delay(config_.op_seconds +
-                       config_.per_segment_seconds *
+                       kPerSegmentSeconds *
                            static_cast<double>(req.segments.size()));
   if (drained_) {
     resp.status = drained_status();
@@ -1237,7 +1092,7 @@ sim::CoTask<wire::ReplicateResponse> Provider::handle_replicate(
         if (fetched.find(digest) == fetched.end()) freq.digests.push_back(digest);
       }
       net::CallOptions opts;
-      opts.timeout = config_.peer_rpc_timeout;
+      opts.timeout = kPeerRpcTimeout;
       // Parent the chunk-pull leg under the replicate serve span so a trace
       // shows which repair/drain push paid for which body transfers.
       opts.parent = span.context();
@@ -1280,9 +1135,9 @@ sim::CoTask<wire::ReplicateResponse> Provider::handle_replicate(
     entry.version = ++seq_;
     installed_physical += entry.segment.physical_bytes;
     account_stored(entry.segment, +1);
-    common::SegmentKey key = seg.key;
-    segments_[key] = std::move(entry);
-    persist_segment(key, segments_[key]);
+    SegEntry& stored = segments_[seg.key];
+    stored = std::move(entry);
+    records_.put(kSegRecord, seg.key, stored);
     ++resp.installed_segments;
     ++stats_.replica_installed_segments;
   }
@@ -1337,7 +1192,7 @@ sim::CoTask<uint64_t> Provider::push_owner(
   for (common::ProviderId target : targets) {
     if (target >= provider_nodes.size()) continue;
     net::CallOptions opts;
-    opts.timeout = config_.peer_rpc_timeout;
+    opts.timeout = kPeerRpcTimeout;
     opts.parent = parent;
     // Best effort: a joiner that is down right now is rebuilt by the next
     // repair pass; the surviving replicas still hold everything.
@@ -1429,7 +1284,7 @@ sim::CoTask<wire::DrainResponse> Provider::handle_drain(
         wire::StoreHintRequest hreq;
         hreq.hint = it->second;  // copy: no map access across the await
         net::CallOptions opts;
-        opts.timeout = config_.peer_rpc_timeout;
+        opts.timeout = kPeerRpcTimeout;
         auto r = co_await net::typed_call<wire::StoreHintResponse>(
             rpc_, node_, refuge_node, kStoreHint, hreq, opts);
         if (!r.ok() || !r->status.ok()) continue;
@@ -1451,16 +1306,14 @@ sim::CoTask<wire::DrainResponse> Provider::handle_drain(
   for (auto& [key, entry] : segments_) {
     release_chunks(entry.segment);
     account_stored(entry.segment, -1);
-    erase_segment_record(key);
+    records_.erase(kSegRecord, key);
   }
   segments_.clear();
-  for (auto& [id, meta] : models_) erase_meta(id);
+  for (auto& [id, meta] : models_) records_.erase(kMetaRecord, id);
   models_.clear();
   lcp_index_.clear();
   cache_dir_.clear();
-  for (auto& [epoch, keys] : pins_) {
-    for (auto& [key, count] : keys) persist_pin(epoch, key, 0);
-  }
+  for (const auto& [pin, count] : pins_) records_.erase(kPinRecord, pin);
   pins_.clear();
   (void)chunk_store_.drop_unreferenced();
   EVO_INFO << "provider " << id_ << " drained: " << resp.models_moved

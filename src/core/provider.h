@@ -12,6 +12,11 @@
 // owner-map reference). Deriving a model increments every inherited
 // segment's count; retiring decrements every owner-map entry. Payloads are
 // freed at zero; model metadata is removed eagerly on retire (§4.1).
+//
+// Persistence: each mutation writes its records through `records_`
+// (core/records.h) where it happens; the k*Record members declare each
+// kind once, and restore_from_backend() is one walk over them (DESIGN.md
+// §17).
 #pragma once
 
 #include <cstdint>
@@ -24,6 +29,7 @@
 #include "compress/codec.h"
 #include "compress/compressed_segment.h"
 #include "core/prefix_index.h"
+#include "core/records.h"
 #include "core/wire.h"
 #include "net/rpc.h"
 #include "obs/metrics.h"
@@ -34,15 +40,8 @@
 namespace evostore::core {
 
 struct ProviderConfig {
-  /// CPU cost per vertex visit in the local LCP scan (Algorithm 1).
-  double lcp_visit_seconds = 15e-9;
-  /// Fixed CPU cost per locally stored model considered in a scan (a root
-  /// signature compare on the compact in-memory graph).
-  double lcp_per_model_seconds = 8e-9;
   /// Local KV bookkeeping cost per put/get/retire operation.
   double op_seconds = 2e-6;
-  /// Additional cost per segment touched (insert/lookup/free).
-  double per_segment_seconds = 200e-9;
   /// Bandwidth of the in-memory KV pool (synchronized memory pool memcpy);
   /// put/read payload bytes flow through a per-provider fair-share port.
   /// 0 disables pool modelling (metadata-only deployments).
@@ -57,10 +56,6 @@ struct ProviderConfig {
   /// unless a harness opts into simulation-scale parameters.
   bool chunking = true;
   compress::ChunkerConfig chunker;
-  /// Deadline on provider-to-provider RPCs (hint replay, replicate pushes,
-  /// chunk fetches): a down peer must fail the call, not hang the drain or
-  /// repair pass.
-  double peer_rpc_timeout = 1.0;
   /// Sublinear LCP serving (DESIGN.md §16): maintain the catalog prefix
   /// index and answer `evostore.lcp_query` from it in O(prefix depth)
   /// instead of scanning O(catalog) models. The serving path verifies each
@@ -180,8 +175,6 @@ class Provider {
   /// The provider's content-addressed chunk store (hit/miss/refcount
   /// introspection for tests and GC audits).
   const storage::ChunkStore& chunk_store() const { return chunk_store_; }
-  /// Live stored volume broken down by codec.
-  const compress::CodecUsageTable& codec_usage() const { return codec_usage_; }
   /// Owner-map + graph metadata footprint estimate.
   size_t metadata_bytes() const;
   bool has_model(common::ModelId id) const {
@@ -204,14 +197,10 @@ class Provider {
     return it == segments_.end() ? nullptr : &it->second.segment;
   }
   int refcount(const common::SegmentKey& key) const;
-  /// Current version of a stored segment (the store sequence of the put
-  /// that created it), 0 when absent. Clients validate cached entries
-  /// against this.
-  uint64_t segment_version(const common::SegmentKey& key) const;
   /// Outstanding transfer pins recorded for `key` across all epochs.
   uint64_t pinned_count(const common::SegmentKey& key) const;
   /// Total (epoch, key) records in the pin ledger.
-  size_t pin_ledger_size() const;
+  size_t pin_ledger_size() const { return pins_.size(); }
   const ProviderStats& stats() const { return stats_; }
   std::vector<common::ModelId> model_ids() const;
   /// The catalog prefix index (empty unless config.lcp_index): node/model
@@ -261,13 +250,24 @@ class Provider {
   static constexpr const char* kDrain = "evostore.drain";
   static constexpr const char* kRepairPeer = "evostore.repair_peer";
 
+  /// CPU cost per vertex visit in the local LCP scan (Algorithm 1).
+  static constexpr double kLcpVisitSeconds = 15e-9;
+  /// Fixed CPU cost per locally stored model considered in a scan (a root
+  /// signature compare on the compact in-memory graph).
+  static constexpr double kLcpPerModelSeconds = 8e-9;
+  /// Cost per segment touched (insert/lookup/free), on top of op_seconds.
+  static constexpr double kPerSegmentSeconds = 200e-9;
+  /// Deadline on provider-to-provider RPCs (hint replay, replicate pushes,
+  /// chunk fetches): a down peer must fail the call, not hang the drain or
+  /// repair pass.
+  static constexpr double kPeerRpcTimeout = 1.0;
+
  private:
   /// Most recent idempotency tokens whose responses are cached for replay
   /// (FIFO-evicted). Must exceed the number of tokened requests a client can
   /// have in flight across one retry horizon.
   static constexpr size_t kDedupWindow = 1 << 16;
 
-  /// Durable as seg/<owner>/<vertex>.
   struct SegEntry {
     compress::CompressedSegment segment;
     int32_t refs = 0;
@@ -281,6 +281,21 @@ class Provider {
       return std::tie(m.refs, m.version, m.segment);
     }
   };
+  /// A pin ledger entry's key: (client epoch, pinned segment).
+  using PinKey = std::pair<uint64_t, common::SegmentKey>;
+
+  // ---- durable record kinds (DESIGN.md §17) ----
+  template <typename K, typename V>
+  using Kind = records::Kind<K, V>;
+  static constexpr Kind<common::ModelId, ModelMeta> kMetaRecord{"meta/"};
+  static constexpr Kind<common::SegmentKey, SegEntry> kSegRecord{"seg/"};
+  /// Outstanding pin count (a count of 0 erases the record).
+  static constexpr Kind<PinKey, uint64_t> kPinRecord{"pin/"};
+  /// (dedup sequence, cached response): the sequence rebuilds the FIFO.
+  static constexpr Kind<uint64_t, std::pair<uint64_t, common::Bytes>>
+      kTokenRecord{"tok/"};
+  /// Keyed by arrival sequence, zero-padded so key order is arrival order.
+  static constexpr Kind<uint64_t, wire::HintRecord> kHintRecord{"hint/", 20};
 
   void register_handlers(net::RpcSystem& rpc);
   // Charge `bytes` through the provider's memory-pool port (no-op when pool
@@ -329,18 +344,10 @@ class Provider {
   /// Remove one pin record (no-op when absent — e.g. rollback of an
   /// increment the provider never saw).
   void pin_remove(uint64_t epoch, const common::SegmentKey& key);
-  void persist_pin(uint64_t epoch, const common::SegmentKey& key,
-                   uint32_t count);
-  static std::string pin_record_key(uint64_t epoch,
-                                    const common::SegmentKey& key);
 
-  // ---- persistence (no-ops when backend_ == nullptr) ----
-  struct SegEntry;
-  void persist_meta(common::ModelId id, const ModelMeta& meta);
-  void erase_meta(common::ModelId id);
-  void persist_segment(const common::SegmentKey& key, const SegEntry& entry);
-  void erase_segment_record(const common::SegmentKey& key);
-  /// Rebuild models_/segments_ from the backend (called at construction).
+  // ---- persistence ----
+  /// Rebuild every durable structure from one walk over the backend's
+  /// records (construction and restart()).
   void restore_from_backend();
   /// Commit a new model record (put, replicate install): the next store
   /// sequence, the backend record, the catalog, and the prefix index.
@@ -348,9 +355,6 @@ class Provider {
   uint64_t install_model(common::ModelId id, model::ArchGraph graph,
                          OwnerMap owners, double quality,
                          common::ModelId ancestor, double store_time);
-  static std::string meta_key(common::ModelId id);
-  static std::string segment_key(const common::SegmentKey& key);
-  static std::string token_key(uint64_t token);
 
   // ---- idempotency dedup (exactly-once for tokened mutations) ----
   /// Cached response for `token`, or nullopt. Counts a replay on hit.
@@ -358,7 +362,7 @@ class Provider {
   std::optional<Response> dedup_lookup(uint64_t token);
   /// Cache `response` under `token` (no-op for token 0), write it through to
   /// the backend, and FIFO-evict past the window.
-  void dedup_store(uint64_t token, const common::Bytes& response);
+  void dedup_store(uint64_t token, common::Bytes response);
 
   sim::CoTask<wire::PutModelResponse> handle_put(wire::PutModelRequest req,
                                                  net::HandlerContext ctx);
@@ -389,7 +393,6 @@ class Provider {
   /// Durably park one hint; returns its sequence number.
   uint64_t record_hint(wire::HintRecord hint);
   void erase_hint(uint64_t seq);
-  static std::string hint_key(uint64_t seq);
   /// The answer to a write (put, hint, replicate push) once drained.
   common::Status drained_status() const;
   /// Every owner id with local state, in push order for drain and repair:
@@ -428,7 +431,7 @@ class Provider {
   common::NodeId node_;
   common::ProviderId id_;
   ProviderConfig config_;
-  storage::KvStore* backend_ = nullptr;
+  records::Records records_;
   sim::PortId pool_port_ = 0;
   bool pool_enabled_ = false;
   uint64_t seq_ = 0;
@@ -439,9 +442,10 @@ class Provider {
   /// (volatile — a stale hint only costs a peer miss + provider fallback,
   /// so it is deliberately not persisted).
   std::unordered_map<common::SegmentKey, common::NodeId> cache_dir_;
-  /// Durable pin ledger: epoch -> key -> outstanding pin count. Ordered
-  /// maps so reaping walks epochs and keys deterministically.
-  std::map<uint64_t, std::map<common::SegmentKey, uint32_t>> pins_;
+  /// Durable pin ledger: (epoch, key) -> outstanding pin count, keyed like
+  /// its pin/ records. Ordered so reaping walks epochs, then keys, in a
+  /// deterministic order.
+  std::map<PinKey, uint32_t> pins_;
   /// Highest client incarnation epoch seen in an idempotency token.
   uint64_t last_pin_epoch_ = 0;
   // Idempotency cache: token -> packed response, FIFO order for eviction.
@@ -451,7 +455,7 @@ class Provider {
   uint64_t dedup_seq_ = 0;
   /// Hinted-handoff parking lot: arrival seq -> record, ordered so replay
   /// preserves per-key write order (all hints for one key land on the same
-  /// peer while membership is stable). Durable as "hint/<seq>" records.
+  /// peer while membership is stable). Durable as kHintRecord records.
   std::map<uint64_t, wire::HintRecord> hints_;
   uint64_t hint_seq_ = 0;
   /// Set by evostore.drain after the catalog migrated away.

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "common/serde.h"
+#include "core/records.h"
 
 namespace evostore::core {
 
@@ -12,22 +12,15 @@ Status combine(Status acc, const Status& next) {
   return acc.ok() ? next : acc;
 }
 
-constexpr const char* kEpochKey = "repo/epoch";
+/// The client incarnation counter, one per backend.
+constexpr records::Kind<std::tuple<>, uint64_t> kEpochRecord{"repo/epoch"};
 
 // Read-modify-write the incarnation counter persisted in `backend`.
 uint64_t bump_epoch(storage::KvStore& backend) {
-  uint64_t stored = 0;
-  auto value = backend.get(kEpochKey);
-  if (value.ok()) {
-    common::Buffer buf = value.value().materialize();
-    common::Deserializer d(buf.dense_span());
-    uint64_t v = d.u64();
-    if (d.finish().ok()) stored = v;
-  }
-  common::Serializer s;
-  s.u64(stored + 1);
-  (void)backend.put(kEpochKey, common::Buffer::dense(std::move(s).take()));
-  return stored + 1;
+  records::Records records(&backend);
+  uint64_t epoch = records.get(kEpochRecord, {}).value_or(0) + 1;
+  records.put(kEpochRecord, {}, epoch);
+  return epoch;
 }
 
 }  // namespace

@@ -62,9 +62,6 @@ class LayerDef {
   const std::vector<std::pair<std::string, int64_t>>& int_params() const {
     return int_params_;
   }
-  const std::vector<std::pair<std::string, double>>& float_params() const {
-    return float_params_;
-  }
 
   /// Canonical configuration hash (kind + sorted hyperparams, no name).
   common::Hash128 signature() const;

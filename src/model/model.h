@@ -74,7 +74,6 @@ class Model {
                       DType dtype = DType::kF32);
 
   ModelId id() const { return id_; }
-  void set_id(ModelId id) { id_ = id; }
   const ArchGraph& graph() const { return graph_; }
 
   double quality() const { return quality_; }

@@ -44,7 +44,6 @@ class FlowScheduler {
   double bytes_carried(PortId port) const { return ports_[port].bytes; }
   /// Number of flows currently crossing this port.
   int active_flows(PortId port) const { return ports_[port].active; }
-  size_t total_active_flows() const { return flows_.size(); }
 
   /// Move `bytes` through every port in `path` simultaneously; completes
   /// when the last byte has crossed. Zero-byte transfers complete instantly.

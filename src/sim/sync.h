@@ -50,7 +50,6 @@ class Semaphore {
   Semaphore(Simulation& sim, int64_t initial) : sim_(&sim), count_(initial) {}
 
   int64_t available() const { return count_; }
-  size_t queue_length() const { return waiters_.size(); }
 
   struct Awaiter {
     Semaphore* sem;
@@ -172,7 +171,6 @@ class RwLock {
   }
 
   int readers() const { return readers_; }
-  bool writer_held() const { return writer_held_; }
 
  private:
   void drain() {
@@ -229,8 +227,6 @@ class Barrier {
     void await_resume() const noexcept {}
   };
   [[nodiscard]] Awaiter arrive_and_wait() { return Awaiter{this}; }
-
-  int waiting() const { return arrived_; }
 
  private:
   friend struct Awaiter;

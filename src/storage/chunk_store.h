@@ -26,12 +26,14 @@
 // they always sum to the envelope's physical_bytes.
 //
 // Persistence: with a backend attached, a newly stored chunk writes one
-// `chunk/<seq>` record (digest + cost + bytes) through to it and the record
-// is erased when the chunk is freed. Reference counts are NOT persisted —
-// after a crash they are recomputed from the surviving segment manifests
-// (Provider::restore_from_backend installs the records via `install`, then
-// re-references them via `add_ref_existing`, then calls
-// `drop_unreferenced`). Cumulative counters survive restarts, mirroring
+// `chunk/<seq>` record (digest + cost + bytes) through to it, erased when the
+// chunk is freed; a failed put logs one warning naming the key. Only
+// chunk_store.cc knows the layout: storage/ sits below the core's record
+// layer (core/records.h). Reference counts are NOT persisted — after a crash
+// they are recomputed from the surviving segment manifests:
+// Provider::restore_from_backend calls `restore` first, re-references the
+// installed chunks via `add_ref_existing` while restoring segments, then
+// calls `drop_unreferenced`. Cumulative counters survive restarts, mirroring
 // ProviderStats (they model external monitoring).
 #pragma once
 
@@ -39,6 +41,8 @@
 #include <map>
 #include <span>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/buffer.h"
 #include "common/hash.h"
@@ -99,6 +103,11 @@ class ChunkStore {
   /// survive. Backend records are left untouched (they are the recovery
   /// source).
   void clear();
+  /// Install, at zero references, every chunk record named in `*keys` (a
+  /// sorted snapshot of the backend's keys) and take those keys out of it.
+  /// A record that cannot be read, or whose key or value does not parse, is
+  /// skipped with a warning.
+  void restore(std::vector<std::string>* keys);
   /// Install a record recovered from the backend with zero references.
   /// Returns false (ignoring the record) on a duplicate digest.
   bool install(const common::Hash128& digest, common::Bytes bytes,
@@ -109,7 +118,6 @@ class ChunkStore {
   size_t drop_unreferenced();
   /// Highest record id observed (install/new-store), for seq continuation.
   uint64_t record_seq() const { return record_seq_; }
-  void set_record_seq(uint64_t seq) { record_seq_ = seq; }
 
   // ---- introspection ----
   size_t chunk_count() const { return chunks_.size(); }
@@ -123,11 +131,17 @@ class ChunkStore {
   static std::string record_key(uint64_t seq);
 
  private:
-  void persist(const common::Hash128& digest, const Chunk& chunk);
-
   // Ordered by digest so iteration (drop_unreferenced, debugging dumps) is
   // deterministic regardless of insertion order.
-  std::map<common::Hash128, Chunk> chunks_;
+  using ChunkMap = std::map<common::Hash128, Chunk>;
+
+  void persist(const common::Hash128& digest, const Chunk& chunk);
+  /// Read one chunk record and install it at zero references.
+  common::Status restore_record(std::string_view key);
+  /// Drop a chunk, its byte accounting and its record.
+  ChunkMap::iterator erase_chunk(ChunkMap::iterator it);
+
+  ChunkMap chunks_;
   KvStore* backend_ = nullptr;
   uint64_t physical_bytes_ = 0;
   uint64_t payload_bytes_ = 0;

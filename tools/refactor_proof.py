@@ -14,7 +14,11 @@ least code"). This script checks exactly that:
      compares each stdout and exported file byte for byte (`cmp`);
   3. runs perfbench (`--seconds 1 --trace 0`) for every workload at seeds 1
      and 1009 on both trees and compares the trial fingerprint, the op count
-     and every `[sim]` metric line.
+     and every `[sim]` metric line;
+  4. runs perfbench `nas_evolve --trace 1` at the same seeds on both trees
+     and compares every `[sim]` and `[count]` line. Its `kv.ops_per_op` and
+     `kv.dead_byte_ratio` pin the stream of LogKv operations the providers
+     issue, which the untraced fingerprint does not cover.
 
 Prints one table row per artifact and exits non-zero on any difference or
 failed run. Feature and performance changes alter these outputs on purpose;
@@ -71,6 +75,8 @@ LEGS = [
 
 WORKLOADS = ["nas_evolve", "lcp_catalog", "hub_zipf"]
 SEEDS = [1, 1009]
+# (workload, --trace) pairs compared at every seed.
+PERFBENCH_RUNS = [(w, 0) for w in WORKLOADS] + [("nas_evolve", 1)]
 TRIAL_RE = re.compile(r"^trial 0: .* (\d+) ops, fingerprint ([0-9a-f]+)$")
 
 
@@ -130,11 +136,13 @@ def run_legs(build_dir, run_dir):
     return artifacts, failed
 
 
-def perfbench_digest(src, workload, seed):
-    """Trial-0 op count and fingerprint plus every [sim] line, or None."""
+def perfbench_digest(src, workload, seed, trace):
+    """The trial-0 op count and fingerprint (printed by --trace 0 only) plus
+    every [sim] and [count] line, or None when the run failed or printed
+    no [sim] line."""
     cmd = [sys.executable, os.path.join(src, "perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed), "--seconds", "1",
-           "--trace", "0"]
+           "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=src, capture_output=True, text=True,
                           check=False)
     if proc.returncode:
@@ -145,10 +153,10 @@ def perfbench_digest(src, workload, seed):
         m = TRIAL_RE.match(line)
         if m:
             lines.append(f"ops {m.group(1)} fingerprint {m.group(2)}")
-        elif "[sim]" in line:
+        elif "[sim]" in line or "[count]" in line:
             lines.append(line.strip())
-    if not lines or not lines[0].startswith("ops "):
-        return None  # no trial line: nothing to compare
+    if not any("[sim]" in line for line in lines):
+        return None  # nothing to compare
     return "\n".join(lines)
 
 
@@ -186,12 +194,12 @@ def main():
         ran = leg not in failed["base"] and leg not in failed["head"]
         rows.append((key, verdict(ran, ran and filecmp.cmp(
             artifacts["base"][key], artifacts["head"][key], shallow=False))))
-    for workload in WORKLOADS:
+    for workload, trace in PERFBENCH_RUNS:
         for seed in SEEDS:
-            base, head = (perfbench_digest(src, workload, seed)
+            base, head = (perfbench_digest(src, workload, seed, trace)
                           for src in sides.values())
             ran = base is not None and head is not None
-            rows.append((f"perfbench {workload} seed {seed}",
+            rows.append((f"perfbench {workload} --trace {trace} seed {seed}",
                          verdict(ran, base == head)))
 
     width = max(len(name) for name, _ in rows)
