@@ -96,36 +96,57 @@ sim::CoTask<Result<wire::LcpQueryResponse>> Client::query_lcp(
   double t0 = rpc_->simulation().now();
   wire::LcpQueryRequest req;
   req.graph = g;
+  req.live = membership_->live_bytes();
   auto& sim = rpc_->simulation();
-  std::vector<sim::Future<Result<wire::LcpQueryResponse>>> futures;
-  futures.reserve(provider_nodes_.size());
+  std::vector<common::ProviderId> asked;
   for (size_t p = 0; p < provider_nodes_.size(); ++p) {
     // Drained providers hold no catalog; broadcasting to them would only
     // burn the retry budget and mark the reduce partial.
     if (!membership_->is_live(static_cast<common::ProviderId>(p))) continue;
-    futures.push_back(sim.spawn(lcp_one(provider_nodes_[p], req, span.context())));
+    asked.push_back(static_cast<common::ProviderId>(p));
   }
   wire::LcpQueryResponse best;
   size_t unreachable = 0;
-  for (auto& f : futures) {
-    auto r = co_await f;
-    if (!r.ok()) {
-      // Graceful degradation: a provider that stayed unreachable through
-      // the retry budget is simply left out of the reduce. The caller sees
-      // the best answer among the responders, tagged partial (it may be
-      // shorter than the true global LCP — the NAS then trains a longer
-      // prefix from scratch, which is slower but correct). Non-retryable
-      // failures still propagate: they signal bugs, not faults.
-      if (common::is_retryable(r.status().code())) {
-        ++unreachable;
-        continue;
+  // Round 1 asks every live provider to scan its primary share. If some
+  // stay unreachable, one cover round asks the responders to scan the
+  // failed providers' shares, which their next live replicas hold
+  // (DESIGN.md §15).
+  for (int round = 1; round <= 2 && !asked.empty(); ++round) {
+    std::vector<sim::Future<Result<wire::LcpQueryResponse>>> futures;
+    futures.reserve(asked.size());
+    for (common::ProviderId p : asked) {
+      futures.push_back(
+          sim.spawn(lcp_one(provider_nodes_[p], req, span.context())));
+    }
+    std::vector<common::ProviderId> answered;
+    std::vector<common::ProviderId> failed;
+    for (size_t i = 0; i < futures.size(); ++i) {
+      auto r = co_await futures[i];
+      if (!r.ok()) {
+        // Graceful degradation: a provider that stayed unreachable through
+        // the retry budget is left out of the reduce, and the answer is
+        // tagged partial. Without a cover round, or when a cover leg fails
+        // too, it may be shorter than the true global LCP — the NAS then
+        // trains a longer prefix from scratch, which is slower but
+        // correct. Non-retryable failures still propagate: they signal
+        // bugs, not faults.
+        if (common::is_retryable(r.status().code())) {
+          failed.push_back(asked[i]);
+          continue;
+        }
+        co_return r.status();
       }
-      co_return r.status();
+      answered.push_back(asked[i]);
+      auto& resp = r.value();
+      if (resp.found) {
+        best.offer(resp.ancestor, resp.quality, std::move(resp.matches));
+      }
     }
-    auto& resp = r.value();
-    if (resp.found) {
-      best.offer(resp.ancestor, resp.quality, std::move(resp.matches));
-    }
+    unreachable += failed.size();
+    if (failed.empty() || round == 2) break;
+    for (common::ProviderId p : failed) req.live[p] = 0;
+    req.cover = std::move(failed);
+    asked = std::move(answered);
   }
   if (unreachable > 0) {
     best.partial = true;

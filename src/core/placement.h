@@ -66,17 +66,20 @@ inline std::vector<common::ProviderId> replicas_for(
   return ranked;
 }
 
-/// Primary (top-1 HRW) provider for `id` over a fully-live ring. Kept for
-/// single-replica deployments and call sites that only need a canonical
-/// "first" placement; with k-way replication the primary is simply
-/// replicas_for(...)[0].
+/// Primary (top-1 HRW) provider for `id` among the live providers (`live`
+/// as in replicas_for), or `provider_count` when none is live. Equal to
+/// replicas_for(id, provider_count, 1, live).front() without the ranking
+/// vector: a provider's LCP share is the models this names it for
+/// (DESIGN.md §15).
 inline common::ProviderId provider_for(common::ModelId id,
-                                       size_t provider_count) {
-  common::ProviderId best = 0;
+                                       size_t provider_count,
+                                       const std::vector<bool>& live = {}) {
+  auto best = static_cast<common::ProviderId>(provider_count);
   uint64_t best_score = 0;
   for (size_t p = 0; p < provider_count; ++p) {
+    if (!live.empty() && !live[p]) continue;
     uint64_t s = placement_score(id, static_cast<common::ProviderId>(p));
-    if (p == 0 || s > best_score) {
+    if (best == provider_count || s > best_score) {
       best = static_cast<common::ProviderId>(p);
       best_score = s;
     }
@@ -116,6 +119,11 @@ class Membership {
   }
 
   const std::vector<bool>& live() const { return live_; }
+  /// live() in the wire encoding of a ring view (DrainRequest,
+  /// RepairRequest, LcpQueryRequest): one byte per provider, 1 = live.
+  std::vector<uint8_t> live_bytes() const {
+    return {live_.begin(), live_.end()};
+  }
 
   /// Replica set for `id` under the current membership, clamped to the live
   /// provider count.

@@ -13,6 +13,17 @@ using common::Bytes;
 using common::ModelId;
 using common::Status;
 
+namespace {
+
+// The first `n` entries of a wire ring view (1 = live) as a placement mask.
+std::vector<bool> live_mask(const std::vector<uint8_t>& view, size_t n) {
+  std::vector<bool> live(n, false);
+  for (size_t i = 0; i < n; ++i) live[i] = view[i] != 0;
+  return live;
+}
+
+}  // namespace
+
 Provider::Provider(net::RpcSystem& rpc, common::NodeId node,
                    common::ProviderId id, ProviderConfig config,
                    storage::KvStore* backend)
@@ -286,6 +297,7 @@ void Provider::restart() {
   ++stats_.restarts;
   models_.clear();
   lcp_index_.clear();
+  share_ = {};
   segments_.clear();
   cache_dir_.clear();
   pins_.clear();
@@ -468,6 +480,10 @@ uint64_t Provider::install_model(common::ModelId id, model::ArchGraph graph,
   auto [it, inserted] = models_.emplace(id, std::move(meta));
   if (config_.lcp_index && inserted) {
     lcp_index_.insert(id, it->second.quality, it->second.graph);
+  }
+  if (inserted && !share_.view.empty() &&
+      provider_for(id, share_.live.size(), share_.live) == id_) {
+    share_.models.push_back(&*it);
   }
   return seq_;
 }
@@ -748,11 +764,52 @@ sim::CoTask<wire::RetireResponse> Provider::handle_retire(
   // Metadata is removed eagerly; segment payloads survive until their
   // reference counts (decremented by the client fan-out) reach zero.
   if (config_.lcp_index) (void)lcp_index_.remove(req.id, it->second.graph);
+  std::erase(share_.models, &*it);
   models_.erase(it);
   records_.erase(kMetaRecord, req.id);
   resp.status = Status::Ok();
   dedup_store(req.token, wire::encode(resp));
   co_return resp;
+}
+
+const std::vector<const Provider::CatalogEntry*>& Provider::lcp_share(
+    const wire::LcpQueryRequest& req,
+    std::vector<const CatalogEntry*>& buffer) {
+  buffer.clear();
+  // The ring view arrives from outside: it must name this provider, and
+  // every covered provider must lie inside it.
+  const size_t n = req.live.size();
+  if (n <= id_ || req.live[id_] == 0 ||
+      std::any_of(req.cover.begin(), req.cover.end(),
+                  [n](common::ProviderId p) { return p >= n; })) {
+    return buffer;
+  }
+  if (req.cover.empty()) {
+    if (req.live != share_.view) {
+      share_.view = req.live;
+      share_.live = live_mask(req.live, n);
+      share_.models.clear();
+      for (const CatalogEntry& entry : models_) {
+        if (provider_for(entry.first, n, share_.live) == id_) {
+          share_.models.push_back(&entry);
+        }
+      }
+    }
+    return share_.models;
+  }
+  // Cover round: the covered providers were live in round 1.
+  const std::vector<bool> live = live_mask(req.live, n);
+  std::vector<bool> round1 = live;
+  for (common::ProviderId p : req.cover) round1[p] = true;
+  for (const CatalogEntry& entry : models_) {
+    if (provider_for(entry.first, n, live) != id_) continue;
+    common::ProviderId first = provider_for(entry.first, n, round1);
+    if (std::find(req.cover.begin(), req.cover.end(), first) !=
+        req.cover.end()) {
+      buffer.push_back(&entry);
+    }
+  }
+  return buffer;
 }
 
 sim::CoTask<wire::LcpQueryResponse> Provider::handle_lcp_query(
@@ -765,13 +822,14 @@ sim::CoTask<wire::LcpQueryResponse> Provider::handle_lcp_query(
   ++stats_.lcp_queries;
   LcpCost cost;
   LcpWorkspace ws;
-  // Scan the local catalog with Algorithm 1, keeping the best answer in
-  // LcpQueryResponse::offer's order. Also the verify oracle and the
-  // fallback body for the index path below.
-  auto scan_catalog = [&](wire::LcpQueryResponse& out, LcpCost* c) {
-    for (const auto& [id, meta] : models_) {
-      LcpResult r = ws.run(req.graph, meta.graph, c);
-      if (r.length() != 0) out.offer(id, meta.quality, std::move(r.matches));
+  // Run Algorithm 1 against one stored model, keeping the best answer in
+  // LcpQueryResponse::offer's order: the body of the share scan, of the
+  // index path's fallback and of the verify oracle below.
+  auto scan_model = [&](wire::LcpQueryResponse& out, LcpCost* c,
+                        const CatalogEntry& entry) {
+    LcpResult r = ws.run(req.graph, entry.second.graph, c);
+    if (r.length() != 0) {
+      out.offer(entry.first, entry.second.quality, std::move(r.matches));
     }
   };
   bool scan_needed = !config_.lcp_index;
@@ -822,19 +880,29 @@ sim::CoTask<wire::LcpQueryResponse> Provider::handle_lcp_query(
       ++stats_.lcp_index_answers;
     }
   }
+  // The scan covers this provider's share only: every model is scanned
+  // once cluster-wide, by its first live replica (DESIGN.md §15). The index
+  // path above answers from the whole local trie.
+  size_t scanned = 0;
   if (scan_needed) {
     resp = wire::LcpQueryResponse{};
-    scan_catalog(resp, &cost);
-    stats_.lcp_models_scanned += models_.size();
+    std::vector<const CatalogEntry*> buffer;
+    const std::vector<const CatalogEntry*>& share = lcp_share(req, buffer);
+    for (const CatalogEntry* entry : share) scan_model(resp, &cost, *entry);
+    scanned = share.size();
+    stats_.lcp_models_scanned += scanned;
   }
   stats_.lcp_vertex_visits += cost.vertex_visits;
-  // Verify oracle: re-answer from the full scan and compare. The oracle's
-  // work is charged to a separate cost so verified runs keep index-shaped
-  // timing and counters; the scan's answer wins a disagreement.
+  // Verify oracle: re-answer from a scan of the whole local catalog and
+  // compare. The oracle's work is charged to a separate cost so verified
+  // runs keep index-shaped timing and counters; the scan's answer wins a
+  // disagreement.
   if (config_.lcp_index && config_.lcp_index_verify && !scan_needed) {
     wire::LcpQueryResponse oracle;
     LcpCost oracle_cost;
-    scan_catalog(oracle, &oracle_cost);
+    for (const CatalogEntry& entry : models_) {
+      scan_model(oracle, &oracle_cost, entry);
+    }
     bool same = oracle.found == resp.found &&
                 oracle.ancestor == resp.ancestor &&
                 oracle.quality == resp.quality && oracle.matches == resp.matches;
@@ -852,10 +920,9 @@ sim::CoTask<wire::LcpQueryResponse> Provider::handle_lcp_query(
   // Charge the CPU time of whichever path served (the map step of the
   // collective query): the scan pays a per-model term, the index does not.
   co_await sim_->delay(
-      (scan_needed ? kLcpPerModelSeconds * static_cast<double>(models_.size())
-                   : 0.0) +
+      kLcpPerModelSeconds * static_cast<double>(scanned) +
       kLcpVisitSeconds * static_cast<double>(cost.vertex_visits));
-  if (scan_needed) span.tag_u64("models_scanned", models_.size());
+  if (scan_needed) span.tag_u64("models_scanned", scanned);
   span.tag_u64("vertex_visits", cost.vertex_visits);
   span.tag("found", resp.found ? "true" : "false");
   if (config_.lcp_index) {
@@ -1229,8 +1296,7 @@ sim::CoTask<wire::DrainResponse> Provider::handle_drain(
   // natural NotFound routes them to the surviving replicas.
   drained_ = true;
   const size_t k = req.replication == 0 ? 1 : req.replication;
-  std::vector<bool> new_live(n, false);
-  for (size_t i = 0; i < n; ++i) new_live[i] = req.live[i] != 0;
+  std::vector<bool> new_live = live_mask(req.live, n);
   new_live[id_] = false;  // this provider is leaving, whatever the view says
   std::vector<bool> old_live = new_live;
   old_live[id_] = true;
@@ -1312,6 +1378,7 @@ sim::CoTask<wire::DrainResponse> Provider::handle_drain(
   for (auto& [id, meta] : models_) records_.erase(kMetaRecord, id);
   models_.clear();
   lcp_index_.clear();
+  share_ = {};
   cache_dir_.clear();
   for (const auto& [pin, count] : pins_) records_.erase(kPinRecord, pin);
   pins_.clear();
@@ -1351,8 +1418,7 @@ sim::CoTask<wire::RepairResponse> Provider::handle_repair(
       obs::Tracer::maybe_begin(tracer(), "repair_serve", node_, ctx.trace);
   span.tag_u64("target", req.target);
   const size_t k = req.replication == 0 ? 1 : req.replication;
-  std::vector<bool> live(n, false);
-  for (size_t i = 0; i < n; ++i) live[i] = req.live[i] != 0;
+  const std::vector<bool> live = live_mask(req.live, n);
   // Responsibility rule: for each owner id whose replica set contains the
   // target, the FIRST live member of the set that is not the target pushes.
   // Every peer evaluates the same deterministic rule, so the target gets

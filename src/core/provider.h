@@ -350,11 +350,23 @@ class Provider {
   /// records (construction and restart()).
   void restore_from_backend();
   /// Commit a new model record (put, replicate install): the next store
-  /// sequence, the backend record, the catalog, and the prefix index.
-  /// Returns the store sequence.
+  /// sequence, the backend record, the catalog, the prefix index and the
+  /// LCP share. Returns the store sequence.
   uint64_t install_model(common::ModelId id, model::ArchGraph graph,
                          OwnerMap owners, double quality,
                          common::ModelId ancestor, double store_time);
+
+  // ---- LCP share (DESIGN.md §15) ----
+  using CatalogEntry = std::pair<const common::ModelId, ModelMeta>;
+  /// The catalog entries Algorithm 1 scans for `req`: the models this
+  /// provider is the first live replica of under req.live, or in a cover
+  /// round, those of them whose round-1 first replica is in req.cover.
+  /// Round-1 shares come from share_; cover rounds are built in `buffer`.
+  /// A view that does not name this provider, or cover ids outside it,
+  /// select nothing.
+  const std::vector<const CatalogEntry*>& lcp_share(
+      const wire::LcpQueryRequest& req,
+      std::vector<const CatalogEntry*>& buffer);
 
   // ---- idempotency dedup (exactly-once for tokened mutations) ----
   /// Cached response for `token`, or nullopt. Counts a replay on hit.
@@ -470,6 +482,17 @@ class Provider {
   /// mutation when config.lcp_index is set; rebuilt (not restored) on
   /// restart, like the chunk store. Empty when the flag is off.
   PrefixIndex lcp_index_;
+  /// This provider's primary share of the catalog under `view`, the ring
+  /// view of the last round-1 LCP query (empty: none cached yet). Derived
+  /// state like the prefix index: never persisted. install_model and
+  /// retire keep it current, restart and drain drop it, and a query with
+  /// another view recomputes it. The entries point into models_, whose
+  /// nodes stay put until erased.
+  struct LcpShare {
+    std::vector<uint8_t> view;
+    std::vector<bool> live;
+    std::vector<const CatalogEntry*> models;
+  } share_;
   ProviderStats stats_;
 
   // Local per-operation histograms (sim-time seconds / payload bytes), fed

@@ -187,9 +187,7 @@ sim::CoTask<Status> EvoStoreRepository::drain_provider(common::ProviderId p) {
   wire::DrainRequest req;
   req.replication = static_cast<uint32_t>(membership_->replication());
   req.provider_nodes = provider_nodes_;
-  const std::vector<bool>& live = membership_->live();
-  req.live.reserve(live.size());
-  for (size_t i = 0; i < live.size(); ++i) req.live.push_back(live[i] ? 1 : 0);
+  req.live = membership_->live_bytes();
   // Intra-node, no deadline: a drain moves a whole catalog and its duration
   // scales with stored volume, not with an RPC budget.
   net::CallOptions opts;
@@ -213,9 +211,7 @@ sim::CoTask<Status> EvoStoreRepository::repair_provider(common::ProviderId p) {
   req.target = p;
   req.replication = static_cast<uint32_t>(membership_->replication());
   req.provider_nodes = provider_nodes_;
-  const std::vector<bool>& live = membership_->live();
-  req.live.reserve(live.size());
-  for (size_t i = 0; i < live.size(); ++i) req.live.push_back(live[i] ? 1 : 0);
+  req.live = membership_->live_bytes();
   Status status;
   for (size_t i = 0; i < providers_.size(); ++i) {
     if (i == p || !membership_->is_live(static_cast<common::ProviderId>(i))) {

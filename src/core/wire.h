@@ -800,10 +800,19 @@ struct RepairResponse {
 
 // ---- lcp_query (provider-side collective piece) --------------------------
 
+/// One round of the collective LCP query (DESIGN.md §15). Each provider
+/// scans only its share of the catalog: the models it is the first live
+/// replica of under `live`, the client's ring view in DrainRequest's
+/// encoding. A cover round names in `cover` the providers that failed
+/// round 1 (cleared in `live`), and a provider then scans only the part
+/// of their round-1 shares that now falls to it. `cover` is empty in
+/// round 1.
 struct LcpQueryRequest {
   ArchGraph graph;
+  std::vector<uint8_t> live{};
+  std::vector<common::ProviderId> cover{};
 
-  static auto fields(auto& m) { return std::tie(m.graph); }
+  static auto fields(auto& m) { return std::tie(m.graph, m.live, m.cover); }
   EVOSTORE_WIRE_SERDE(LcpQueryRequest)
 };
 

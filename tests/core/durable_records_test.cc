@@ -275,7 +275,7 @@ TEST(DurableRecords, BackendWriteStreamIsPinned) {
     h.u64(w.backend).str(w.op).str(w.key).str(w.value);
   }
   EXPECT_EQ(log.size(), 174u);
-  EXPECT_EQ(h.finish().hex(), "8702f0fec1015c355954a35c016ecd9f");
+  EXPECT_EQ(h.finish().hex(), "7288d73564fc769d90b1f375e9b24db3");
 }
 
 TEST(DurableRecords, CustodianRestartKeepsParkedHintsAndReplaysOnce) {

@@ -5,7 +5,10 @@
 // DeepSpace graphs (where the guard is allowed to bail to the scan but the
 // answer must still match). Cluster-level tests then hold the invariant
 // through every incremental-maintenance path: put, retire, drain,
-// restart-rebuild, and anti-entropy repair.
+// restart-rebuild, and anti-entropy repair. The LcpShare tests hold the
+// scan-once rule of the replicated collective query (DESIGN.md §15): each
+// model is scanned by one provider per query, and no answer is lost to a
+// crashed or drained provider.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +16,7 @@
 #include <vector>
 
 #include "core/lcp.h"
+#include "core/placement.h"
 #include "core/prefix_index.h"
 #include "net/fault.h"
 #include "storage/mem_kv.h"
@@ -429,6 +433,110 @@ TEST(LcpIndexMaintenance, RestartRebuildsAndRepairReindexes) {
   }
   EXPECT_EQ(total_verify_mismatches(*env.repo), 0u);
   EXPECT_GT(total_index_answers(*env.repo), 0u);
+}
+
+// ---- scan-once collective LCP under replication ---------------------------
+
+// 30 pairwise distinct chains of one length: each graph's own model is its
+// unique full-length answer.
+std::vector<ArchGraph> thirty_chains() {
+  std::vector<ArchGraph> out;
+  for (int i = 0; i < 30; ++i) {
+    out.push_back(chain_graph(6, 16, 1 + i % 6, 3 + i));
+  }
+  return out;
+}
+
+std::vector<ModelId> populate(BackedEnv& env,
+                              const std::vector<ArchGraph>& graphs) {
+  std::vector<ModelId> ids;
+  auto task = [&]() -> sim::CoTask<void> {
+    for (const auto& g : graphs) {
+      model::Model m(env.repo->allocate_id(), g);
+      m.set_quality(0.5);
+      ids.push_back(m.id());
+      auto st = co_await env.repo->client(env.worker).put_model(m, nullptr);
+      EXPECT_TRUE(st.ok()) << st.to_string();
+    }
+  };
+  env.run(task());
+  return ids;
+}
+
+uint64_t total_models_scanned(EvoStoreRepository& repo) {
+  uint64_t n = 0;
+  for (size_t p = 0; p < repo.provider_count(); ++p) {
+    n += repo.provider(p).stats().lcp_models_scanned;
+  }
+  return n;
+}
+
+// The provider that is first replica of the most models.
+ProviderId busiest_primary(const std::vector<ModelId>& ids, size_t providers) {
+  std::vector<size_t> count(providers, 0);
+  for (ModelId id : ids) ++count[provider_for(id, providers)];
+  return static_cast<ProviderId>(
+      std::max_element(count.begin(), count.end()) - count.begin());
+}
+
+// Query every graph; each answer must be complete, and each query must scan
+// every stored model exactly once cluster-wide.
+std::vector<wire::LcpQueryResponse> query_each_scanning_once(
+    BackedEnv& env, const std::vector<ArchGraph>& graphs, size_t catalog,
+    const char* phase) {
+  std::vector<wire::LcpQueryResponse> out;
+  for (size_t i = 0; i < graphs.size(); ++i) {
+    const uint64_t before = total_models_scanned(*env.repo);
+    auto r = env.run(env.repo->client(env.worker).query_lcp(graphs[i]));
+    EXPECT_TRUE(r.ok()) << phase << " query " << i;
+    EXPECT_EQ(total_models_scanned(*env.repo) - before, catalog)
+        << phase << " query " << i;
+    out.push_back(r.ok() ? *r : wire::LcpQueryResponse{});
+  }
+  return out;
+}
+
+TEST(LcpShare, CrashedProviderShareIsCoveredBySurvivors) {
+  BackedEnv env(5, scan_config());
+  const auto graphs = thirty_chains();
+  const auto ids = populate(env, graphs);
+  auto healthy = query_each_scanning_once(env, graphs, ids.size(), "healthy");
+  for (size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(healthy[i].ancestor, ids[i]) << i;
+    EXPECT_FALSE(healthy[i].partial) << i;
+  }
+
+  // Crash the first replica of the most models and leave it down: round 1
+  // misses its share, and the cover round has the next replicas scan it.
+  const ProviderId down = busiest_primary(ids, 5);
+  env.injector.crash_node(env.provider_nodes[down]);
+  auto degraded = query_each_scanning_once(env, graphs, ids.size(), "crashed");
+  for (size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_TRUE(degraded[i].found) << i;
+    EXPECT_EQ(degraded[i].ancestor, ids[i]) << i;
+    EXPECT_EQ(degraded[i].matches, healthy[i].matches) << i;
+    EXPECT_TRUE(degraded[i].partial) << i;  // a provider was unreachable
+  }
+}
+
+TEST(LcpShare, DrainKeepsEveryAnswerAndScansOnce) {
+  BackedEnv env(5, scan_config());
+  const auto graphs = thirty_chains();
+  const auto ids = populate(env, graphs);
+  auto before = query_each_scanning_once(env, graphs, ids.size(), "before");
+
+  // After the drain, each of the drained provider's models has a new first
+  // replica that already held it.
+  ASSERT_TRUE(env.run(env.repo->drain_provider(busiest_primary(ids, 5))).ok());
+  auto after = query_each_scanning_once(env, graphs, ids.size(), "drained");
+  for (size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(before[i].ancestor, ids[i]) << i;
+    EXPECT_EQ(after[i].found, before[i].found) << i;
+    EXPECT_EQ(after[i].ancestor, before[i].ancestor) << i;
+    EXPECT_EQ(after[i].quality, before[i].quality) << i;
+    EXPECT_EQ(after[i].matches, before[i].matches) << i;
+    EXPECT_FALSE(after[i].partial) << i;
+  }
 }
 
 }  // namespace

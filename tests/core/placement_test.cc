@@ -79,12 +79,19 @@ TEST(Replicas, DeterministicDistinctAndLive) {
 }
 
 TEST(Replicas, PrimaryMatchesProviderFor) {
+  std::vector<bool> live(16, true);
+  for (size_t p : {1, 4, 7, 11}) live[p] = false;
   for (uint32_t i = 1; i < 200; ++i) {
     ModelId id = ModelId::make(5, i);
     auto reps = replicas_for(id, 16, 2);
     ASSERT_FALSE(reps.empty());
     EXPECT_EQ(reps.front(), provider_for(id, 16));
+    EXPECT_EQ(replicas_for(id, 16, 1, live).front(),
+              provider_for(id, 16, live));
   }
+  // With no live provider there is no primary: the provider count.
+  EXPECT_EQ(provider_for(ModelId::make(5, 1), 4, std::vector<bool>(4, false)),
+            4u);
 }
 
 TEST(Replicas, ClampsToLiveCount) {

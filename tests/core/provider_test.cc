@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "baseline/redis_queries.h"
+#include "core/placement.h"
 #include "tests/core/test_env.h"
 
 namespace evostore::core {
@@ -160,6 +163,47 @@ TEST(Provider, StatsTrackOperations) {
   EXPECT_GE(stats.meta_gets, 1u);
   EXPECT_GE(stats.segment_reads, 1u);
   EXPECT_GT(stats.lcp_vertex_visits, 0u);
+}
+
+// The ring view on an LCP request arrives from outside the program: a view
+// that does not name this provider as live, or cover ids outside the view,
+// select nothing to scan. Valid views select the primary share.
+TEST(Provider, LcpRingViewSelectsShareAndRejectsBadViews) {
+  ClusterEnv env(2);  // replication 2: provider 1 holds every model
+  auto g = chain_graph(3, 8);
+  std::vector<ModelId> ids;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    auto m = model::Model::random(env.repo->allocate_id(), g, seed);
+    ASSERT_TRUE(env.run(store_model(env.client(), m)).ok());
+    ids.push_back(m.id());
+  }
+  Provider& provider = env.repo->provider(1);
+  ASSERT_EQ(provider.model_count(), ids.size());
+  const auto primary = static_cast<uint64_t>(
+      std::count_if(ids.begin(), ids.end(),
+                    [](ModelId id) { return provider_for(id, 2) == 1; }));
+  ASSERT_GT(primary, 0u);
+  ASSERT_LT(primary, ids.size());
+  auto scanned = [&](std::vector<uint8_t> live,
+                     std::vector<common::ProviderId> cover) {
+    const uint64_t before = provider.stats().lcp_models_scanned;
+    auto r = env.run(net::typed_call<wire::LcpQueryResponse>(
+        &env.rpc, env.worker, env.provider_nodes[1], Provider::kLcpQuery,
+        wire::LcpQueryRequest{g, std::move(live), std::move(cover)}));
+    const uint64_t n = provider.stats().lcp_models_scanned - before;
+    EXPECT_TRUE(r.ok());
+    EXPECT_EQ(r.ok() && r->found, n > 0);
+    return n;
+  };
+  EXPECT_EQ(scanned({1, 1}, {}), primary);
+  EXPECT_EQ(scanned({0, 1}, {}), ids.size());  // the only live replica
+  EXPECT_EQ(scanned({0, 1}, {0}), ids.size() - primary);  // covers 0's share
+  EXPECT_EQ(scanned({}, {}), 0u);
+  EXPECT_EQ(scanned({1}, {}), 0u);  // too short to name provider 1
+  EXPECT_EQ(scanned({1, 0}, {}), 0u);  // names provider 1 as not live
+  EXPECT_EQ(scanned({0, 1}, {2}), 0u);  // cover id outside the view
+  EXPECT_EQ(scanned({0, 1}, {0xffffffff}), 0u);
+  EXPECT_EQ(scanned({1, 1}, {}), primary);  // recomputed for the first view
 }
 
 TEST(Provider, MetadataBytesScaleWithModels) {

@@ -653,7 +653,10 @@ TEST(WireGolden, ModelMessages) {
   expect_golden(RetireRequest{kGoldenId, 8}, "828080801008");
   expect_golden(RetireResponse{common::Status::Unavailable("r"), golden_owners()},
                 "08017202818080801000828080801001");
-  expect_golden(LcpQueryRequest{golden_graph()}, "020000010364696d080001000304626961730202696e08036f75740800010100");
+  expect_golden(LcpQueryRequest{golden_graph()}, "020000010364696d080001000304626961730202696e08036f757408000101000000");
+  // A cover round's ring view: provider 1 failed round 1.
+  expect_golden(LcpQueryRequest{golden_graph(), {1, 0, 1}, {1}},
+                "020000010364696d080001000304626961730202696e08036f75740800010100030100010101");
   // `partial` is client-side only: it never reaches the wire.
   expect_golden(LcpQueryResponse{true, kGoldenAncestor, 0.5, {{0, 0}, {1, 1}},
                                  true},

@@ -136,15 +136,21 @@ def run_legs(build_dir, run_dir):
     return artifacts, failed
 
 
+def run_perfbench(src, workload, seed, seconds, trace):
+    """One run of the tree at `src`'s perfbench/run.py, which builds its
+    perfbench first; stdout and stderr are captured."""
+    cmd = [sys.executable, os.path.join(src, "perfbench", "run.py"),
+           "--workload", workload, "--seed", str(seed), "--seconds",
+           str(seconds), "--trace", str(trace)]
+    return subprocess.run(cmd, cwd=src, capture_output=True, text=True,
+                          check=False)
+
+
 def perfbench_digest(src, workload, seed, trace):
     """The trial-0 op count and fingerprint (printed by --trace 0 only) plus
     every [sim] and [count] line, or None when the run failed or printed
     no [sim] line."""
-    cmd = [sys.executable, os.path.join(src, "perfbench", "run.py"),
-           "--workload", workload, "--seed", str(seed), "--seconds", "1",
-           "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=src, capture_output=True, text=True,
-                          check=False)
+    proc = run_perfbench(src, workload, seed, 1, trace)
     if proc.returncode:
         sys.stderr.write(proc.stderr)
         return None
