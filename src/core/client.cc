@@ -884,7 +884,11 @@ sim::CoTask<Status> Client::read_rounds(
     obs::TraceContext parent) {
   auto& sim = rpc_->simulation();
   const bool validated = validation != nullptr;
-  // Every key enters at its preferred replica (attempt index 0).
+  // Reads are striped: attempt `a` of a key goes to replica
+  // (vertex + a) mod |R| of its owner's replica set R, so a model's segments
+  // come out of every replica's pool at once. The choice is a pure function
+  // of the key and the membership view, so a client always validates a key
+  // at the same replica (cache versions are per-provider; DESIGN.md §15).
   std::unordered_map<common::SegmentKey, size_t> attempt;
   std::vector<common::SegmentKey> todo;
   for (const auto& key : keys) {
@@ -897,7 +901,8 @@ sim::CoTask<Status> Client::read_rounds(
   while (!todo.empty()) {
     std::map<common::ProviderId, wire::ReadSegmentsRequest> groups;
     for (const auto& key : todo) {
-      auto& req = groups[replicas_of(key.owner)[attempt[key]]];
+      const std::vector<common::ProviderId> reps = replicas_of(key.owner);
+      auto& req = groups[reps[(key.vertex + attempt[key]) % reps.size()]];
       req.keys.push_back(key);
       if (validated && cache_ != nullptr) {
         req.cached_versions.push_back(validation->versions[key]);

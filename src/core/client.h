@@ -2,12 +2,13 @@
 //
 // The client interprets owner maps, talks to a model's replica set for
 // metadata (preferred replica first, failing over down the rendezvous order
-// on faults), fans bulk reads/writes out to the providers owning each
-// segment in parallel, broadcasts LCP queries and reduces the replies, and
-// drives the distributed reference-count updates for put/retire. Writes go
-// to every replica; a replica that stays unreachable through the retry
-// budget gets its copy of the request parked as a hinted handoff on a
-// surviving peer (DESIGN.md §15).
+// on faults), fans bulk reads out in parallel with each segment striped to
+// one replica of its owner (replica vertex mod k first, the next ones on
+// faults), broadcasts LCP queries and reduces the replies, and drives the
+// distributed reference-count updates for put/retire. Writes go to every
+// replica; a replica that stays unreachable through the retry budget gets
+// its copy of the request parked as a hinted handoff on a surviving peer
+// (DESIGN.md §15).
 #pragma once
 
 #include <map>
@@ -112,8 +113,8 @@ struct ClientFaultStats {
   /// prepare_transfer calls that degraded to "train from scratch" because
   /// the pin could not be completed under faults.
   uint64_t degraded_transfers = 0;
-  /// Reads (metadata or segment groups) answered by a later replica after
-  /// an earlier one failed or answered not-found.
+  /// Reads (metadata reads, or segment keys one by one) sent on to a later
+  /// replica after an earlier one failed or answered not-found.
   uint64_t read_failovers = 0;
   /// Hinted handoffs parked on a surviving replica for an unreachable one.
   uint64_t hints_sent = 0;
@@ -387,11 +388,13 @@ class Client {
     std::map<NodeId, wire::PeerReadRequest> redirects;
     std::vector<common::SegmentKey> fallback;
   };
-  // Read `keys` into `out` with replica failover: one read_one per replica
-  // group per round, a failed or NotFound group moving on to each key's
-  // next replica. With `validation` the requests carry cached versions and
-  // accept redirects, and the keys the round cannot settle land in it;
-  // without it (the fallback round) providers answer fresh envelopes only.
+  // Read `keys` into `out` with striped replicas and failover: a key starts
+  // at replica (vertex mod |R|) of its owner's set R, one read_one goes to
+  // each replica group per round, and a failed or NotFound group moves each
+  // key on to its next replica. With `validation` the requests carry cached
+  // versions and accept redirects, and the keys the round cannot settle
+  // land in it; without it (the fallback round) providers answer fresh
+  // envelopes only.
   sim::CoTask<Status> read_rounds(
       std::vector<common::SegmentKey> keys, ValidatedRound* validation,
       std::unordered_map<common::SegmentKey, compress::CompressedSegment>* out,

@@ -4,10 +4,14 @@
 // its replica peers (pulling content-addressed chunk bodies from whichever
 // peer has them); drain migrating a provider's catalog to its successor
 // replicas; and the whole handoff cycle surviving a network partition whose
-// heal re-delivers held messages in a reordered order.
+// heal re-delivers held messages in a reordered order. Reads stripe a
+// model's segment keys across its replica set and fail over past a crashed
+// or lagging stripe replica.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
+#include <optional>
 #include <string>
 
 #include "net/fault.h"
@@ -48,12 +52,13 @@ struct ReplEnv {
   NodeId worker;
   std::unique_ptr<EvoStoreRepository> repo;
 
-  explicit ReplEnv(int providers, ProviderConfig config = {})
+  explicit ReplEnv(int providers, ProviderConfig config = {},
+                   net::FaultConfig faults = {.seed = 11,
+                                              .loss_detect_seconds = 0.005})
       : fabric(sim,
                net::FabricConfig{.latency = 1.5e-6, .local_latency = 2e-7}),
         rpc(fabric),
-        injector(sim, net::FaultConfig{.seed = 11,
-                                       .loss_detect_seconds = 0.005}) {
+        injector(sim, faults) {
     rpc.set_fault_injector(&injector);
     std::vector<storage::KvStore*> raw;
     for (int i = 0; i < providers; ++i) {
@@ -105,6 +110,176 @@ struct ReplEnv {
     }
   }
 };
+
+// The striped-read rule (DESIGN.md §15): a key's first replica is
+// R[vertex mod |R|], R its owner's replica set.
+ProviderId stripe_replica(const std::vector<ProviderId>& reps, VertexId v) {
+  return reps[v % reps.size()];
+}
+
+// ReadSegments requests each provider has served so far.
+std::vector<uint64_t> segment_reads(EvoStoreRepository& repo) {
+  std::vector<uint64_t> reads;
+  for (size_t p = 0; p < repo.provider_count(); ++p) {
+    reads.push_back(repo.provider(p).stats().segment_reads);
+  }
+  return reads;
+}
+
+// An 8-segment model (input + 7 dense layers) with its replica set.
+struct StripedModel {
+  model::Model m;
+  std::vector<ProviderId> reps;
+};
+StripedModel put_eight_segment_model(ReplEnv& env) {
+  StripedModel s{env.make_model(chain_graph(7, 16), 1), {}};
+  EXPECT_EQ(s.m.vertex_count(), 8u);
+  EXPECT_TRUE(env.run(env.put(s.m)).ok());
+  s.reps = env.repo->membership().replicas(s.m.id());
+  EXPECT_EQ(s.reps.size(), 2u);
+  return s;
+}
+
+size_t keys_striped_to(const StripedModel& s, ProviderId p) {
+  size_t n = 0;
+  for (VertexId v = 0; v < s.m.vertex_count(); ++v) {
+    n += stripe_replica(s.reps, v) == p ? 1 : 0;
+  }
+  return n;
+}
+
+TEST(Replication, ReadStripesKeysAcrossReplicas) {
+  ReplEnv env(4);
+  auto [m, reps] = put_eight_segment_model(env);
+  ASSERT_EQ(reps.size(), 2u);
+
+  // One read of the whole model: each replica serves one ReadSegments.
+  auto before = segment_reads(*env.repo);
+  env.expect_reads_back(m);
+  auto after = segment_reads(*env.repo);
+  for (size_t p = 0; p < after.size(); ++p) {
+    const bool replica = std::find(reps.begin(), reps.end(), p) != reps.end();
+    EXPECT_EQ(after[p] - before[p], replica ? 1u : 0u) << "provider " << p;
+  }
+
+  // Key by key: reading vertex v alone reaches replica v mod 2 only.
+  const OwnerMap owners = OwnerMap::self_owned(m.id(), m.vertex_count());
+  for (VertexId v = 0; v < m.vertex_count(); ++v) {
+    before = segment_reads(*env.repo);
+    auto got = env.run(env.client().read_segments(&owners, {v}));
+    ASSERT_TRUE(got.ok()) << got.status().to_string();
+    EXPECT_TRUE(got->front().content_equals(m.segment(v))) << "vertex " << v;
+    after = segment_reads(*env.repo);
+    for (size_t p = 0; p < after.size(); ++p) {
+      EXPECT_EQ(after[p] - before[p], p == stripe_replica(reps, v) ? 1u : 0u)
+          << "vertex " << v << " provider " << p;
+    }
+  }
+  EXPECT_EQ(env.repo->total_client_fault_stats().read_failovers, 0u);
+}
+
+TEST(Replication, ReadFailsOverKeysStripedToCrashedReplica) {
+  ReplEnv env(4);
+  StripedModel s = put_eight_segment_model(env);
+  ASSERT_EQ(s.reps.size(), 2u);
+  const ProviderId down = s.reps[1];
+  env.injector.crash_node(env.provider_nodes[down]);
+
+  // Metadata stays primary-first (no failover); each key striped to the
+  // crashed replica fails over once.
+  env.expect_reads_back(s.m);
+  ASSERT_EQ(keys_striped_to(s, down), 4u);
+  EXPECT_EQ(env.repo->total_client_fault_stats().read_failovers,
+            keys_striped_to(s, down));
+}
+
+TEST(Replication, ReadFailsOverPastLaggingStripeReplica) {
+  // Every message leg between two nodes waits an extra 2 ms; legs within a
+  // node never spike. The writer sits on the first replica's node, so that
+  // put leg lands at once, while the leg to the second replica (bulk, then
+  // publish) lands 4 ms later. The reader sits on the second replica's
+  // node: its reads there are local and arrive inside that window.
+  ReplEnv env(4, {},
+              {.seed = 11,
+               .spike_probability = 1,
+               .spike_seconds = 0.002,
+               .loss_detect_seconds = 0.005});
+  auto m = env.make_model(chain_graph(7, 16), 1);
+  const StripedModel s{m, env.repo->membership().replicas(m.id())};
+  ASSERT_EQ(s.reps.size(), 2u);
+  Client& writer = env.repo->client(env.provider_nodes[s.reps[0]]);
+  Client& reader = env.repo->client(env.provider_nodes[s.reps[1]]);
+  const OwnerMap owners = OwnerMap::self_owned(m.id(), m.vertex_count());
+  std::vector<VertexId> all(m.vertex_count());
+  std::iota(all.begin(), all.end(), VertexId{0});
+
+  bool in_window = false;
+  std::optional<common::Result<std::vector<model::Segment>>> got;
+  common::Status put_status = common::Status::Internal("put never ran");
+  auto driver = [&]() -> sim::CoTask<void> {
+    auto put = env.sim.spawn(writer.put_model(m, nullptr));
+    co_await env.sim.delay(0.001);
+    in_window = env.repo->provider(s.reps[0]).has_model(m.id()) &&
+                !env.repo->provider(s.reps[1]).has_model(m.id());
+    got.emplace(co_await reader.read_segments(&owners, all));
+    put_status = co_await put;
+  };
+  env.run(driver());
+
+  ASSERT_TRUE(in_window);
+  ASSERT_TRUE(put_status.ok()) << put_status.to_string();
+  ASSERT_TRUE(got.has_value());
+  ASSERT_TRUE(got->ok()) << got->status().to_string();
+  for (VertexId v = 0; v < m.vertex_count(); ++v) {
+    EXPECT_TRUE((**got)[v].content_equals(m.segment(v))) << "vertex " << v;
+  }
+  // The lagging replica answered NotFound for its stripe; those keys alone
+  // failed over to the replica that held them.
+  EXPECT_EQ(reader.fault_stats().read_failovers, keys_striped_to(s, s.reps[1]));
+  EXPECT_TRUE(env.repo->provider(s.reps[1]).has_model(m.id()));
+}
+
+TEST(Replication, CachedReadRevalidatesEachKeyAtItsStripeReplica) {
+  ClientConfig cc;
+  cc.cache.capacity_bytes = 1 << 20;
+  cc.cache.trust_seconds = 0;
+  testing::ClusterEnv env{4, ProviderConfig{}, cc};
+  auto m = model::Model::random(env.repo->allocate_id(), chain_graph(7, 16), 1);
+  m.set_quality(0.6);
+  auto put = [&]() -> sim::CoTask<common::Status> {
+    co_return co_await env.client().put_model(m, nullptr);
+  };
+  ASSERT_TRUE(env.run(put()).ok());
+  const StripedModel s{m, env.repo->membership().replicas(m.id())};
+  ASSERT_EQ(s.reps.size(), 2u);
+  auto read_back = [&]() {
+    auto got = env.run(env.client().get_model(m.id()));
+    ASSERT_TRUE(got.ok()) << got.status().to_string();
+    for (VertexId v = 0; v < m.vertex_count(); ++v) {
+      EXPECT_TRUE(got->segment(v).content_equals(m.segment(v))) << v;
+    }
+  };
+  read_back();
+
+  // The second read validates every key at the replica that served it the
+  // first time, so every key answers kNotModified and no payload moves.
+  std::vector<uint64_t> nm_before;
+  for (size_t p = 0; p < env.repo->provider_count(); ++p) {
+    nm_before.push_back(env.repo->provider(p).stats().not_modified_reads);
+  }
+  const double bulk_before = env.rpc.stats().bulk_bytes;
+  read_back();
+  EXPECT_EQ(env.rpc.stats().bulk_bytes, bulk_before);
+  uint64_t not_modified = 0;
+  for (size_t p = 0; p < env.repo->provider_count(); ++p) {
+    const uint64_t nm =
+        env.repo->provider(p).stats().not_modified_reads - nm_before[p];
+    EXPECT_EQ(nm, keys_striped_to(s, static_cast<ProviderId>(p)))
+        << "provider " << p;
+    not_modified += nm;
+  }
+  EXPECT_EQ(not_modified, m.vertex_count());
+}
 
 TEST(Replication, EveryReplicaHoldsEveryModel) {
   ReplEnv env(4);
