@@ -79,6 +79,12 @@ class Status {
   std::string message_;
 };
 
+/// The first failure of a sequence of steps: `acc` if it already failed,
+/// else `next`.
+inline Status combine(Status acc, const Status& next) {
+  return acc.ok() ? next : acc;
+}
+
 /// A value of type T, or the Status explaining why there is none.
 template <typename T>
 class Result {

@@ -12,10 +12,6 @@ using compress::CompressedSegment;
 
 namespace {
 
-Status combine(Status acc, const Status& next) {
-  return acc.ok() ? next : acc;
-}
-
 // Comma-joined provider list for flight-recorder attrs (e.g. "0,2,3").
 std::string id_list(const std::vector<common::ProviderId>& ids) {
   std::string out;
@@ -219,7 +215,6 @@ sim::CoTask<Status> Client::modify_refs(
     std::vector<common::SegmentKey> keys, bool increment,
     uint32_t* missing_out, std::vector<common::SegmentKey>* applied_out,
     obs::TraceContext parent, uint64_t pin_epoch, bool pin_consume) {
-  auto& sim = rpc_->simulation();
   Status status;
   uint32_t missing = 0;
   std::vector<common::SegmentKey> pending = std::move(keys);
@@ -239,46 +234,44 @@ sim::CoTask<Status> Client::modify_refs(
       groups[replicas_of(key.owner)].push_back(key);
     }
     pending.clear();
-    struct GroupLeg {
-      common::ProviderId replica = 0;
-      size_t future_idx = 0;
-      common::Bytes payload;  // serialized request, kept for hinting
-    };
-    struct GroupState {
-      std::vector<common::ProviderId> reps;
+    struct Group {
       std::vector<common::SegmentKey> keys;
-      std::vector<GroupLeg> legs;
+      std::vector<wire::ModifyRefsRequest> requests;  // leg i's
+      WriteLegs<Result<wire::ModifyRefsResponse>> legs;
     };
-    std::vector<GroupState> states;
-    std::vector<sim::Future<Result<wire::ModifyRefsResponse>>> futures;
+    std::vector<Group> states;
     states.reserve(groups.size());
     for (auto& [reps, group_keys] : groups) {
-      GroupState gs;
-      gs.reps = reps;
-      gs.keys = group_keys;
-      for (common::ProviderId p : reps) {
-        wire::ModifyRefsRequest req;
-        req.increment = first_round ? increment : false;
-        req.token = next_token();
-        // Pin-ledger bookkeeping describes the caller's keys only; the
-        // cascaded base releases of later rounds are plain delta-dependency
-        // references, never pins.
-        if (first_round) {
-          req.pin_epoch = pin_epoch;
-          req.pin_consume = pin_consume;
-        }
-        req.keys = group_keys;
-        GroupLeg leg;
-        leg.replica = p;
-        leg.future_idx = futures.size();
-        leg.payload = wire::encode(req);
-        gs.legs.push_back(std::move(leg));
-        futures.push_back(sim.spawn(call_retried<wire::ModifyRefsResponse>(
-            provider_node(p), Provider::kModifyRefs, std::move(req), parent)));
-      }
-      states.push_back(std::move(gs));
+      Group& g = states.emplace_back();
+      g.keys = std::move(group_keys);
+      g.legs = spawn_legs<Result<wire::ModifyRefsResponse>>(
+          reps, [&](common::ProviderId p) {
+            wire::ModifyRefsRequest& req = g.requests.emplace_back();
+            req.increment = first_round && increment;
+            req.token = next_token();
+            // Pin-ledger bookkeeping describes the caller's keys only; the
+            // cascaded base releases of later rounds are plain
+            // delta-dependency references, never pins.
+            if (first_round) {
+              req.pin_epoch = pin_epoch;
+              req.pin_consume = pin_consume;
+            }
+            req.keys = g.keys;
+            return call_retried<wire::ModifyRefsResponse>(
+                provider_node(p), Provider::kModifyRefs, req, parent);
+          });
     }
-    for (size_t s = 0; s < states.size(); ++s) {
+    for (Group& g : states) {
+      std::vector<Result<wire::ModifyRefsResponse>> outcomes =
+          co_await await_legs(g.legs);
+      // The delta must land on every still-member replica eventually or
+      // the copies diverge, so a hint that cannot be parked is an error.
+      auto request = [&g](size_t i) -> const wire::ModifyRefsRequest& {
+        return g.requests[i];
+      };
+      Status hinted = co_await hint_failed_legs(
+          Provider::kModifyRefs, g.legs.replicas, &outcomes, request, parent);
+      status = combine(status, hinted);
       // Replicas hold identical copies and each logical ±1 reaches every
       // replica exactly once, so their refcounts move in lockstep: any ONE
       // successful response is authoritative for the cascade. Prefer the one
@@ -287,17 +280,9 @@ sim::CoTask<Status> Client::modify_refs(
       std::map<common::SegmentKey, size_t> missing_votes;
       size_t successes = 0;
       Status group_status;
-      std::vector<common::ProviderId> failed_reps;
-      std::vector<common::Bytes> failed_payloads;
-      for (size_t i = 0; i < states[s].legs.size(); ++i) {
-        auto r = co_await futures[states[s].legs[i].future_idx];
+      for (auto& r : outcomes) {
         if (!r.ok()) {
           group_status = combine(group_status, r.status());
-          if (common::is_retryable(r.status().code()) &&
-              membership_->is_live(states[s].legs[i].replica)) {
-            failed_reps.push_back(states[s].legs[i].replica);
-            failed_payloads.push_back(std::move(states[s].legs[i].payload));
-          }
           continue;
         }
         wire::ModifyRefsResponse resp = std::move(r).value();
@@ -314,14 +299,6 @@ sim::CoTask<Status> Client::modify_refs(
         status = combine(status, group_status);
         continue;
       }
-      // Park a hint for each unreachable still-member replica: the delta
-      // must land there eventually or the copies diverge.
-      for (size_t i = 0; i < failed_reps.size(); ++i) {
-        Status hs = co_await send_hint(failed_reps[i], Provider::kModifyRefs,
-                                       std::move(failed_payloads[i]),
-                                       states[s].reps, parent);
-        if (!hs.ok()) status = combine(status, hs);
-      }
       // A key is only globally missing when EVERY responding replica
       // reported it missing (one lagging rebuild must not look like a lost
       // segment).
@@ -332,8 +309,8 @@ sim::CoTask<Status> Client::modify_refs(
       }
       if (first_round) {
         if (applied_out != nullptr) {
-          applied_out->insert(applied_out->end(), states[s].keys.begin(),
-                              states[s].keys.end());
+          applied_out->insert(applied_out->end(), g.keys.begin(),
+                              g.keys.end());
         }
         missing += group_missing;
         if (group_missing > 0 && missing_out == nullptr) {
@@ -378,19 +355,6 @@ sim::CoTask<Status> Client::send_hint(common::ProviderId target,
     last = st;
   }
   co_return last;
-}
-
-// NOLINTNEXTLINE(cppcoreguidelines-avoid-reference-coroutine-parameters)
-sim::CoTask<Status> Client::fan_out_refs(const OwnerMap& owners,
-                                         bool increment, ModelId exclude_owner,
-                                         obs::TraceContext parent) {
-  std::vector<common::SegmentKey> keys;
-  for (const auto& entry : owners.entries()) {
-    if (entry.owner == exclude_owner) continue;
-    keys.push_back(entry);
-  }
-  co_return co_await modify_refs(std::move(keys), increment, nullptr, nullptr,
-                                 parent);
 }
 
 // NOLINTNEXTLINE(cppcoreguidelines-avoid-reference-coroutine-parameters)
@@ -445,12 +409,12 @@ sim::CoTask<Status> Client::put_model(const Model& m, const TransferContext* tc)
   uint64_t payload = 0;
   // Pinned fine-tuned matches whose envelope kept no base dependency must
   // release their pin (nothing references the ancestor segment anymore);
-  // conversely, un-pinned envelopes that DID keep a base need a +1 on it.
-  // Pinned envelopes that kept a base consume the pin in place (it becomes
-  // the delta-base reference) — only the ledger entry goes.
+  // conversely, envelopes that DID keep a base reference it like an
+  // inherited entry: un-pinned ones need a +1 on it, pinned ones consume
+  // the pin in place (it becomes the delta-base reference) — only the
+  // ledger entry goes.
   std::vector<common::SegmentKey> release_keys;
-  std::vector<common::SegmentKey> extra_ref_keys;
-  std::vector<common::SegmentKey> consume_base_keys;
+  std::vector<common::SegmentKey> base_keys;
   obs::Span encode =
       obs::Tracer::maybe_begin(tracer(), "encode", self_, span.context());
   for (VertexId v : owners.vertices_owned_by(m.id())) {
@@ -467,11 +431,7 @@ sim::CoTask<Status> Client::put_model(const Model& m, const TransferContext* tc)
     payload += env->physical_bytes;
     if (it != bases.end()) {
       if (env->has_base) {
-        if (!tc->pinned) {
-          extra_ref_keys.push_back(it->second.key);
-        } else {
-          consume_base_keys.push_back(it->second.key);
-        }
+        base_keys.push_back(it->second.key);
       } else if (tc->pinned) {
         release_keys.push_back(it->second.key);
       }
@@ -485,14 +445,12 @@ sim::CoTask<Status> Client::put_model(const Model& m, const TransferContext* tc)
   auto& sim = rpc_->simulation();
   // The model write fans out to every replica in its rendezvous set (same
   // request, same token — providers deduplicate, so a replica reached twice
-  // commits once) while the inherited-segment ref increments proceed in
-  // parallel. A pinned transfer already holds +1 on every inherited
-  // segment — that pin simply becomes this model's reference (or, for a
-  // fine-tuned vertex, its envelope's delta base reference).
+  // commits once) while the inherited-segment ref updates proceed in
+  // parallel.
   //
   // Two-tier retry budget (RetryPolicy::write_leg_attempts): each leg gets a
   // short per-round cap, and rounds below re-fan the same tokened request to
-  // the replicas that have not committed yet. One replica down → its leg
+  // every replica while none has committed. One replica down → its leg
   // exhausts fast and becomes a hinted handoff; the client's own egress
   // down → every leg fails fast but the rounds ride out the outage.
   std::vector<common::ProviderId> put_reps = replicas_of(m.id());
@@ -503,47 +461,29 @@ sim::CoTask<Status> Client::put_model(const Model& m, const TransferContext* tc)
           : config_.retry.max_attempts;
   const int put_rounds =
       config_.retry.write_leg_attempts > 0 ? config_.retry.max_attempts : 1;
-  std::vector<char> put_done(put_reps.size(), 0);
-  std::vector<Status> leg_status(put_reps.size());
-  std::vector<sim::Future<Status>> put_futures;
-  std::vector<size_t> put_idx;
-  put_futures.reserve(put_reps.size());
-  for (size_t i = 0; i < put_reps.size(); ++i) {
-    put_idx.push_back(i);
-    put_futures.push_back(sim.spawn(put_one(provider_node(put_reps[i]), req,
-                                            payload, span.context(), leg_cap,
-                                            /*prior_rounds=*/false)));
+  auto put_legs = [&](bool prior_rounds) {
+    return spawn_legs<Status>(put_reps, [&](common::ProviderId p) {
+      return put_one(provider_node(p), req, payload, span.context(), leg_cap,
+                     prior_rounds);
+    });
+  };
+  WriteLegs<Status> legs = put_legs(/*prior_rounds=*/false);
+  // Every inherited entry and every kept delta base (base_keys) needs this
+  // model's reference. Without a pin, each gets its +1 here. A pinned
+  // transfer already holds it: the pins prepare_transfer recorded become
+  // these references, so only their pin-ledger entries are removed —
+  // otherwise a later client incarnation would reap the "pins" and free
+  // segments the stored model still references.
+  const bool pinned = tc != nullptr && tc->pinned;
+  std::vector<common::SegmentKey> ref_keys;
+  for (const auto& entry : owners.entries()) {
+    if (entry.owner != m.id()) ref_keys.push_back(entry);
   }
-  Status ref_status;
-  if (tc == nullptr || !tc->pinned) {
-    std::vector<common::SegmentKey> keys;
-    for (const auto& entry : owners.entries()) {
-      if (entry.owner == m.id()) continue;
-      keys.push_back(entry);
-    }
-    keys.insert(keys.end(), extra_ref_keys.begin(), extra_ref_keys.end());
-    ref_status = co_await modify_refs(std::move(keys), /*increment=*/true,
-                                      nullptr, nullptr, span.context());
-  } else {
-    // The pins prepare_transfer recorded just became this model's permanent
-    // references (inherited entries) or its envelopes' delta-base
-    // references (consume_base_keys) — the refcounts already hold, so only
-    // the pin-ledger entries are removed. Without this, a later client
-    // incarnation would reap the "pins" and free segments the stored model
-    // still references.
-    std::vector<common::SegmentKey> consume_keys;
-    for (const auto& entry : owners.entries()) {
-      if (entry.owner == m.id()) continue;
-      consume_keys.push_back(entry);
-    }
-    consume_keys.insert(consume_keys.end(), consume_base_keys.begin(),
-                        consume_base_keys.end());
-    if (!consume_keys.empty()) {
-      ref_status = co_await modify_refs(
-          std::move(consume_keys), /*increment=*/false, nullptr, nullptr,
-          span.context(), config_.token_epoch, /*pin_consume=*/true);
-    }
-  }
+  ref_keys.insert(ref_keys.end(), base_keys.begin(), base_keys.end());
+  Status ref_status = co_await modify_refs(
+      std::move(ref_keys), /*increment=*/!pinned, nullptr, nullptr,
+      span.context(), pinned ? config_.token_epoch : 0,
+      /*pin_consume=*/pinned);
   if (!release_keys.empty()) {
     // release_keys only exist on pinned transfers: the decrement releases
     // the pinned reference AND its ledger entry.
@@ -554,51 +494,32 @@ sim::CoTask<Status> Client::put_model(const Model& m, const TransferContext* tc)
                              config_.token_epoch));
   }
   // The put commits once ANY replica holds the model (degraded-but-correct:
-  // reads fail over, repair restores full replication). A replica that
-  // stayed unreachable through its whole budget gets the request parked as
-  // a hinted handoff on a replica that did commit.
-  bool committed = false;
-  bool fatal = false;
+  // reads fail over, repair restores full replication).
+  std::vector<Status> outcomes;
   for (int round = 1;; ++round) {
-    for (size_t j = 0; j < put_futures.size(); ++j) {
-      Status st = co_await put_futures[j];
-      leg_status[put_idx[j]] = st;
-      if (st.ok()) {
-        put_done[put_idx[j]] = 1;
-        committed = true;
-      } else if (!common::is_retryable(st.code())) {
-        fatal = true;
-      }
-    }
+    outcomes = co_await await_legs(legs);
     // Stop as soon as anything committed (stragglers become hints), on a
     // non-retryable error (a bug, not a fault), or when the round budget is
     // spent. Otherwise every leg failed retryably — likely our own egress is
     // down — so back off and re-fan the same tokened request.
-    if (committed || fatal || round >= put_rounds) break;
+    const bool settled = std::any_of(
+        outcomes.begin(), outcomes.end(),
+        [](const Status& st) { return !common::is_retryable(st.code()); });
+    if (settled || round >= put_rounds) break;
     ++fault_stats_.retries;
     co_await sim.delay(backoff_delay(round));
-    put_futures.clear();
-    put_idx.clear();
-    for (size_t i = 0; i < put_reps.size(); ++i) {
-      if (put_done[i] != 0) continue;
-      put_idx.push_back(i);
-      put_futures.push_back(sim.spawn(put_one(provider_node(put_reps[i]), req,
-                                              payload, span.context(), leg_cap,
-                                              /*prior_rounds=*/true)));
-    }
+    legs = put_legs(/*prior_rounds=*/true);
   }
   Status put_status;
-  std::vector<common::ProviderId> missed;
-  for (size_t i = 0; i < put_reps.size(); ++i) {
-    if (put_done[i] != 0) continue;
-    put_status = combine(put_status, leg_status[i]);
-    if (common::is_retryable(leg_status[i].code())) missed.push_back(put_reps[i]);
+  if (std::none_of(outcomes.begin(), outcomes.end(),
+                   [](const Status& st) { return st.ok(); })) {
+    for (const Status& st : outcomes) put_status = combine(put_status, st);
   }
   if (obs::EventLog* ev = events()) {
     // One event per fan-out leg: which replicas committed the write and
     // which exhausted their budget (the latter become hinted handoffs).
     for (size_t i = 0; i < put_reps.size(); ++i) {
-      if (put_done[i] != 0) {
+      if (outcomes[i].ok()) {
         ev->record(sim.now(), "write.leg_committed", self_,
                    {{"model", req.id.to_string()},
                     {"replica", obs::EventLog::u64(put_reps[i])}});
@@ -606,28 +527,17 @@ sim::CoTask<Status> Client::put_model(const Model& m, const TransferContext* tc)
         ev->record(sim.now(), "write.leg_exhausted", self_,
                    {{"model", req.id.to_string()},
                     {"replica", obs::EventLog::u64(put_reps[i])},
-                    {"error", leg_status[i].to_string()}});
+                    {"error", outcomes[i].to_string()}});
       }
     }
   }
-  if (committed) {
-    put_status = Status::Ok();
-    if (!missed.empty()) {
-      common::Bytes packed = wire::encode(req);
-      for (common::ProviderId target : missed) {
-        if (!membership_->is_live(target)) continue;
-        // Best-effort: a failed hint only delays convergence until the next
-        // anti-entropy repair, it never loses the committed write.
-        (void)co_await send_hint(target, Provider::kPutModel, packed,
-                                 put_reps, span.context());
-      }
-    }
-  } else if (!put_status.ok() && common::is_retryable(put_status.code())) {
-    // The whole operation ran out of budget — THIS is a client-visible
-    // exhaustion (per-leg exhaustion that ended in a hint is not).
-    ++fault_stats_.exhausted;
-  }
-  Status final_status = combine(put_status, ref_status);
+  // Best-effort: a failed hint only delays convergence until the next
+  // anti-entropy repair, it never loses the committed write.
+  (void)co_await hint_failed_legs(
+      Provider::kPutModel, put_reps, &outcomes,
+      [&req](size_t) -> const wire::PutModelRequest& { return req; },
+      span.context());
+  Status final_status = finish_op(combine(put_status, ref_status));
   span.tag("outcome", final_status.ok() ? "ok" : final_status.to_string());
   if (hist_put_seconds_ != nullptr) {
     hist_put_seconds_->add(rpc_->simulation().now() - t0);
@@ -681,7 +591,7 @@ sim::CoTask<Result<ModelMeta>> Client::get_meta(ModelId id,
     }
     co_return meta;
   }
-  co_return last;
+  co_return finish_op(last);
 }
 
 sim::CoTask<Result<wire::ReadSegmentsResponse>> Client::read_one(
@@ -713,7 +623,6 @@ sim::CoTask<Result<wire::ReadSegmentsResponse>> Client::read_one(
       co_return st;
     }
     if (attempt >= config_.retry.max_attempts) {
-      ++fault_stats_.exhausted;
       span.tag("outcome", "exhausted: " + st.to_string());
       co_return st;
     }
@@ -1036,7 +945,7 @@ sim::CoTask<Result<std::vector<Segment>>> Client::read_segments(
   std::vector<common::SegmentKey> frontier = roots;
   while (!frontier.empty()) {
     Status st = co_await fetch_envelopes(frontier, &envelopes, span.context());
-    if (!st.ok()) co_return st;
+    if (!st.ok()) co_return finish_op(st);
     std::unordered_set<common::SegmentKey> next;
     for (const auto& [key, env] : envelopes) {
       if (env.has_base && envelopes.count(env.base) == 0) {
@@ -1237,8 +1146,9 @@ sim::CoTask<Status> Client::abandon_transfer(const TransferContext& tc) {
     (void)gv;
     keys.push_back(tc.ancestor_owners.entry(av));
   }
-  co_return co_await modify_refs(std::move(keys), /*increment=*/false,
-                                 nullptr, nullptr, {}, config_.token_epoch);
+  co_return finish_op(co_await modify_refs(std::move(keys),
+                                           /*increment=*/false, nullptr,
+                                           nullptr, {}, config_.token_epoch));
 }
 
 // ---- retire ----------------------------------------------------------------
@@ -1251,19 +1161,18 @@ sim::CoTask<Status> Client::retire(ModelId id) {
   // every refcount the fan-out below is about to release). The same token
   // fans to every replica — each removes its copy of the metadata once.
   wire::RetireRequest req{id, next_token()};
-  std::vector<common::ProviderId> reps = replicas_of(id);
-  auto& sim = rpc_->simulation();
-  std::vector<sim::Future<Result<wire::RetireResponse>>> futures;
-  futures.reserve(reps.size());
-  for (common::ProviderId p : reps) {
-    futures.push_back(sim.spawn(call_retried<wire::RetireResponse>(
-        provider_node(p), Provider::kRetire, req, span.context())));
-  }
+  WriteLegs<Result<wire::RetireResponse>> legs =
+      spawn_legs<Result<wire::RetireResponse>>(
+          replicas_of(id), [&](common::ProviderId p) {
+            return call_retried<wire::RetireResponse>(
+                provider_node(p), Provider::kRetire, req, span.context());
+          });
+  std::vector<Result<wire::RetireResponse>> outcomes =
+      co_await await_legs(legs);
   std::optional<OwnerMap> owners;
   Status status;
-  std::vector<common::ProviderId> missed;
-  for (size_t i = 0; i < futures.size(); ++i) {
-    auto r = co_await futures[i];
+  uint64_t missed = 0;
+  for (auto& r : outcomes) {
     Status st = r.ok() ? r->status : r.status();
     if (r.ok() && st.ok()) {
       // Any replica's owner map will do — they hold identical copies.
@@ -1271,29 +1180,23 @@ sim::CoTask<Status> Client::retire(ModelId id) {
       continue;
     }
     status = combine(status, st);
-    if (!r.ok() && common::is_retryable(r.status().code())) {
-      missed.push_back(reps[i]);
-    }
+    if (!r.ok() && common::is_retryable(r.status().code())) ++missed;
     // A NotFound from one replica is tolerated as long as another found the
     // model (a rebuilt replica may briefly lag its peers).
   }
-  if (!owners.has_value()) co_return status;
+  if (!owners.has_value()) co_return finish_op(status);
   if (obs::EventLog* ev = events()) {
-    ev->record(sim.now(), "gc.retire", self_,
+    ev->record(rpc_->simulation().now(), "gc.retire", self_,
                {{"model", id.to_string()},
-                {"missed", obs::EventLog::u64(missed.size())}});
+                {"missed", obs::EventLog::u64(missed)}});
   }
   // Park the retire on a custodian for each unreachable replica: its copy
   // of the metadata must eventually go, or a failover read would resurrect
-  // a retired model.
-  if (!missed.empty()) {
-    common::Bytes packed = wire::encode(req);
-    for (common::ProviderId target : missed) {
-      if (!membership_->is_live(target)) continue;
-      (void)co_await send_hint(target, Provider::kRetire, packed, reps,
-                               span.context());
-    }
-  }
+  // a retired model. Best-effort, like a put's hint.
+  (void)co_await hint_failed_legs(
+      Provider::kRetire, legs.replicas, &outcomes,
+      [&req](size_t) -> const wire::RetireRequest& { return req; },
+      span.context());
   // Drop every cached segment the retired model contributed — the bytes may
   // be freed the moment the decrements below land, and a later model reusing
   // the key must never be answered from this copy.
@@ -1303,8 +1206,9 @@ sim::CoTask<Status> Client::retire(ModelId id) {
   // Decrement every tensor the retired model referenced — its own segments
   // and the inherited ones alike (O(k), k = leaf layers). modify_refs fans
   // each logical decrement to every replica internally.
-  co_return co_await fan_out_refs(*owners, /*increment=*/false,
-                                  ModelId::invalid(), span.context());
+  co_return finish_op(co_await modify_refs(owners->entries(),
+                                           /*increment=*/false, nullptr,
+                                           nullptr, span.context()));
 }
 
 // ---- stats -----------------------------------------------------------------
@@ -1314,7 +1218,7 @@ sim::CoTask<Result<wire::StatsResponse>> Client::provider_stats(
   wire::StatsRequest req;
   auto r = co_await call_retried<wire::StatsResponse>(
       provider_node(provider), Provider::kGetStats, req);
-  if (!r.ok()) co_return r.status();
+  if (!r.ok()) co_return finish_op(r.status());
   if (!r->status.ok()) co_return r->status;
   co_return std::move(r).value();
 }
@@ -1331,7 +1235,7 @@ sim::CoTask<Result<Client::ClusterStats>> Client::collect_stats() {
   out.per_provider.reserve(futures.size());
   for (auto& f : futures) {
     auto r = co_await f;
-    if (!r.ok()) co_return r.status();
+    if (!r.ok()) co_return finish_op(r.status());
     if (!r->status.ok()) co_return r->status;
     out.per_provider.push_back(std::move(r).value());
   }

@@ -5,12 +5,14 @@
 // on faults), fans bulk reads out in parallel with each segment striped to
 // one replica of its owner (replica vertex mod k first, the next ones on
 // faults), broadcasts LCP queries and reduces the replies, and drives the
-// distributed reference-count updates for put/retire. Writes go to every
-// replica; a replica that stays unreachable through the retry budget gets
-// its copy of the request parked as a hinted handoff on a surviving peer
-// (DESIGN.md §15).
+// distributed reference-count updates for put/retire. Puts, refcount
+// updates and retires share one write path: one leg per replica of the
+// write's replica set, and one hint step that, once any leg has landed,
+// parks each leg that stayed unreachable through its retry budget as a
+// hinted handoff on a surviving peer (DESIGN.md §15).
 #pragma once
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <optional>
@@ -106,7 +108,9 @@ struct ClientConfig {
 struct ClientFaultStats {
   /// Individual RPC attempts that failed retryably and were retried.
   uint64_t retries = 0;
-  /// Logical operations that ran out of retry budget (gave up).
+  /// Logical operations that ran out of retry budget: each one that handed
+  /// a retryable error to its caller counts once. A leg that failed over
+  /// or was hinted away is not one.
   uint64_t exhausted = 0;
   /// LCP broadcasts reduced over a strict subset of providers.
   uint64_t partial_lcp_queries = 0;
@@ -284,6 +288,12 @@ class Client {
   }
   /// Backoff before retry number `attempt` (1-based), capped and jittered.
   double backoff_delay(int attempt);
+  /// An operation's final status. A retryable one means the operation ran
+  /// out of retry budget, counted once in fault_stats_.exhausted.
+  Status finish_op(Status st) {
+    if (common::is_retryable(st.code())) ++fault_stats_.exhausted;
+    return st;
+  }
 
   /// The attached tracer, if any (client-side root + attempt spans).
   obs::Tracer* tracer() { return rpc_->tracer(); }
@@ -313,7 +323,6 @@ class Client {
         co_return r;
       }
       if (attempt >= config_.retry.max_attempts) {
-        ++fault_stats_.exhausted;
         span.tag("outcome", "exhausted: " + r.status().to_string());
         co_return r;
       }
@@ -346,6 +355,68 @@ class Client {
                                 common::Bytes payload,
                                 std::vector<common::ProviderId> replicas,
                                 obs::TraceContext parent);
+
+  // ---- The replicated write (DESIGN.md §15) ----
+  // put_model, modify_refs and retire send a write to every replica of a
+  // replica set through these three steps and keep only their own
+  // decisions. A leg is one replica's copy of the write. spawn_legs starts
+  // one leg per replica (`leg(p)` is replica p's task) and await_legs
+  // returns every leg's outcome in replica order; hint_failed_legs is the
+  // hint step.
+  template <typename Outcome>
+  struct WriteLegs {
+    std::vector<common::ProviderId> replicas;
+    std::vector<sim::Future<Outcome>> futures;
+  };
+  template <typename Outcome, typename Leg>
+  WriteLegs<Outcome> spawn_legs(std::vector<common::ProviderId> replicas,
+                                Leg leg) {
+    WriteLegs<Outcome> legs{std::move(replicas), {}};
+    for (common::ProviderId p : legs.replicas) {
+      legs.futures.push_back(rpc_->simulation().spawn(leg(p)));
+    }
+    return legs;
+  }
+  template <typename Outcome>
+  static sim::CoTask<std::vector<Outcome>> await_legs(
+      WriteLegs<Outcome> legs) {
+    std::vector<Outcome> outcomes;
+    for (auto& f : legs.futures) outcomes.push_back(co_await f);
+    co_return outcomes;
+  }
+  // How a leg ended. It landed when this is Ok: its replica answered, and a
+  // put leg's replica also committed the model.
+  static const Status& leg_status(const Status& st) { return st; }
+  template <typename Response>
+  static const Status& leg_status(const Result<Response>& r) {
+    return r.status();
+  }
+  // The hint step: once any leg has landed, park a hint for each leg that
+  // failed retryably and whose replica is still a member, on another live
+  // replica of the set. `request(i)` is leg i's request, encoded only here.
+  // Returns Ok, or the first hint that could not be parked.
+  template <typename Outcome, typename Request>
+  sim::CoTask<Status> hint_failed_legs(
+      std::string method, std::vector<common::ProviderId> replicas,
+      const std::vector<Outcome>* outcomes, Request request,
+      obs::TraceContext parent) {
+    Status status;
+    if (std::none_of(outcomes->begin(), outcomes->end(),
+                     [](const Outcome& o) { return leg_status(o).ok(); })) {
+      co_return status;
+    }
+    for (size_t i = 0; i < replicas.size(); ++i) {
+      if (!common::is_retryable(leg_status((*outcomes)[i]).code()) ||
+          !membership_->is_live(replicas[i])) {
+        continue;
+      }
+      Status hinted = co_await send_hint(replicas[i], method,
+                                         wire::encode(request(i)), replicas,
+                                         parent);
+      status = combine(status, hinted);
+    }
+    co_return status;
+  }
   // One peer-cache fetch after a provider redirect hint. Single attempt —
   // a dead or cold peer is not worth a retry budget; the caller falls back
   // to the provider (with redirects disabled, guaranteeing termination).
@@ -357,14 +428,15 @@ class Client {
   sim::CoTask<wire::PeerReadResponse> handle_peer_read(
       wire::PeerReadRequest req, net::HandlerContext ctx);
 
-  // Fan one ModifyRefs round out to the providers hosting `keys`.
-  // Returns the number of keys the providers reported missing via
-  // `missing_out` (optional). When a decrement frees delta envelopes, the
-  // base references they held are released too — the fan-out loops until the
-  // cascade is drained. Keys whose first-round request was acknowledged by
-  // its provider are appended to `applied_out` (optional) — under faults a
-  // caller can roll back exactly the increments that are known to have
-  // landed.
+  // Apply ±1 to the refcount of every key in `keys`: the keys group by
+  // their owner's replica set, and each group is one replicated write
+  // whose legs carry their own tokened request. Returns the number of keys
+  // the providers reported missing via `missing_out` (optional). When a
+  // decrement frees delta envelopes, the base references they held are
+  // released too — the rounds loop until the cascade is drained. Keys whose
+  // first-round request was acknowledged by a replica are appended to
+  // `applied_out` (optional) — under faults a caller can roll back exactly
+  // the increments that are known to have landed.
   // `pin_epoch` / `pin_consume` ride on the FIRST round only (they describe
   // the caller's keys, not the cascaded bases) — see
   // wire::ModifyRefsRequest::pin_epoch.
@@ -375,11 +447,6 @@ class Client {
                                   obs::TraceContext parent = {},
                                   uint64_t pin_epoch = 0,
                                   bool pin_consume = false);
-  // Convenience: all entries of `owners` except those owned by
-  // `exclude_owner` (pass invalid() to include everything).
-  sim::CoTask<Status> fan_out_refs(const OwnerMap& owners, bool increment,
-                                   ModelId exclude_owner,
-                                   obs::TraceContext parent = {});
   // What fetch_envelopes' validated provider round carries: the cached
   // version sent per key (cache on), and the keys it leaves to the peer
   // phase (`redirects`) and to the fallback round (`fallback`).

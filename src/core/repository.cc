@@ -8,10 +8,6 @@ namespace evostore::core {
 
 namespace {
 
-Status combine(Status acc, const Status& next) {
-  return acc.ok() ? next : acc;
-}
-
 /// The client incarnation counter, one per backend.
 constexpr records::Kind<std::tuple<>, uint64_t> kEpochRecord{"repo/epoch"};
 

@@ -6,7 +6,9 @@
 // replicas; and the whole handoff cycle surviving a network partition whose
 // heal re-delivers held messages in a reordered order. Reads stripe a
 // model's segment keys across its replica set and fail over past a crashed
-// or lagging stripe replica.
+// or lagging stripe replica. The replicated-write branches: a retire and
+// its refs group hinting a crashed replica leg by leg, writes that reach no
+// replica, and a put riding out its own writer's outage in later rounds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +16,7 @@
 #include <optional>
 #include <string>
 
+#include "core/records.h"
 #include "net/fault.h"
 #include "storage/mem_kv.h"
 #include "tests/core/test_env.h"
@@ -37,11 +40,29 @@ ProviderConfig chunked_config() {
   return cfg;
 }
 
+// Short client retries: a write aimed at a down replica must give up
+// quickly and park a hint instead of riding out the outage.
+ClientConfig short_retries() {
+  ClientConfig cc;
+  cc.rpc_timeout = 0.02;
+  cc.retry.max_attempts = 2;
+  cc.retry.initial_backoff = 0.005;
+  cc.retry.max_backoff = 0.01;
+  return cc;
+}
+
+// Two-tier write budget (RetryPolicy::write_leg_attempts): one attempt per
+// put leg and round, `rounds` rounds.
+ClientConfig one_attempt_legs(int rounds) {
+  ClientConfig cc = short_retries();
+  cc.retry.max_attempts = rounds;
+  cc.retry.write_leg_attempts = 1;
+  return cc;
+}
+
 // Multi-provider cluster with per-provider MemKv backends and a fault
 // injector attached BEFORE repository construction (so restart hooks —
-// recovery + hint replay — are registered). Client retries are kept short:
-// a write aimed at a down replica must give up quickly and park a hint
-// instead of riding out the outage.
+// recovery + hint replay — are registered).
 struct ReplEnv {
   std::vector<std::unique_ptr<storage::MemKv>> backends;
   sim::Simulation sim;
@@ -54,7 +75,8 @@ struct ReplEnv {
 
   explicit ReplEnv(int providers, ProviderConfig config = {},
                    net::FaultConfig faults = {.seed = 11,
-                                              .loss_detect_seconds = 0.005})
+                                              .loss_detect_seconds = 0.005},
+                   ClientConfig client_config = short_retries())
       : fabric(sim,
                net::FabricConfig{.latency = 1.5e-6, .local_latency = 2e-7}),
         rpc(fabric),
@@ -67,13 +89,8 @@ struct ReplEnv {
       raw.push_back(backends.back().get());
     }
     worker = fabric.add_node(25e9, 25e9);
-    ClientConfig cc;
-    cc.rpc_timeout = 0.02;
-    cc.retry.max_attempts = 2;
-    cc.retry.initial_backoff = 0.005;
-    cc.retry.max_backoff = 0.01;
     repo = std::make_unique<EvoStoreRepository>(rpc, provider_nodes, config,
-                                                raw, cc);
+                                                raw, client_config);
   }
 
   Client& client() { return repo->client(worker); }
@@ -140,6 +157,28 @@ StripedModel put_eight_segment_model(ReplEnv& env) {
   return s;
 }
 
+// The hints parked in `backend`, in arrival order (its hint/ records).
+std::vector<wire::HintRecord> parked_hints(const storage::MemKv& backend) {
+  std::vector<wire::HintRecord> hints;
+  for (const std::string& key : backend.keys()) {
+    if (!key.starts_with("hint/")) continue;
+    auto value = backend.get(key);
+    EXPECT_TRUE(value.ok()) << key;
+    if (!value.ok()) continue;
+    auto hint = records::decode<wire::HintRecord>(*value);
+    EXPECT_TRUE(hint.ok()) << key;
+    if (hint.ok()) hints.push_back(std::move(hint).value());
+  }
+  return hints;
+}
+
+// The one provider outside `reps` in a three-provider cluster.
+ProviderId outsider(const std::vector<ProviderId>& reps) {
+  ProviderId p = 0;
+  while (std::find(reps.begin(), reps.end(), p) != reps.end()) ++p;
+  return p;
+}
+
 size_t keys_striped_to(const StripedModel& s, ProviderId p) {
   size_t n = 0;
   for (VertexId v = 0; v < s.m.vertex_count(); ++v) {
@@ -191,6 +230,8 @@ TEST(Replication, ReadFailsOverKeysStripedToCrashedReplica) {
   ASSERT_EQ(keys_striped_to(s, down), 4u);
   EXPECT_EQ(env.repo->total_client_fault_stats().read_failovers,
             keys_striped_to(s, down));
+  // The read succeeded, so no operation gave up.
+  EXPECT_EQ(env.repo->total_client_fault_stats().exhausted, 0u);
 }
 
 TEST(Replication, ReadFailsOverPastLaggingStripeReplica) {
@@ -352,6 +393,140 @@ TEST(Replication, WriteDuringOutageParksHintAndReplaysOnRestart) {
   }
   env.expect_reads_back(m1);
   env.expect_reads_back(m2);
+}
+
+TEST(Replication, RetireDuringOutageHintsEachFailedLegWithItsOwnRequest) {
+  ReplEnv env(3);
+  auto m = env.make_model(chain_graph(4, 16), 1);
+  ASSERT_TRUE(env.run(env.put(m)).ok());
+  const auto reps = env.repo->membership().replicas(m.id());
+  ASSERT_EQ(reps.size(), 2u);
+  const ProviderId down = reps[0];
+  const ProviderId survivor = reps[1];
+  env.injector.crash_node(env.provider_nodes[down]);
+
+  // The retire and its refs group both land on the survivor, so neither
+  // hands an error to its caller.
+  ASSERT_TRUE(env.run(env.client().retire(m.id())).ok());
+  EXPECT_EQ(env.repo->total_client_fault_stats().exhausted, 0u);
+  EXPECT_EQ(env.repo->total_client_fault_stats().hints_sent, 2u);
+  EXPECT_FALSE(env.repo->provider(survivor).has_model(m.id()));
+
+  // One hint per failed leg, in arrival order, each carrying its own leg's
+  // request: the retire's legs share one token, and the refs group draws one
+  // per leg in replica order, so the crashed primary's is the first.
+  auto hints = parked_hints(*env.backends[survivor]);
+  ASSERT_EQ(hints.size(), 2u);
+  for (const auto& hint : hints) EXPECT_EQ(hint.target, down);
+  ASSERT_EQ(hints[0].method, Provider::kRetire);
+  ASSERT_EQ(hints[1].method, Provider::kModifyRefs);
+  auto retire = wire::decode<wire::RetireRequest>(hints[0].payload);
+  auto refs = wire::decode<wire::ModifyRefsRequest>(hints[1].payload);
+  ASSERT_TRUE(retire.ok());
+  ASSERT_TRUE(refs.ok());
+  EXPECT_EQ(retire->id, m.id());
+  EXPECT_EQ(refs->token, retire->token + 1);
+  EXPECT_FALSE(refs->increment);
+  EXPECT_EQ(refs->keys.size(), m.vertex_count());
+
+  // The restarted replica reloads the model from its backend; the replay
+  // then removes the metadata and frees the segments there.
+  env.injector.restart_node(env.provider_nodes[down]);
+  EXPECT_TRUE(env.repo->provider(down).has_model(m.id()));
+  env.settle(2.0);
+  EXPECT_EQ(env.repo->total_hints(), 0u);
+  for (ProviderId p : reps) {
+    EXPECT_FALSE(env.repo->provider(p).has_model(m.id())) << "provider " << p;
+    for (VertexId v = 0; v < m.vertex_count(); ++v) {
+      EXPECT_FALSE(env.repo->provider(p).has_segment({m.id(), v}))
+          << "provider " << p << " vertex " << v;
+    }
+  }
+}
+
+TEST(Replication, WriteThatReachesNoReplicaFailsAndParksNoHint) {
+  ReplEnv env(3);
+  auto m = env.make_model(chain_graph(4, 16), 1);
+  ASSERT_TRUE(env.run(env.put(m)).ok());
+  for (ProviderId p : env.repo->membership().replicas(m.id())) {
+    env.injector.crash_node(env.provider_nodes[p]);
+  }
+  const uint64_t calls_before = env.rpc.stats().calls;
+
+  // A retire: neither replica answers, so there is no owner map to release.
+  common::Status st = env.run(env.client().retire(m.id()));
+  EXPECT_TRUE(common::is_retryable(st.code())) << st.to_string();
+  // A refs group: releasing a transfer pin on two of m's segments reaches
+  // neither replica.
+  TransferContext tc;
+  tc.ancestor = m.id();
+  tc.ancestor_owners = OwnerMap::self_owned(m.id(), m.vertex_count());
+  tc.matches = {{0, 0}, {1, 1}};
+  tc.pinned = true;
+  st = env.run(env.client().abandon_transfer(tc));
+  EXPECT_TRUE(common::is_retryable(st.code())) << st.to_string();
+
+  // Four legs of two attempts each and nothing else: no hint was parked, or
+  // even tried.
+  EXPECT_EQ(env.rpc.stats().calls - calls_before, 8u);
+  EXPECT_EQ(env.repo->total_client_fault_stats().hints_sent, 0u);
+  EXPECT_EQ(env.repo->total_hints(), 0u);
+}
+
+TEST(Replication, PutRidesOutItsWritersOutageInALaterRound) {
+  ReplEnv env(3, {}, {.seed = 11, .loss_detect_seconds = 0.005},
+              one_attempt_legs(/*rounds=*/20));
+  auto m = env.make_model(chain_graph(4, 16), 1);
+  const auto reps = env.repo->membership().replicas(m.id());
+  ASSERT_EQ(reps.size(), 2u);
+  // The writer shares a node with the provider outside m's replica set, and
+  // that node is down for the put's first rounds: no bulk send can leave
+  // it, so every leg of round 1 fails.
+  const NodeId home = env.provider_nodes[outsider(reps)];
+  Client& writer = env.repo->client(home);
+  env.injector.schedule_crash(home, env.sim.now(), /*downtime=*/0.03);
+
+  common::Status st = env.run(writer.put_model(m, nullptr));
+  ASSERT_TRUE(st.ok()) << st.to_string();
+  EXPECT_GT(writer.fault_stats().retries, 0u);
+  EXPECT_EQ(writer.fault_stats().exhausted, 0u);
+  EXPECT_EQ(writer.fault_stats().hints_sent, 0u);
+  for (ProviderId p : reps) {
+    EXPECT_TRUE(env.repo->provider(p).has_model(m.id())) << "provider " << p;
+    // Only the committing round's leg reached the replica.
+    EXPECT_EQ(env.repo->provider(p).stats().puts, 1u) << "provider " << p;
+  }
+
+  // Every round re-sent the put's one tokened request, so the writer's next
+  // token is its second: the one its retire parks with a crashed replica's
+  // hint.
+  env.injector.crash_node(env.provider_nodes[reps[0]]);
+  ASSERT_TRUE(env.run(writer.retire(m.id())).ok());
+  auto hints = parked_hints(*env.backends[reps[1]]);
+  ASSERT_FALSE(hints.empty());
+  ASSERT_EQ(hints[0].method, Provider::kRetire);
+  auto retire = wire::decode<wire::RetireRequest>(hints[0].payload);
+  ASSERT_TRUE(retire.ok());
+  EXPECT_EQ(retire->token & 0xffffffffu, 2u);
+}
+
+TEST(Replication, PutThatNoRoundCommitsFailsOnceAndParksNoHint) {
+  constexpr int kRounds = 4;
+  ReplEnv env(3, {}, {.seed = 11, .loss_detect_seconds = 0.005},
+              one_attempt_legs(kRounds));
+  auto m = env.make_model(chain_graph(4, 16), 1);
+  for (ProviderId p : env.repo->membership().replicas(m.id())) {
+    env.injector.crash_node(env.provider_nodes[p]);
+  }
+
+  common::Status st = env.run(env.put(m));
+  EXPECT_TRUE(common::is_retryable(st.code())) << st.to_string();
+  const ClientFaultStats& fs = env.client().fault_stats();
+  // One attempt per leg and round, so each retry is one more round.
+  EXPECT_EQ(fs.retries, static_cast<uint64_t>(kRounds - 1));
+  EXPECT_EQ(fs.exhausted, 1u);
+  EXPECT_EQ(fs.hints_sent, 0u);
+  EXPECT_EQ(env.repo->total_hints(), 0u);
 }
 
 TEST(Replication, HintReplayIsIdempotentAcrossReincarnation) {

@@ -10,8 +10,10 @@ least code"). This script checks exactly that:
      bench targets; builds the same targets from the working tree;
   2. runs the CI invocations of ablation_faults (both, plus the traced leg),
      ablation_cache and ablation_dedup (with --metrics-out), ablation_lcp_index
-     and fig5_lcp_queries (--trace-out, --metrics-out) on both builds and
-     compares each stdout and exported file byte for byte (`cmp`);
+     and fig5_lcp_queries (--trace-out, --metrics-out), plus an ablation_faults
+     leg in the paper's single-replica configuration (`--replication 1`, with
+     --events-out and --metrics-out), on both builds and compares each stdout
+     and exported file byte for byte (`cmp`);
   3. runs perfbench (`--seconds 1 --trace 0`) for every workload at seeds 1
      and 1009 on both trees and compares the trial fingerprint, the op count
      and every `[sim]` metric line;
@@ -43,9 +45,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TARGETS = ["ablation_faults", "ablation_cache", "ablation_dedup",
            "ablation_lcp_index", "fig5_lcp_queries"]
 
-# The CI invocations (.github/workflows/ci.yml). `{x}` names an exported file;
-# each side writes it into its own run directory and the pair is compared.
-# Paths stay relative to that directory, since the benches echo them.
+# The CI invocations (.github/workflows/ci.yml), plus `faults_k1`: the
+# paper's single-replica configuration, which no CI leg runs. `{x}` names an
+# exported file; each side writes it into its own run directory and the pair
+# is compared. Paths stay relative to that directory, since the benches echo
+# them.
 _FAULT_LEGS = ["--gpus", "16", "--candidates", "40", "--verify", "--legs-only",
                "--kill-one-forever", "--drain", "--partition"]
 LEGS = [
@@ -59,6 +63,9 @@ LEGS = [
      _FAULT_LEGS + ["--trace-out", "{trace.json}",
                     "--events-out", "{events.json}",
                     "--metrics-out", "{metrics.json}"]),
+    ("faults_k1", "ablation_faults",
+     ["--gpus", "16", "--candidates", "40", "--replication", "1", "--verify",
+      "--events-out", "{events.json}", "--metrics-out", "{metrics.json}"]),
     ("cache", "ablation_cache",
      ["--gpus", "16", "--models", "4", "--repeats", "8", "--verify",
       "--events-out", "{events.json}", "--metrics-out", "{metrics.json}"]),
