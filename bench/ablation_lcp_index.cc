@@ -1,9 +1,13 @@
 // Ablation — sublinear LCP serving via the catalog prefix index
 // (DESIGN.md §16; ROADMAP "Sublinear LCP" item).
 //
-// Sweeps catalog size and answers one question: when does the O(prefix
-// depth) trie walk beat the O(catalog) Algorithm 1 scan, and by how much —
-// with byte-identical answers? Two legs per size:
+// Sweeps catalog size and answers one question: when does the ancestry-hash
+// index beat the O(catalog) Algorithm 1 scan, and by how much — with
+// byte-identical answers? Each size runs two catalog shapes: fine-tune
+// families of linear chains sharing a family spine with members mutated in
+// the last layers, and branchy DeepSpace architectures (perfbench
+// lcp_catalog's narrow space) queried with one-cell mutations of members.
+// Two legs per size and shape:
 //
 //  * cluster mode (size <= --cluster-max): two full simulated clusters —
 //    one scan-only, one with `lcp_index` (and `lcp_index_verify` under
@@ -11,20 +15,14 @@
 //    and a retire + drain churn step; every response is compared field by
 //    field and folded into a digest. Latency quantiles come from the
 //    provider-side `lcp.seconds` histogram via the stats fan-out, index
-//    footprint from the new StatsResponse fields.
+//    footprint from the StatsResponse fields.
 //  * direct mode (larger sizes, up to 1M+): in-process PrefixIndex vs. the
 //    catalog scan, with graphs regenerated on demand so memory stays
-//    bounded by the index itself. The scan side uses an exact shortcut —
-//    only models sharing the query's root signature can score (Algorithm 1
-//    rejects all others at the root for exactly one vertex visit), so it
-//    scans the root-signature bucket and charges 1 visit per model outside
-//    it. Reported latencies are the provider cost model's (deterministic:
+//    bounded by the index itself. One pass over the catalog builds the
+//    index and runs every query's scan against each member. Reported
+//    latencies are the provider cost model's (deterministic:
 //    kLcpPerModelSeconds * catalog + kLcpVisitSeconds * visits for the
 //    scan; visits only for the index), so reruns are byte-identical.
-//
-// Catalogs are fine-tune families: linear chains sharing a family spine
-// with members mutated in the last layers — the regime the index serves
-// (see prefix_index.h for why branchy graphs fall back to the scan).
 //
 // --verify additionally requires zero per-query mismatches and zero
 // provider-side oracle mismatches, and exits non-zero otherwise; CI runs
@@ -33,6 +31,7 @@
 // EXPERIMENTS.md.
 #include <cinttypes>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -41,6 +40,7 @@
 #include "core/prefix_index.h"
 #include "obs/metrics.h"
 #include "tests/core/test_env.h"
+#include "workload/deepspace.h"
 
 using namespace evostore;
 using bench::Cluster;
@@ -54,7 +54,7 @@ constexpr int kRootWidthSpread = 61;  // distinct root signatures in the mix
 
 // Deterministic member spec -> widths. Member 0 is the family base; other
 // members re-draw the last one or two layers (fine-tune-style tail
-// mutations), so a family shares its spine in the trie.
+// mutations), so a family shares its spine.
 std::vector<int64_t> member_widths(uint64_t family, uint64_t member) {
   common::Xoshiro256 rng(0x5eedULL + family * 0x9e3779b97f4a7c15ULL);
   size_t len = 6 + rng.below(7);  // 6..12 layers
@@ -73,20 +73,53 @@ std::vector<int64_t> member_widths(uint64_t family, uint64_t member) {
   return w;
 }
 
-model::ArchGraph catalog_graph(uint64_t i) {
-  return widths_graph(
-      member_widths(i / kMembersPerFamily, i % kMembersPerFamily));
-}
-
 double catalog_quality(uint64_t i) {
   // Coarse buckets so equal-depth quality and id tie-breaks fire often.
   return 0.25 * static_cast<double>(i % 4);
 }
 
-// Query q targets some family with a fresh (never stored) tail mutation.
-model::ArchGraph query_graph(uint64_t q, uint64_t families) {
-  uint64_t family = (q * 2654435761ULL) % families;
-  return widths_graph(member_widths(family, 1000000 + q));
+/// A catalog shape: member i's graph and query q's graph at one size.
+struct Shape {
+  const char* name;
+  std::function<model::ArchGraph(uint64_t)> member;
+  std::function<model::ArchGraph(uint64_t)> query;
+};
+
+Shape chain_shape(uint64_t size) {
+  uint64_t families = (size + kMembersPerFamily - 1) / kMembersPerFamily;
+  return Shape{
+      "chains",
+      [](uint64_t i) {
+        return widths_graph(
+            member_widths(i / kMembersPerFamily, i % kMembersPerFamily));
+      },
+      // Query q targets some family with a fresh (never stored) tail
+      // mutation.
+      [families](uint64_t q) {
+        uint64_t family = (q * 2654435761ULL) % families;
+        return widths_graph(member_widths(family, 1000000 + q));
+      }};
+}
+
+Shape deepspace_shape(uint64_t size) {
+  workload::DeepSpaceConfig cfg;
+  cfg.input_dim = 8;
+  cfg.widths = {8, 16, 24, 32};
+  workload::DeepSpace space(cfg);
+  // Member i's choice vector, drawn from its own seed.
+  auto seq = [space](uint64_t i) {
+    common::Xoshiro256 rng(0xdee95ULL + i * 0x9e3779b97f4a7c15ULL);
+    return space.random(rng);
+  };
+  return Shape{
+      "deepspace",
+      [space, seq](uint64_t i) { return space.decode_graph(seq(i)); },
+      // Query q mutates one cell of some member.
+      [space, seq, size](uint64_t q) {
+        common::Xoshiro256 rng(0x9e7ULL + q * 0xda942042e4dd58b5ULL);
+        return space.decode_graph(
+            space.mutate(seq((q * 2654435761ULL) % size), rng));
+      }};
 }
 
 struct Answer {
@@ -129,92 +162,65 @@ struct LegResult {
 
 // ---- direct mode ----------------------------------------------------------
 
-LegResult run_direct(uint64_t size, int query_count, bool verify) {
+LegResult run_direct(const Shape& shape, uint64_t size, int query_count,
+                     bool verify) {
   LegResult out;
+  std::vector<model::ArchGraph> queries;
+  for (int q = 0; q < query_count; ++q) {
+    queries.push_back(shape.query(static_cast<uint64_t>(q)));
+  }
+  // One pass over the catalog: index each member and run every query's
+  // scan against it, so only one member graph is resident at a time.
   core::PrefixIndex idx;
-  // Root-signature buckets: model indices by root width. Regenerating
-  // graphs on demand keeps resident memory at the index plus one bucket of
-  // 4-byte indices per root width.
-  std::vector<std::vector<uint32_t>> buckets(kRootWidthSpread);
+  core::LcpWorkspace ws;
+  std::vector<core::wire::LcpQueryResponse> scans(queries.size());
+  std::vector<core::LcpCost> scan_costs(queries.size());
   for (uint64_t i = 0; i < size; ++i) {
-    idx.insert(ModelId{i + 1}, catalog_quality(i), catalog_graph(i));
-    buckets[(i / kMembersPerFamily) % kRootWidthSpread].push_back(
-        static_cast<uint32_t>(i));
+    model::ArchGraph stored = shape.member(i);
+    idx.insert(ModelId{i + 1}, catalog_quality(i), stored);
+    for (size_t q = 0; q < queries.size(); ++q) {
+      core::LcpResult r = ws.run(queries[q], stored, &scan_costs[q]);
+      if (r.length() != 0) {
+        scans[q].offer(ModelId{i + 1}, catalog_quality(i),
+                       std::move(r.matches));
+      }
+    }
   }
   out.index_nodes = idx.node_count();
   out.index_bytes = idx.memory_bytes();
 
-  uint64_t families = (size + kMembersPerFamily - 1) / kMembersPerFamily;
   obs::Histogram scan_hist;
   obs::Histogram index_hist;
   common::Hasher128 scan_digest(1);
   common::Hasher128 index_digest(1);
-  core::LcpWorkspace ws;
-  for (int q = 0; q < query_count; ++q) {
-    uint64_t family = (static_cast<uint64_t>(q) * 2654435761ULL) % families;
-    model::ArchGraph query = query_graph(static_cast<uint64_t>(q), families);
-    uint64_t root_bucket = family % kRootWidthSpread;
-
-    // Scan side: exact answer from the root bucket; everything else is a
-    // one-visit root reject.
-    Answer scan;
-    core::LcpCost scan_cost;
-    for (uint32_t i : buckets[root_bucket]) {
-      model::ArchGraph stored = catalog_graph(i);
-      core::LcpResult r = ws.run(query, stored, &scan_cost);
-      if (r.length() == 0) continue;
-      ModelId id{static_cast<uint64_t>(i) + 1};
-      double quality = catalog_quality(i);
-      bool better = false;
-      if (!scan.found) {
-        better = true;
-      } else if (r.length() != scan.matches.size()) {
-        better = r.length() > scan.matches.size();
-      } else if (quality != scan.quality) {
-        better = quality > scan.quality;
-      } else {
-        better = id < scan.ancestor;
-      }
-      if (better) {
-        scan.found = true;
-        scan.ancestor = id;
-        scan.quality = quality;
-        scan.matches = std::move(r.matches);
-      }
-    }
-    scan_cost.vertex_visits += size - buckets[root_bucket].size();
+  model::ArchGraph best;  // the one member the index path re-reads
+  for (size_t q = 0; q < queries.size(); ++q) {
+    Answer scan{scans[q].found, scans[q].ancestor, scans[q].quality,
+                scans[q].matches};
     double scan_seconds =
         core::Provider::kLcpPerModelSeconds * static_cast<double>(size) +
         core::Provider::kLcpVisitSeconds *
-            static_cast<double>(scan_cost.vertex_visits);
+            static_cast<double>(scan_costs[q].vertex_visits);
     scan_hist.add(scan_seconds);
     fold_answer(scan_digest, scan);
 
-    // Index side: the provider's serving path (all catalogs here are
-    // linear, so the gate is open by construction).
-    Answer indexed;
+    // Index side: the provider's serving branch.
     core::LcpCost index_cost;
-    auto tokens = core::prefix_tokens(query);
-    auto hit = idx.lookup(tokens);
-    index_cost.vertex_visits += tokens.size() + hit.nodes_visited;
-    bool fell_back = false;
-    if (hit.found) {
-      model::ArchGraph stored = catalog_graph(hit.best.value - 1);
-      core::LcpResult r = ws.run(query, stored, &index_cost);
-      if (r.length() != hit.depth) {
-        fell_back = true;  // outside the exactness family: serve the scan
-      } else {
-        indexed.found = true;
-        indexed.ancestor = hit.best;
-        indexed.quality = catalog_quality(hit.best.value - 1);
-        indexed.matches = std::move(r.matches);
-      }
-    }
-    if (fell_back) {
+    core::PrefixIndex::Answer hit = idx.answer(
+        queries[q],
+        [&](ModelId id) {
+          best = shape.member(id.value - 1);
+          return &best;
+        },
+        ws, index_cost);
+    Answer indexed;
+    if (hit.needs_scan()) {
       ++out.fallbacks;
       indexed = scan;
       index_hist.add(scan_seconds);
     } else {
+      indexed = Answer{hit.found, hit.ancestor, hit.quality,
+                       std::move(hit.matches)};
       index_hist.add(core::Provider::kLcpVisitSeconds *
                      static_cast<double>(index_cost.vertex_visits));
     }
@@ -242,8 +248,8 @@ struct ClusterRun {
   common::Hash128 digest{};
 };
 
-ClusterRun run_cluster_one(uint64_t size, int query_count, int gpus,
-                           bool use_index, bool verify) {
+ClusterRun run_cluster_one(const Shape& shape, uint64_t size, int query_count,
+                           int gpus, bool use_index, bool verify) {
   Cluster cluster(gpus);
   core::ProviderConfig pcfg;
   pcfg.pool_bandwidth = 0;  // metadata-only: this ablation is about the scan
@@ -252,12 +258,11 @@ ClusterRun run_cluster_one(uint64_t size, int query_count, int gpus,
   core::EvoStoreRepository repo(cluster.rpc, cluster.provider_nodes, pcfg, {},
                                 {});
 
-  uint64_t families = (size + kMembersPerFamily - 1) / kMembersPerFamily;
   std::vector<ModelId> ids;
   auto populate = [&]() -> sim::CoTask<void> {
     auto& client = repo.client(cluster.workers[0]);
     for (uint64_t i = 0; i < size; ++i) {
-      model::Model m(repo.allocate_id(), catalog_graph(i));
+      model::Model m(repo.allocate_id(), shape.member(i));
       m.set_quality(catalog_quality(i));
       ids.push_back(m.id());
       auto st = co_await client.put_model(m, nullptr);
@@ -271,8 +276,7 @@ ClusterRun run_cluster_one(uint64_t size, int query_count, int gpus,
   auto storm = [&]() -> sim::CoTask<void> {
     auto& client = repo.client(cluster.workers[0]);
     for (int q = 0; q < query_count; ++q) {
-      auto r = co_await client.query_lcp(
-          query_graph(static_cast<uint64_t>(q), families));
+      auto r = co_await client.query_lcp(shape.query(static_cast<uint64_t>(q)));
       Answer a;
       if (r.ok() && r->found) {
         a.found = true;
@@ -326,9 +330,12 @@ ClusterRun run_cluster_one(uint64_t size, int query_count, int gpus,
   return out;
 }
 
-LegResult run_cluster(uint64_t size, int query_count, int gpus, bool verify) {
-  ClusterRun scan = run_cluster_one(size, query_count, gpus, false, verify);
-  ClusterRun indexed = run_cluster_one(size, query_count, gpus, true, verify);
+LegResult run_cluster(const Shape& shape, uint64_t size, int query_count,
+                      int gpus, bool verify) {
+  ClusterRun scan =
+      run_cluster_one(shape, size, query_count, gpus, false, verify);
+  ClusterRun indexed =
+      run_cluster_one(shape, size, query_count, gpus, true, verify);
   LegResult out;
   out.p50_scan = scan.p50;
   out.p99_scan = scan.p99;
@@ -373,39 +380,43 @@ int main(int argc, char** argv) {
 
   bench::print_header(
       "Ablation — LCP prefix index",
-      "catalog scan vs. trie-indexed find_ancestor (DESIGN.md §16)");
+      "catalog scan vs. ancestry-indexed find_ancestor (DESIGN.md §16)");
   std::printf("queries/size: %d, cluster legs up to %d models, %s\n\n",
               query_count, cluster_max,
               verify ? "verify ON (scan oracle per query)" : "verify OFF");
-  std::printf("%-9s %-8s %12s %12s %12s %12s %9s %10s %9s %s\n", "catalog",
-              "mode", "scan p50us", "scan p99us", "index p50us", "index p99us",
-              "speedup", "idx nodes", "idx MiB", "answers");
+  std::printf("%-9s %-9s %-8s %12s %12s %12s %12s %9s %10s %9s %s\n",
+              "catalog", "shape", "mode", "scan p50us", "scan p99us",
+              "index p50us", "index p99us", "speedup", "idx hashes",
+              "idx MiB", "answers");
 
   bool failed = false;
   for (uint64_t size : parse_sizes(sizes_csv)) {
     bool cluster_leg = size <= static_cast<uint64_t>(cluster_max);
-    LegResult r = cluster_leg
-                      ? run_cluster(size, query_count, gpus, verify)
-                      : run_direct(size, query_count, verify);
-    bool identical = r.digest_scan == r.digest_index && r.mismatches == 0 &&
-                     r.oracle_mismatches == 0;
-    double speedup = r.p50_index > 0 ? r.p50_scan / r.p50_index : 0;
-    std::printf("%-9" PRIu64 " %-8s %12.3f %12.3f %12.3f %12.3f %8.1fx "
-                "%10" PRIu64 " %9.2f %s\n",
-                size, cluster_leg ? "cluster" : "direct", r.p50_scan * 1e6,
-                r.p99_scan * 1e6, r.p50_index * 1e6, r.p99_index * 1e6,
-                speedup, r.index_nodes,
-                static_cast<double>(r.index_bytes) / (1024.0 * 1024.0),
-                identical ? "identical" : "MISMATCH");
-    if (r.fallbacks > 0) {
-      std::printf("          (%" PRIu64 " fallback scans)\n", r.fallbacks);
-    }
-    if (!identical) {
-      failed = true;
-      std::printf("!! %zu per-query mismatches, %" PRIu64
-                  " oracle mismatches, digests %s\n",
-                  r.mismatches, r.oracle_mismatches,
-                  r.digest_scan == r.digest_index ? "equal" : "DIFFER");
+    for (const Shape& shape : {chain_shape(size), deepspace_shape(size)}) {
+      LegResult r = cluster_leg
+                        ? run_cluster(shape, size, query_count, gpus, verify)
+                        : run_direct(shape, size, query_count, verify);
+      bool identical = r.digest_scan == r.digest_index && r.mismatches == 0 &&
+                       r.oracle_mismatches == 0;
+      double speedup = r.p50_index > 0 ? r.p50_scan / r.p50_index : 0;
+      std::printf("%-9" PRIu64 " %-9s %-8s %12.3f %12.3f %12.3f %12.3f %8.1fx "
+                  "%10" PRIu64 " %9.2f %s\n",
+                  size, shape.name, cluster_leg ? "cluster" : "direct",
+                  r.p50_scan * 1e6, r.p99_scan * 1e6, r.p50_index * 1e6,
+                  r.p99_index * 1e6, speedup, r.index_nodes,
+                  static_cast<double>(r.index_bytes) / (1024.0 * 1024.0),
+                  identical ? "identical" : "MISMATCH");
+      if (r.fallbacks > 0) {
+        std::printf("                    (%" PRIu64 " fallback scans)\n",
+                    r.fallbacks);
+      }
+      if (!identical) {
+        failed = true;
+        std::printf("!! %zu per-query mismatches, %" PRIu64
+                    " oracle mismatches, digests %s\n",
+                    r.mismatches, r.oracle_mismatches,
+                    r.digest_scan == r.digest_index ? "equal" : "DIFFER");
+      }
     }
   }
   std::printf("\nanswer digests compare the full (found, ancestor, quality, "

@@ -100,7 +100,7 @@ BENCHMARK(BM_LcpCatalogScan)->Arg(100)->Arg(1000)->Arg(10000);
 // ---- catalog prefix index (scan-vs-index microcosts) ----------------------
 
 // Fine-tune families of linear chains: 64 members per family sharing a
-// spine, tails mutated — the ablation_lcp_index catalog shape.
+// spine, tails mutated — the ablation_lcp_index chains catalog shape.
 std::vector<model::ArchGraph> family_catalog(int64_t n) {
   std::vector<model::ArchGraph> catalog;
   catalog.reserve(n);
@@ -143,7 +143,7 @@ void BM_LcpIndexLookup(benchmark::State& state) {
   for (size_t i = 0; i < catalog.size(); ++i) {
     idx.insert(common::ModelId{i + 1}, 0.5, catalog[i]);
   }
-  // Queries cycle through stored members: deep trie walks, realistic hits.
+  // Queries cycle through stored members: full-depth walks, realistic hits.
   size_t q = 0;
   for (auto _ : state) {
     auto hit = idx.lookup(catalog[(q += 17) % catalog.size()]);
@@ -169,6 +169,91 @@ void BM_LcpIndexScanBaseline(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_LcpIndexScanBaseline)->Arg(1000)->Arg(10000);
+
+// Branchy DeepSpace architectures in perfbench lcp_catalog's narrow space,
+// queried with one-cell mutations of members — the ablation_lcp_index
+// deepspace catalog shape. Members are generated on demand so the lookup
+// benchmark's resident set is the index itself.
+workload::DeepSpace narrow_space() {
+  workload::DeepSpaceConfig cfg;
+  cfg.input_dim = 8;
+  cfg.widths = {8, 16, 24, 32};
+  return workload::DeepSpace(cfg);
+}
+
+workload::DeepSpaceSeq deepspace_member(const workload::DeepSpace& space,
+                                        int64_t i) {
+  common::Xoshiro256 rng(0xdee95ULL +
+                         static_cast<uint64_t>(i) * 0x9e3779b97f4a7c15ULL);
+  return space.random(rng);
+}
+
+std::vector<model::ArchGraph> deepspace_queries(
+    const workload::DeepSpace& space, int64_t n) {
+  std::vector<model::ArchGraph> queries;
+  common::Xoshiro256 rng(0x9e7ULL);
+  for (int q = 0; q < 64; ++q) {
+    auto member = static_cast<int64_t>(rng.below(static_cast<uint64_t>(n)));
+    queries.push_back(
+        space.decode_graph(space.mutate(deepspace_member(space, member), rng)));
+  }
+  return queries;
+}
+
+void BM_LcpIndexBuildDeepSpace(benchmark::State& state) {
+  auto space = narrow_space();
+  std::vector<model::ArchGraph> catalog;
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    catalog.push_back(space.decode_graph(deepspace_member(space, i)));
+  }
+  for (auto _ : state) {
+    core::PrefixIndex idx;
+    for (size_t i = 0; i < catalog.size(); ++i) {
+      idx.insert(common::ModelId{i + 1}, 0.5, catalog[i]);
+    }
+    benchmark::DoNotOptimize(idx.node_count());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_LcpIndexBuildDeepSpace)->Arg(1000)->Arg(10000);
+
+void BM_LcpIndexLookupDeepSpace(benchmark::State& state) {
+  auto space = narrow_space();
+  core::PrefixIndex idx;
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    idx.insert(common::ModelId{static_cast<uint64_t>(i) + 1}, 0.5,
+               space.decode_graph(deepspace_member(space, i)));
+  }
+  auto queries = deepspace_queries(space, state.range(0));
+  size_t q = 0;
+  for (auto _ : state) {
+    auto hit = idx.lookup(queries[q++ % queries.size()]);
+    benchmark::DoNotOptimize(hit.best);
+  }
+}
+BENCHMARK(BM_LcpIndexLookupDeepSpace)->Arg(1000)->Arg(10000)->Arg(100000);
+
+void BM_LcpIndexScanBaselineDeepSpace(benchmark::State& state) {
+  // The cost the index replaces on the same DeepSpace catalog.
+  auto space = narrow_space();
+  std::vector<model::ArchGraph> catalog;
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    catalog.push_back(space.decode_graph(deepspace_member(space, i)));
+  }
+  auto queries = deepspace_queries(space, state.range(0));
+  core::LcpWorkspace ws;
+  size_t q = 0;
+  for (auto _ : state) {
+    const auto& query = queries[q++ % queries.size()];
+    size_t best = 0;
+    for (const auto& a : catalog) {
+      best = std::max(best, ws.run(query, a, nullptr).length());
+    }
+    benchmark::DoNotOptimize(best);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_LcpIndexScanBaselineDeepSpace)->Arg(1000)->Arg(10000);
 
 void BM_LcpWorkspaceVsFresh(benchmark::State& state) {
   auto g = chain_graph(50, 64);

@@ -29,7 +29,7 @@ void SegmentCache::insert(const common::SegmentKey& key,
     evict_until_fits(0);
     ++stats_.inserts;
     if (m_inserts_ != nullptr) m_inserts_->add();
-    set_bytes_gauge();
+    report_bytes();
     return;
   }
   evict_until_fits(bytes);
@@ -40,7 +40,7 @@ void SegmentCache::insert(const common::SegmentKey& key,
   charged_bytes_ += bytes;
   ++stats_.inserts;
   if (m_inserts_ != nullptr) m_inserts_->add();
-  set_bytes_gauge();
+  report_bytes();
 }
 
 bool SegmentCache::revalidate(const common::SegmentKey& key, uint64_t version,
@@ -63,7 +63,7 @@ void SegmentCache::invalidate(const common::SegmentKey& key) {
   erase_slot(it->second);
   ++stats_.invalidations;
   if (m_invalidations_ != nullptr) m_invalidations_->add();
-  set_bytes_gauge();
+  report_bytes();
 }
 
 void SegmentCache::clear() {
@@ -71,7 +71,7 @@ void SegmentCache::clear() {
   index_.clear();
   hand_ = ring_.end();
   charged_bytes_ = 0;
-  set_bytes_gauge();
+  report_bytes();
 }
 
 void SegmentCache::evict_until_fits(uint64_t incoming_bytes) {
@@ -102,10 +102,11 @@ void SegmentCache::erase_slot(Ring::iterator it) {
   if (hand_ == ring_.end() && !ring_.empty()) hand_ = ring_.begin();
 }
 
-void SegmentCache::set_bytes_gauge() {
-  if (m_cached_bytes_ != nullptr) {
-    m_cached_bytes_->set(static_cast<double>(charged_bytes_));
-  }
+void SegmentCache::report_bytes() {
+  if (m_cached_bytes_ == nullptr) return;
+  m_cached_bytes_->add(static_cast<double>(charged_bytes_) -
+                       static_cast<double>(reported_bytes_));
+  reported_bytes_ = charged_bytes_;
 }
 
 void SegmentCache::bind_metrics(obs::MetricsRegistry* registry,
@@ -120,8 +121,9 @@ void SegmentCache::bind_metrics(obs::MetricsRegistry* registry,
   m_peer_hits_ = registry->counter(prefix + ".peer_hits");
   m_peer_misses_ = registry->counter(prefix + ".peer_misses");
   m_bytes_saved_ = registry->counter(prefix + ".bytes_saved");
+  reported_bytes_ = 0;  // nothing of this cache is in the new gauge yet
   m_cached_bytes_ = registry->gauge(prefix + ".cached_bytes");
-  set_bytes_gauge();
+  report_bytes();
 }
 
 void SegmentCache::count_hit(uint64_t bytes_saved) {

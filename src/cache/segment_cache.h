@@ -112,7 +112,8 @@ class SegmentCache {
   /// Mirror counters/gauges into `registry` under `prefix` (e.g.
   /// "client.cache"). Pointers are cached; pass the registry that outlives
   /// the cache. Several caches may bind the same registry — the counters
-  /// then aggregate across clients, which is what cluster benches want.
+  /// then aggregate across clients, which is what cluster benches want, and
+  /// the `cached_bytes` gauge holds their summed resident bytes.
   void bind_metrics(obs::MetricsRegistry* registry, const std::string& prefix);
 
   // Counting helpers (keep the registry mirror in sync). The client calls
@@ -134,11 +135,14 @@ class SegmentCache {
 
   void evict_until_fits(uint64_t incoming_bytes);
   void erase_slot(Ring::iterator it);
-  void set_bytes_gauge();
+  /// Adds the change in charged bytes since the last report to the shared
+  /// `cached_bytes` gauge.
+  void report_bytes();
 
   CacheConfig config_;
   CacheStats stats_;
   uint64_t charged_bytes_ = 0;
+  uint64_t reported_bytes_ = 0;  // this cache's share of the gauge
 
   // CLOCK ring in insertion order; `hand_` is the sweep position. The map
   // indexes the ring by key. std::list keeps iterators stable across

@@ -16,10 +16,10 @@
 // One run compares a query against ONE stored model; a provider answering
 // `find_ancestor` at paper scale scans its whole catalog this way. At
 // catalog scale that scan is the dominant cost — the prefix index
-// (core/prefix_index.h, DESIGN.md §16) replaces it with an O(prefix depth)
-// trie walk plus a single confirming `run`, keeping this header as the
-// exactness oracle (scan fallback, `lcp_index_verify`, and the `--verify`
-// benches all re-answer through it).
+// (core/prefix_index.h, DESIGN.md §16) replaces it with an ancestry-hash
+// walk over the query plus a single confirming `run`, keeping this header
+// as the exactness oracle (scan fallback, `lcp_index_verify`, and the
+// `--verify` benches all re-answer through it).
 #pragma once
 
 #include <cstdint>

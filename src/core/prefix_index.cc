@@ -1,219 +1,364 @@
 #include "core/prefix_index.h"
 
-#include <utility>
+#include <algorithm>
 
 namespace evostore::core {
 
 namespace {
-// Domain seed for prefix tokens so they can never collide with other
+
+// Domain seed for ancestry hashes so they can never collide with other
 // Hasher128 uses (chunk ids, graph hashes) by construction.
-constexpr uint64_t kTokenSeed = 0x9106f5c1a7e03b2dULL;
-}  // namespace
+constexpr uint64_t kAncestrySeed = 0x3b1f5e9d2c7a4861ULL;
+constexpr common::VertexId kNone = UINT32_MAX;
 
-std::vector<common::Hash128> prefix_tokens(const model::ArchGraph& g) {
-  std::vector<common::Hash128> tokens;
-  if (g.empty()) return tokens;
-  tokens.reserve(g.size());
+using Visit = std::pair<common::VertexId, common::Hash128>;
 
-  // Predecessor lists in ascending order (out-edges are iterated in
-  // ascending source order, so each preds[w] comes out sorted).
-  std::vector<std::vector<common::VertexId>> preds(g.size());
-  for (common::VertexId u = 0; u < g.size(); ++u) {
-    for (common::VertexId w : g.out_edges(u)) preds[w].push_back(u);
+// One topological walk over a graph (see `walk`).
+struct Walk {
+  struct Vertex {
+    uint32_t first = 0;   // its predecessors' hashes start at preds[first]
+    uint32_t filled = 0;  // predecessors admitted so far
+    // The predecessor whose out-edges were walked last: meeting it again
+    // is a duplicate edge.
+    common::VertexId last = kNone;
+    bool admitted = false;
+  };
+  std::vector<Vertex> at;
+  std::vector<common::Hash128> preds;
+  std::vector<Visit> admitted;  // in walk order
+  // False when vertex 0 has a predecessor or an admitted vertex has a
+  // duplicate out-edge.
+  bool clean = true;
+};
+
+// The walk behind `ancestry_hashes` and `PrefixIndex::lookup`. Hashes
+// vertex 0, then each vertex v once all its predecessors were admitted,
+// and asks `admit(H(v))` whether v joins the walk. Edges into vertex 0 are
+// skipped, as Algorithm 1 skips them.
+template <typename Admit>
+Walk walk(const model::ArchGraph& g, Admit&& admit) {
+  Walk w;
+  const size_t n = g.size();
+  if (n == 0) return w;
+  w.clean = g.in_degree(0) == 0;
+  w.at.resize(n);
+  uint32_t slots = 0;
+  for (common::VertexId v = 0; v < n; ++v) {
+    w.at[v].first = slots;
+    slots += g.in_degree(v);
   }
+  w.preds.resize(slots);
+  w.admitted.reserve(n);
 
-  // Token 0: the root signature alone — Algorithm 1 binds roots purely on
-  // signature equality, so the root token must not see structure.
-  {
-    common::Hasher128 h(kTokenSeed);
-    h.h128(g.signature(g.root()));
-    tokens.push_back(h.finish());
-  }
-
-  for (common::VertexId v = 1; v < g.size(); ++v) {
-    // Downward closure under the identity map: every predecessor must have
-    // a smaller id. The first violation ends the canonical prefix — beyond
-    // it, "same position" no longer implies "same predecessors inside the
-    // prefix", and identity matching would be unsound.
-    bool closed = true;
-    for (common::VertexId p : preds[v]) {
-      if (p >= v) {
-        closed = false;
-        break;
+  common::Hasher128 root(kAncestrySeed);
+  root.h128(g.signature(0));
+  const common::Hash128 h0 = root.finish();
+  if (!admit(h0)) return w;
+  w.at[0].admitted = true;
+  w.admitted.emplace_back(0, h0);
+  for (size_t i = 0; i < w.admitted.size(); ++i) {
+    const auto [u, hu] = w.admitted[i];  // a copy: admitted may grow
+    for (common::VertexId v : g.out_edges(u)) {
+      if (v == 0) continue;
+      Walk::Vertex& at = w.at[v];
+      if (at.last == u) w.clean = false;
+      at.last = u;
+      w.preds[at.first + at.filled++] = hu;
+      if (at.filled != g.in_degree(v)) continue;
+      auto first = w.preds.begin() + at.first;
+      auto end = first + at.filled;
+      std::sort(first, end);
+      common::Hasher128 h(kAncestrySeed);
+      h.h128(g.signature(v));
+      h.u64(g.in_degree(v));
+      for (auto it = first; it != end; ++it) h.h128(*it);
+      const common::Hash128 hv = h.finish();
+      if (admit(hv)) {
+        at.admitted = true;
+        w.admitted.emplace_back(v, hv);
       }
     }
-    if (!closed) break;
-    common::Hasher128 h(kTokenSeed);
-    h.h128(g.signature(v));
-    h.u64(g.in_degree(v));
-    h.u64(preds[v].size());
-    for (common::VertexId p : preds[v]) h.u64(p);
-    tokens.push_back(h.finish());
   }
-  return tokens;
+  return w;
 }
 
-bool is_linear(const model::ArchGraph& g) {
-  if (g.empty()) return true;
-  std::vector<uint32_t> pred_count(g.size(), 0);
-  std::vector<common::VertexId> only_pred(g.size(), 0);
-  for (common::VertexId u = 0; u < g.size(); ++u) {
-    for (common::VertexId w : g.out_edges(u)) {
-      ++pred_count[w];
-      only_pred[w] = u;
-    }
-  }
-  if (pred_count[g.root()] != 0) return false;
-  for (common::VertexId v = 1; v < g.size(); ++v) {
-    if (pred_count[v] != 1 || only_pred[v] != v - 1 || g.in_degree(v) != 1) {
-      return false;
-    }
-  }
-  return true;
+bool has_twins(const std::vector<Visit>& visits) {
+  std::vector<common::Hash128> hashes;
+  hashes.reserve(visits.size());
+  for (const auto& [v, h] : visits) hashes.push_back(h);
+  std::sort(hashes.begin(), hashes.end());
+  return std::adjacent_find(hashes.begin(), hashes.end()) != hashes.end();
 }
 
-void PrefixIndex::recompute_best(Node& n) {
-  bool any = false;
-  double q = 0;
-  common::ModelId id = common::ModelId::invalid();
-  if (!n.homed.empty()) {
-    any = true;
-    q = n.homed.begin()->first;
-    id = n.homed.begin()->second;
+}  // namespace
+
+std::vector<common::Hash128> ancestry_hashes(const model::ArchGraph& g,
+                                             bool* clean) {
+  Walk w = walk(g, [](const common::Hash128&) { return true; });
+  std::vector<common::Hash128> out(g.size());
+  for (const auto& [v, h] : w.admitted) out[v] = h;
+  if (clean != nullptr) {
+    *clean = w.clean && w.admitted.size() == g.size() &&
+             !has_twins(w.admitted);
   }
-  for (const auto& [tok, child] : n.children) {
-    (void)tok;
-    if (child->subtree_models == 0) continue;
-    if (!any || BestOrder{}({child->best_quality, child->best}, {q, id})) {
-      any = true;
-      q = child->best_quality;
-      id = child->best;
+  return out;
+}
+
+const char* outcome_name(IndexOutcome outcome) {
+  switch (outcome) {
+    case IndexOutcome::kIndex: return "index";
+    case IndexOutcome::kUncleanScan: return "unclean_scan";
+    case IndexOutcome::kBranchyScan: return "branchy_scan";
+    case IndexOutcome::kFallbackScan: return "fallback_scan";
+  }
+  return "?";
+}
+
+bool PrefixIndex::ahead(uint32_t a, uint32_t b) const {
+  const Holder& x = holders_[a];
+  const Holder& y = holders_[b];
+  if (x.quality != y.quality) return x.quality > y.quality;
+  return x.id < y.id;
+}
+
+size_t PrefixIndex::probe(const common::Hash128& h) const {
+  const size_t mask = slots_.size() - 1;
+  size_t i = static_cast<size_t>(h.lo) & mask;
+  while (slots_[i].best != kNone && slots_[i].key != h) i = (i + 1) & mask;
+  return i;
+}
+
+const PrefixIndex::Slot* PrefixIndex::find(const common::Hash128& h) const {
+  if (slots_.empty()) return nullptr;
+  const Slot& s = slots_[probe(h)];
+  return s.best == kNone ? nullptr : &s;
+}
+
+bool PrefixIndex::holds(const Slot& s, uint32_t holder) const {
+  if (s.best == holder) return true;
+  if (s.rest == kNone) return false;
+  const std::vector<uint32_t>& rest = spills_[s.rest];
+  return std::find(rest.begin(), rest.end(), holder) != rest.end();
+}
+
+void PrefixIndex::grow() {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(old.empty() ? 16 : 2 * old.size(), Slot{});
+  for (const Slot& s : old) {
+    if (s.best != kNone) slots_[probe(s.key)] = s;
+  }
+}
+
+void PrefixIndex::add(const common::Hash128& h, uint32_t holder) {
+  if (4 * (used_ + 1) > 3 * slots_.size()) grow();
+  Slot& s = slots_[probe(h)];
+  if (s.best == kNone) {
+    s = Slot{h, holder, kNone};
+    ++used_;
+    return;
+  }
+  if (s.rest == kNone) {
+    if (free_spills_.empty()) {
+      s.rest = static_cast<uint32_t>(spills_.size());
+      spills_.emplace_back();
+    } else {
+      s.rest = free_spills_.back();
+      free_spills_.pop_back();
     }
   }
-  n.best_quality = q;
-  n.best = id;
+  if (ahead(holder, s.best)) std::swap(holder, s.best);
+  spills_[s.rest].push_back(holder);
+  ++spilled_;
+}
+
+void PrefixIndex::drop(const common::Hash128& h, uint32_t holder) {
+  const size_t i = probe(h);
+  Slot& s = slots_[i];
+  if (s.rest == kNone) {  // `holder` is the only one
+    erase_slot(i);
+    return;
+  }
+  std::vector<uint32_t>& rest = spills_[s.rest];
+  auto gone = rest.end();
+  if (s.best == holder) {
+    // The next best takes its place.
+    gone = std::min_element(
+        rest.begin(), rest.end(),
+        [this](uint32_t a, uint32_t b) { return ahead(a, b); });
+    s.best = *gone;
+  } else {
+    gone = std::find(rest.begin(), rest.end(), holder);
+  }
+  *gone = rest.back();
+  rest.pop_back();
+  --spilled_;
+  if (rest.empty()) {
+    std::vector<uint32_t>().swap(rest);
+    free_spills_.push_back(s.rest);
+    s.rest = kNone;
+  }
+}
+
+void PrefixIndex::erase_slot(size_t i) {
+  // Backward-shift deletion: pull each later slot of the probe run back
+  // into the hole unless its home lies cyclically in (hole, slot].
+  const size_t mask = slots_.size() - 1;
+  for (size_t j = (i + 1) & mask; slots_[j].best != kNone;
+       j = (j + 1) & mask) {
+    const size_t home = static_cast<size_t>(slots_[j].key.lo) & mask;
+    if (((j - home) & mask) >= ((j - i) & mask)) {
+      slots_[i] = slots_[j];
+      i = j;
+    }
+  }
+  slots_[i] = Slot{};
+  --used_;
 }
 
 void PrefixIndex::insert(common::ModelId id, double quality,
                          const model::ArchGraph& g) {
-  std::vector<common::Hash128> tokens = prefix_tokens(g);
-  if (tokens.empty()) return;  // empty graph: never matched by the scan
-  if (!is_linear(g)) ++non_linear_models_;
-  Node* n = &root_;
-  ++n->subtree_models;
-  if (n->subtree_models == 1 ||
-      BestOrder{}({quality, id}, {n->best_quality, n->best})) {
-    n->best_quality = quality;
-    n->best = id;
-  }
-  for (const common::Hash128& tok : tokens) {
-    auto [it, created] = n->children.try_emplace(tok, nullptr);
-    if (created) {
-      it->second = std::make_unique<Node>();
-      ++node_count_;
-    }
-    n = it->second.get();
-    ++n->subtree_models;
-    if (n->subtree_models == 1 ||
-        BestOrder{}({quality, id}, {n->best_quality, n->best})) {
-      n->best_quality = quality;
-      n->best = id;
-    }
-  }
-  n->homed.insert({quality, id});
+  if (g.empty()) return;  // never matched by the scan
+  bool clean = false;
+  std::vector<common::Hash128> hashes = ancestry_hashes(g, &clean);
   ++model_count_;
+  if (!clean) {
+    unclean_.insert(id);
+    return;
+  }
+  uint32_t holder = static_cast<uint32_t>(holders_.size());
+  if (free_holders_.empty()) {
+    holders_.push_back(Holder{quality, id});
+  } else {
+    holder = free_holders_.back();
+    free_holders_.pop_back();
+    holders_[holder] = Holder{quality, id};
+  }
+  for (const common::Hash128& h : hashes) add(h, holder);
 }
 
 bool PrefixIndex::remove(common::ModelId id, const model::ArchGraph& g) {
-  std::vector<common::Hash128> tokens = prefix_tokens(g);
-  if (tokens.empty()) return false;
-
-  // Walk down recording the path; bail without touching anything if the
-  // model was never indexed (unknown path or no homed entry).
-  std::vector<Node*> path;
-  path.reserve(tokens.size() + 1);
-  Node* n = &root_;
-  path.push_back(n);
-  for (const common::Hash128& tok : tokens) {
-    auto it = n->children.find(tok);
-    if (it == n->children.end()) return false;
-    n = it->second.get();
-    path.push_back(n);
+  if (g.empty()) return false;
+  bool clean = false;
+  std::vector<common::Hash128> hashes = ancestry_hashes(g, &clean);
+  if (!clean) {
+    if (unclean_.erase(id) == 0) return false;
+    --model_count_;
+    return true;
   }
-  // The homed set is keyed by (quality, id); find the entry for `id`. The
-  // quality stored at insert is authoritative, but scan by id so a caller
-  // passing a drifted quality still removes the right record.
-  auto homed_it = n->homed.end();
-  for (auto it = n->homed.begin(); it != n->homed.end(); ++it) {
-    if (it->second == id) {
-      homed_it = it;
-      break;
+  // All or nothing: the holder must be `id`'s and hold every hash of `g`;
+  // a model indexed under another graph is left intact.
+  const Slot* root = find(hashes[0]);
+  if (root == nullptr) return false;
+  auto owns_graph = [&](uint32_t holder) {
+    return holders_[holder].id == id &&
+           std::all_of(hashes.begin(), hashes.end(),
+                       [&](const common::Hash128& h) {
+                         const Slot* s = find(h);
+                         return s != nullptr && holds(*s, holder);
+                       });
+  };
+  uint32_t holder = kNone;
+  if (owns_graph(root->best)) {
+    holder = root->best;
+  } else if (root->rest != kNone) {
+    for (uint32_t x : spills_[root->rest]) {
+      if (owns_graph(x)) {
+        holder = x;
+        break;
+      }
     }
   }
-  if (homed_it == n->homed.end()) return false;
-  n->homed.erase(homed_it);
+  if (holder == kNone) return false;
+  for (const common::Hash128& h : hashes) drop(h, holder);
+  free_holders_.push_back(holder);
   --model_count_;
-  if (!is_linear(g)) --non_linear_models_;
-
-  // Unwind bottom-up: drop counts, prune empty nodes, refresh aggregates.
-  for (size_t i = path.size(); i-- > 0;) {
-    Node* cur = path[i];
-    --cur->subtree_models;
-    if (cur->subtree_models == 0 && i > 0) {
-      path[i - 1]->children.erase(tokens[i - 1]);
-      --node_count_;
-      continue;  // parent aggregate handled on its own unwind step
-    }
-    recompute_best(*cur);
-  }
   return true;
 }
 
-void PrefixIndex::clear() {
-  root_.children.clear();
-  root_.homed.clear();
-  root_.subtree_models = 0;
-  root_.best_quality = 0;
-  root_.best = common::ModelId::invalid();
-  model_count_ = 0;
-  node_count_ = 0;
-  non_linear_models_ = 0;
-}
+void PrefixIndex::clear() { *this = PrefixIndex{}; }
 
 PrefixIndex::LookupResult PrefixIndex::lookup(const model::ArchGraph& g) const {
-  return lookup(prefix_tokens(g));
-}
-
-PrefixIndex::LookupResult PrefixIndex::lookup(
-    const std::vector<common::Hash128>& tokens) const {
   LookupResult r;
-  const Node* n = &root_;
-  for (const common::Hash128& tok : tokens) {
-    auto it = n->children.find(tok);
-    if (it == n->children.end()) break;
-    n = it->second.get();
-    ++r.nodes_visited;
-    ++r.depth;
-  }
-  if (r.depth == 0) return r;  // no model shares even the root signature
+  std::vector<const Slot*> found;  // parallel to the admitted vertices
+  found.reserve(g.size());
+  Walk w = walk(g, [&](const common::Hash128& h) {
+    r.visits += 2;  // one hash, one lookup
+    const Slot* s = find(h);
+    if (s == nullptr) return false;
+    found.push_back(s);
+    return true;
+  });
+  if (w.admitted.empty()) return r;
   r.found = true;
-  r.best = n->best;
-  r.best_quality = n->best_quality;
-  r.candidates = n->subtree_models;
+  r.depth = w.admitted.size();
+  r.clean = w.clean && !has_twins(w.admitted);
+  size_t top = 0;
+  for (size_t i = 0; i < w.admitted.size(); ++i) {
+    const std::vector<common::VertexId>& out =
+        g.out_edges(w.admitted[i].first);
+    if (std::none_of(out.begin(), out.end(), [&](common::VertexId v) {
+          return w.at[v].admitted;
+        })) {
+      ++r.maximal;
+      top = i;
+    }
+  }
+  if (r.maximal == 1) {
+    const Slot& s = *found[top];
+    r.best = holders_[s.best].id;
+    r.best_quality = holders_[s.best].quality;
+    r.candidates = 1 + (s.rest == kNone ? 0 : spills_[s.rest].size());
+  }
   return r;
 }
 
+PrefixIndex::Answer PrefixIndex::answer(const model::ArchGraph& query,
+                                        const StoredGraph& stored,
+                                        LcpWorkspace& ws, LcpCost& cost) const {
+  Answer out;
+  if (!all_clean()) {
+    out.outcome = IndexOutcome::kUncleanScan;
+    return out;
+  }
+  out.lookup = lookup(query);
+  cost.vertex_visits += out.lookup.visits;
+  const LookupResult& hit = out.lookup;
+  if (!hit.found) {
+    // H(0) is a function of the root signature alone: no stored model
+    // shares it, so every scan LCP is empty too.
+    return out;
+  }
+  if (!hit.clean) {
+    out.outcome = IndexOutcome::kUncleanScan;
+    return out;
+  }
+  if (hit.maximal != 1) {
+    out.outcome = IndexOutcome::kBranchyScan;
+    return out;
+  }
+  const model::ArchGraph* a = stored(hit.best);
+  LcpResult r;
+  if (a != nullptr) r = ws.run(query, *a, &cost);
+  if (a == nullptr || r.length() != hit.depth) {
+    out.outcome = IndexOutcome::kFallbackScan;
+    return out;
+  }
+  out.found = true;
+  out.ancestor = hit.best;
+  out.quality = hit.best_quality;
+  out.matches = std::move(r.matches);
+  return out;
+}
+
 size_t PrefixIndex::memory_bytes() const {
-  // Deterministic structural model: each trie node costs its struct plus an
-  // ordered-map entry (key + red-black node overhead) in its parent; each
-  // indexed model costs one homed-set entry (key + tree node overhead).
-  constexpr size_t kMapEntryOverhead = 48;  // rb-tree node bookkeeping
-  constexpr size_t kNodeBytes =
-      sizeof(Node) + sizeof(common::Hash128) + kMapEntryOverhead;
-  constexpr size_t kHomedEntryBytes =
-      sizeof(std::pair<double, common::ModelId>) + kMapEntryOverhead;
-  return sizeof(Node) + node_count_ * kNodeBytes +
-         model_count_ * kHomedEntryBytes;
+  // Slots and holders are flat arrays; a shared hash adds its spill vector
+  // and each spilled holder one index; an unclean model one ordered-set
+  // node.
+  constexpr size_t kSetNodeBytes = sizeof(common::ModelId) + 32;
+  return sizeof(*this) + slots_.size() * sizeof(Slot) +
+         holders_.size() * sizeof(Holder) +
+         spills_.size() * sizeof(std::vector<uint32_t>) +
+         spilled_ * sizeof(uint32_t) + unclean_.size() * kSetNodeBytes;
 }
 
 }  // namespace evostore::core

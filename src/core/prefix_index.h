@@ -1,94 +1,98 @@
-// Input-rooted catalog prefix index for sublinear LCP serving
-// (DESIGN.md §16; ROADMAP "Sublinear LCP" item).
+// Catalog prefix index for sublinear LCP serving (DESIGN.md §16).
 //
-// Provider-side LCP (paper §4.2, Algorithm 1) is a linear scan of the local
-// catalog per `find_ancestor` query — fine at paper scale, the dominant cost
-// at model-hub scale. This index maps a query `ArchGraph` to the set of
-// catalog models sharing its deepest common prefix in O(prefix depth) trie
-// steps instead of O(catalog models) graph comparisons.
+// Provider-side LCP (paper §4.2, Algorithm 1) is a scan of the local catalog
+// per `find_ancestor` query: fine at paper scale, the dominant cost at
+// model-hub scale. This index answers the same query from a map keyed by
+// *ancestry hashes*, with work proportional to what the query shares with
+// the catalog instead of to the catalog's size.
 //
-// Structure: a trie over canonical *prefix tokens*. Token i fingerprints
-// vertex i of the BFS-flattened graph — its leaf-layer configuration
-// signature, its total in-degree, and the exact (sorted) list of its
-// predecessors among earlier-id vertices. Token 0 is the root's signature
-// alone (mirroring Algorithm 1's signature-only root binding). The token
-// sequence stops at the first vertex whose predecessor set is not fully
-// contained in the earlier-id prefix (the prefix is no longer downward
-// closed under the identity vertex map, so identity matching is no longer
-// valid beyond it).
+// Ancestry hash: H(0) = hash(signature of vertex 0), and for v != 0,
+// H(v) = hash(signature, in-degree, sorted multiset of the predecessors' H).
+// H(v) fingerprints the whole ancestry of v and ignores vertex ids, so it
+// is the same for every topological order of a DAG. The index maps each
+// hash to the local models holding it, the best (quality desc, id asc) at
+// hand, in one flat open-addressing table.
 //
-// Exactness contract: two graphs sharing their first d tokens share an
-// identity-mapped common prefix of length >= d. When the query AND every
-// indexed model are linear chains (each non-root vertex's only predecessor
-// is the previous vertex — the shape every fine-tune lineage in the
-// sequential workload generators has), Algorithm 1's matching is forced
-// vertex-by-vertex and the exact LCP length EQUALS the shared token depth,
-// so the deepest trie node plus its best aggregate reproduce the scan's
-// answer exactly. For branchy DAGs no trie over one linearization can be
-// exact: a query can diverge token-wise from a model early (say in one
-// parallel branch) while Algorithm 1 happily matches a deeper prefix
-// through the other branch, so a model in a *sibling* subtree may beat the
-// trie's answer set. The index therefore tracks how many indexed models are
-// non-linear; the serving path consults the trie only when the query is
-// linear and `all_linear()` holds, and even then re-runs the exact LCP
-// against the chosen candidate, falling back to the full catalog scan on
-// any disagreement (see Provider::handle_lcp_query). `--verify` benches and
-// the randomized property tests additionally compare whole answers against
-// the scan.
+// Exactness (DESIGN.md §16 has the proofs). Without duplicate edges, a
+// query vertex v that Algorithm 1 binds to stored vertex w has
+// H(v) = H(w). A graph is *clean* when vertex 0 is its only vertex without
+// predecessors, every vertex is reachable from it, it has no duplicate
+// edges and no two vertices share a hash ("twins"). When the query and the
+// stored model are clean, Algorithm 1 binds exactly the query vertices
+// whose hash the model holds. `lookup` walks the query from vertex 0 in
+// topological order, hashing a vertex only once all its predecessors were
+// found in the index. When the found set P has exactly one vertex v* with
+// no successor in P, P is v*'s ancestry: every holder of H(v*) matches |P|
+// vertices and every other model fewer, so the best holder of H(v*) is the
+// scan's answer. Several maximal vertices, an unclean query or catalog and
+// a confirm-run mismatch go to the scan (`PrefixIndex::answer`), which
+// stays the reference.
 //
-// Maintenance is incremental — O(token depth) per mutation — on every
-// catalog path: put, retire/GC, drain, and the replicate-install path used
-// by repair. Like `ChunkStore`, the index is volatile and rebuilt from the
+// Maintenance is incremental, O(|graph|) table operations per mutation, on
+// every catalog path: put, retire/GC, drain and the replicate-install path used by
+// repair. Like `ChunkStore`, the index is volatile and rebuilt from the
 // restored catalog on provider restart.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
+#include <functional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "common/hash.h"
 #include "common/types.h"
+#include "core/lcp.h"
 #include "model/arch_graph.h"
 
 namespace evostore::core {
 
-/// Canonical prefix tokens of `g` (see file comment). Empty for an empty
-/// graph; otherwise token 0 always exists. The sequence is a maximal
-/// downward-closed prefix of the BFS order: it ends at the first vertex with
-/// a predecessor of a larger id.
-std::vector<common::Hash128> prefix_tokens(const model::ArchGraph& g);
+/// Ancestry hash of every vertex of `g` by vertex id (file comment). A
+/// vertex the topological walk from vertex 0 never reaches (a second
+/// source, a cycle, a vertex below either) keeps a zero hash. `*clean`, if
+/// given, is set to whether `g` is clean.
+std::vector<common::Hash128> ancestry_hashes(const model::ArchGraph& g,
+                                             bool* clean = nullptr);
 
-/// True when `g` is a linear chain: vertex 0 has no predecessors and every
-/// vertex v >= 1 has exactly one predecessor, v - 1. Inside this family the
-/// shared-token depth equals the exact LCP length (see file comment); empty
-/// graphs are vacuously linear.
-bool is_linear(const model::ArchGraph& g);
+/// How the index branch of a `find_ancestor` query ended.
+enum class IndexOutcome : uint8_t {
+  kIndex,         // answered from the index (found or not)
+  kUncleanScan,   // the catalog or the walked part of the query is unclean
+  kBranchyScan,   // the found set has several maximal vertices
+  kFallbackScan,  // the confirm run disagreed with the index
+};
+const char* outcome_name(IndexOutcome outcome);
 
 class PrefixIndex {
  public:
   struct LookupResult {
-    /// True when at least one indexed model shares the query's root token
-    /// (equivalently: its root signature — token 0 is a function of the
-    /// signature alone, so this matches Algorithm 1's root binding).
+    /// True when some indexed model shares the query's root signature
+    /// (H(0) is a function of the signature alone, matching Algorithm 1's
+    /// root binding).
     bool found = false;
-    /// Shared token depth with every model in the answer set (the deepest
-    /// trie node on the query's token path).
+    /// |P|: query vertices whose hash is indexed and whose predecessors
+    /// are all in P.
     size_t depth = 0;
-    /// Best model of the answer set under the scan's tie-break at equal
-    /// prefix length: highest quality, then lowest id.
+    /// Vertices of P with no successor in P.
+    size_t maximal = 0;
+    /// False when the walked part of the query is unclean: vertex 0 has a
+    /// predecessor, a walked vertex has a duplicate out-edge, or two
+    /// vertices of P are twins.
+    bool clean = true;
+    /// The best holder of the sole maximal vertex's hash (maximal == 1),
+    /// under the scan's tie-break: highest quality, then lowest id.
     common::ModelId best = common::ModelId::invalid();
     double best_quality = 0;
-    /// Size of the answer set (all models at exactly `depth` shared tokens).
+    /// Holders of that hash.
     size_t candidates = 0;
-    /// Trie nodes touched by the walk (charged to the LcpCost model by the
-    /// caller, alongside the O(|query|) token computation).
-    uint64_t nodes_visited = 0;
+    /// Work charged to the LcpCost model: one per hashed vertex plus one
+    /// per lookup.
+    uint64_t visits = 0;
   };
 
-  /// Index a model. Empty graphs are not indexed (the scan also never
-  /// matches them: an empty graph yields an empty LCP against anything).
+  /// Index a model. Empty graphs are not indexed (the scan never matches
+  /// them). An unclean model is counted but holds no postings; while any
+  /// is present the serving path scans.
   void insert(common::ModelId id, double quality, const model::ArchGraph& g);
 
   /// Remove a model previously inserted with the same (id, graph). Returns
@@ -98,57 +102,82 @@ class PrefixIndex {
   /// Drop everything (drain, restart).
   void clear();
 
-  /// Answer set for a query graph: the deepest trie node on the query's
-  /// token path, with the per-subtree best aggregate.
+  /// Walk the query from vertex 0 (file comment).
   LookupResult lookup(const model::ArchGraph& g) const;
-  /// Same, over precomputed tokens (lets the caller charge token
-  /// computation separately and reuse the tokens).
-  LookupResult lookup(const std::vector<common::Hash128>& tokens) const;
+
+  /// The index branch of `find_ancestor`, shared by the provider, the
+  /// tests and the benches: the clean gate, `lookup`, and one confirming
+  /// Algorithm 1 run against the best holder, whose graph `stored` returns
+  /// (nullptr if it is gone). On `needs_scan()` the caller serves the
+  /// scan. Charges the lookup and the confirm run to `cost`.
+  struct Answer {
+    IndexOutcome outcome = IndexOutcome::kIndex;
+    LookupResult lookup;
+    /// Set on an index answer when some model shares the root signature:
+    /// the best holder, its quality and the confirm run's matches.
+    bool found = false;
+    common::ModelId ancestor = common::ModelId::invalid();
+    double quality = 0;
+    std::vector<std::pair<common::VertexId, common::VertexId>> matches;
+
+    bool needs_scan() const { return outcome != IndexOutcome::kIndex; }
+  };
+  using StoredGraph =
+      std::function<const model::ArchGraph*(common::ModelId)>;
+  Answer answer(const model::ArchGraph& query, const StoredGraph& stored,
+                LcpWorkspace& ws, LcpCost& cost) const;
 
   size_t model_count() const { return model_count_; }
-  size_t node_count() const { return node_count_; }
-  /// True when every indexed model is a linear chain — the regime where a
-  /// trie answer for a linear query is provably the scan's answer. Branchy
-  /// models are still indexed (so the catalog mirror stays trivial and the
-  /// index re-arms the moment the last one retires), but while any is
-  /// present the serving path must scan.
-  bool all_linear() const { return non_linear_models_ == 0; }
-  /// Physical footprint model: trie nodes (struct + ordered child-map entry
-  /// overhead) plus one homed-set entry per indexed model. Deterministic by
-  /// construction — counts structures, not allocator jitter.
+  /// Distinct indexed hashes.
+  size_t node_count() const { return used_; }
+  /// True when every indexed model is clean, the regime where an index
+  /// answer is provably the scan's answer. The index re-arms the moment
+  /// the last unclean model retires.
+  bool all_clean() const { return unclean_.empty(); }
+  /// Physical footprint model: the hash table's slots, one holder per
+  /// indexed model, and the spilled holders of shared hashes.
+  /// Deterministic by construction: counts structures, not allocator
+  /// jitter.
   size_t memory_bytes() const;
 
  private:
-  /// (quality desc, id asc): *begin() of a set ordered this way is the
-  /// scan's tie-break winner at a fixed prefix length.
-  struct BestOrder {
-    bool operator()(const std::pair<double, common::ModelId>& a,
-                    const std::pair<double, common::ModelId>& b) const {
-      if (a.first != b.first) return a.first > b.first;
-      return a.second < b.second;
-    }
+  static constexpr uint32_t kNone = UINT32_MAX;
+  struct Holder {
+    double quality = 0;
+    common::ModelId id = common::ModelId::invalid();
+  };
+  /// A slot of the open-addressing table: an indexed hash, its best holder
+  /// (an index into `holders_`; kNone marks an empty slot) and, only while
+  /// the hash is shared, `spills_[rest]`, its other holders in no order.
+  struct Slot {
+    common::Hash128 key;
+    uint32_t best = kNone;
+    uint32_t rest = kNone;
   };
 
-  struct Node {
-    /// Ordered children so every walk (and any future export) is
-    /// deterministic regardless of insertion order.
-    std::map<common::Hash128, std::unique_ptr<Node>> children;
-    /// Models whose token sequence ends exactly here.
-    std::set<std::pair<double, common::ModelId>, BestOrder> homed;
-    /// Aggregates over the whole subtree (this node + descendants).
-    size_t subtree_models = 0;
-    double best_quality = 0;
-    common::ModelId best = common::ModelId::invalid();
-  };
+  /// The scan's tie-break at equal length: quality desc, then id asc.
+  bool ahead(uint32_t a, uint32_t b) const;
+  /// The slot holding `h`, or the empty slot where it would go.
+  size_t probe(const common::Hash128& h) const;
+  const Slot* find(const common::Hash128& h) const;
+  bool holds(const Slot& s, uint32_t holder) const;
+  void add(const common::Hash128& h, uint32_t holder);
+  void drop(const common::Hash128& h, uint32_t holder);
+  void erase_slot(size_t i);
+  void grow();
 
-  /// Recompute `n`'s best aggregate from its homed set and child
-  /// aggregates (children are already up to date).
-  static void recompute_best(Node& n);
-
-  Node root_;  // synthetic super-root; children keyed by token 0
+  // Linear probing over a power-of-two table, at most 3/4 full, from the
+  // home slot `key.lo & mask`. Lookups and maintenance are point
+  // operations: slot order never reaches an answer or an export.
+  std::vector<Slot> slots_;
+  size_t used_ = 0;
+  std::vector<Holder> holders_;  // one per indexed clean model
+  std::vector<uint32_t> free_holders_;
+  std::vector<std::vector<uint32_t>> spills_;
+  std::vector<uint32_t> free_spills_;
+  size_t spilled_ = 0;  // holders kept in `spills_`
+  std::set<common::ModelId> unclean_;
   size_t model_count_ = 0;
-  size_t node_count_ = 0;  // excludes the super-root
-  size_t non_linear_models_ = 0;
 };
 
 }  // namespace evostore::core

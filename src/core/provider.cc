@@ -833,56 +833,33 @@ sim::CoTask<wire::LcpQueryResponse> Provider::handle_lcp_query(
     }
   };
   bool scan_needed = !config_.lcp_index;
-  bool fallback = false;
-  const char* outcome = "index";
-  PrefixIndex::LookupResult hit;
+  PrefixIndex::Answer hit;
   if (config_.lcp_index) {
-    // Index path (DESIGN.md §16): walk the query's canonical token path to
-    // the deepest populated trie node — O(prefix depth) — then confirm the
-    // per-subtree best candidate with ONE exact Algorithm 1 run. The trie
-    // answer is provably the scan's answer only inside the linear-chain
-    // family (see prefix_index.h): a branchy query, or any branchy model in
-    // the catalog, can beat the trie's answer set from a sibling subtree,
-    // so those queries go straight to the scan.
-    if (!lcp_index_.all_linear() || !is_linear(req.graph)) {
-      fallback = true;
-      outcome = "nonlinear_scan";
-    } else {
-      std::vector<common::Hash128> tokens = prefix_tokens(req.graph);
-      hit = lcp_index_.lookup(tokens);
-      // Token computation touches each query vertex once; the walk touches
-      // one trie node per shared level. Both are catalog-size independent.
-      cost.vertex_visits += tokens.size() + hit.nodes_visited;
-      if (hit.found) {
-        auto mit = models_.find(hit.best);
-        LcpResult r;
-        if (mit != models_.end()) {
-          r = ws.run(req.graph, mit->second.graph, &cost);
-        }
-        if (mit == models_.end() || r.length() != hit.depth) {
-          fallback = true;
-          outcome = "fallback_scan";
-        } else {
-          resp.found = true;
-          resp.ancestor = hit.best;
-          resp.quality = mit->second.quality;
-          resp.matches = std::move(r.matches);
-        }
-      }
-      // hit.found == false needs no fallback: token 0 is a function of the
-      // root signature alone, so a root-token miss means no stored model
-      // shares the query's root signature and every scan LCP is empty too.
-    }
-    if (fallback) {
+    // Index path (DESIGN.md §16): walk the query's ancestry hashes through
+    // the index, then confirm the best holder with ONE exact Algorithm 1
+    // run. An unclean query or catalog, several maximal vertices, or a
+    // confirm-run mismatch hands the query to the scan.
+    hit = lcp_index_.answer(
+        req.graph,
+        [this](ModelId id) -> const ArchGraph* {
+          auto it = models_.find(id);
+          return it == models_.end() ? nullptr : &it->second.graph;
+        },
+        ws, cost);
+    if (hit.needs_scan()) {
       ++stats_.lcp_index_fallback_scans;
       scan_needed = true;
     } else {
       ++stats_.lcp_index_answers;
+      resp.found = hit.found;
+      resp.ancestor = hit.ancestor;
+      resp.quality = hit.quality;
+      resp.matches = std::move(hit.matches);
     }
   }
   // The scan covers this provider's share only: every model is scanned
   // once cluster-wide, by its first live replica (DESIGN.md §15). The index
-  // path above answers from the whole local trie.
+  // path above answers from the whole local index.
   size_t scanned = 0;
   if (scan_needed) {
     resp = wire::LcpQueryResponse{};
@@ -926,20 +903,20 @@ sim::CoTask<wire::LcpQueryResponse> Provider::handle_lcp_query(
   span.tag_u64("vertex_visits", cost.vertex_visits);
   span.tag("found", resp.found ? "true" : "false");
   if (config_.lcp_index) {
-    span.tag_u64("index_depth", hit.depth);
-    span.tag_u64("index_candidates", hit.candidates);
-    span.tag("index_outcome", outcome);
+    span.tag_u64("index_depth", hit.lookup.depth);
+    span.tag_u64("index_candidates", hit.lookup.candidates);
+    span.tag("index_outcome", outcome_name(hit.outcome));
     if (obs::EventLog* ev = events()) {
-      // One flight-recorder record per indexed query: how deep the token
-      // walk got, how many catalog models share that prefix, what the
-      // whole answer cost, and whether the exactness guard bailed to the
-      // scan. obsq time-series over these shows the index staying
-      // catalog-size independent.
+      // One flight-recorder record per indexed query: how many query
+      // vertices the walk found, how many catalog models hold the answer's
+      // hash, what the whole answer cost, and whether the exactness guard
+      // bailed to the scan. obsq time-series over these shows the index
+      // staying catalog-size independent.
       ev->record(sim_->now(), "lcp.index", node_,
-                 {{"depth", obs::EventLog::u64(hit.depth)},
-                  {"candidates", obs::EventLog::u64(hit.candidates)},
+                 {{"depth", obs::EventLog::u64(hit.lookup.depth)},
+                  {"candidates", obs::EventLog::u64(hit.lookup.candidates)},
                   {"visits", obs::EventLog::u64(cost.vertex_visits)},
-                  {"fallback", fallback ? "1" : "0"}});
+                  {"fallback", hit.needs_scan() ? "1" : "0"}});
     }
   }
   record(hist_lcp_seconds_, shared_lcp_seconds_, sim_->now() - t0);

@@ -57,12 +57,13 @@ struct ProviderConfig {
   bool chunking = true;
   compress::ChunkerConfig chunker;
   /// Sublinear LCP serving (DESIGN.md §16): maintain the catalog prefix
-  /// index and answer `evostore.lcp_query` from it in O(prefix depth)
-  /// instead of scanning O(catalog) models. The serving path verifies each
-  /// index answer with one exact Algorithm 1 run against the chosen
-  /// candidate and falls back to the full scan if the lengths disagree, so
-  /// answers always match the scan's. Off by default: the scan is the
-  /// reference path at paper scale.
+  /// index and answer `evostore.lcp_query` from it with work proportional
+  /// to what the query shares with the catalog instead of scanning
+  /// O(catalog) models. The serving path verifies each index answer with
+  /// one exact Algorithm 1 run against the chosen candidate and falls back
+  /// to the scan when the index cannot prove its answer, so answers always
+  /// match the scan's. Off by default: the scan is the reference path at
+  /// paper scale.
   bool lcp_index = false;
   /// Oracle mode (testing): with the index on, ALSO run the full catalog
   /// scan on every query and compare answers field-for-field. Mismatches
@@ -122,8 +123,8 @@ struct ProviderStats {
   // Catalog prefix index (DESIGN.md §16).
   /// LCP queries answered from the index without scanning the catalog.
   uint64_t lcp_index_answers = 0;
-  /// Index answers discarded because the exact LCP length against the
-  /// chosen candidate disagreed with the trie depth (full scan ran instead).
+  /// Queries the index handed to the scan: an unclean query or catalog,
+  /// several maximal found vertices, or a confirm-run mismatch.
   uint64_t lcp_index_fallback_scans = 0;
   /// Oracle disagreements seen under `lcp_index_verify` (should stay 0).
   uint64_t lcp_index_verify_mismatches = 0;
@@ -203,7 +204,7 @@ class Provider {
   size_t pin_ledger_size() const { return pins_.size(); }
   const ProviderStats& stats() const { return stats_; }
   std::vector<common::ModelId> model_ids() const;
-  /// The catalog prefix index (empty unless config.lcp_index): node/model
+  /// The catalog prefix index (empty unless config.lcp_index): hash/model
   /// counts and the memory-footprint model for tests, benches, and stats.
   const PrefixIndex& prefix_index() const { return lcp_index_; }
 

@@ -941,8 +941,8 @@ struct StatsResponse {
   uint64_t drain_segments_moved = 0;        // segments migrated by drain
   // Catalog prefix index (DESIGN.md §16).
   uint64_t lcp_index_answers = 0;         // queries answered without a scan
-  uint64_t lcp_index_fallback_scans = 0;  // index bypassed (depth mismatch)
-  uint64_t lcp_index_nodes = 0;           // live trie nodes
+  uint64_t lcp_index_fallback_scans = 0;  // index handed the query to the scan
+  uint64_t lcp_index_nodes = 0;           // distinct indexed hashes
   uint64_t lcp_index_bytes = 0;           // index memory footprint model
   std::vector<CodecUsageEntry> codecs;
   // Per-provider histogram digests (name-ordered: providers export their

@@ -161,6 +161,28 @@ TEST(SegmentCache, MetricsMirrorTracksCountersAndGauge) {
   EXPECT_EQ(cache.stats().bytes_saved, 150u);
 }
 
+// Caches of several clients bind one registry gauge: it holds their summed
+// resident bytes, each cache adding its own changes.
+TEST(SegmentCache, SharedGaugeSumsEveryCache) {
+  obs::MetricsRegistry registry;
+  SegmentCache a(CacheConfig{.capacity_bytes = 1000});
+  SegmentCache b(CacheConfig{.capacity_bytes = 1000});
+  a.bind_metrics(&registry, "client.cache");
+  b.bind_metrics(&registry, "client.cache");
+  const obs::Gauge* gauge = registry.gauge("client.cache.cached_bytes");
+  a.insert(key_of(1, 0), env_of(100), 1, 0.0);
+  b.insert(key_of(2, 0), env_of(40), 1, 0.0);
+  a.insert(key_of(1, 1), env_of(60), 1, 0.0);
+  EXPECT_EQ(gauge->value(), 200.0);
+  b.invalidate(key_of(2, 0));
+  EXPECT_EQ(gauge->value(), 160.0);
+  a.clear();
+  EXPECT_EQ(gauge->value(), 0.0);
+  b.insert(key_of(2, 1), env_of(30), 1, 0.0);
+  EXPECT_EQ(gauge->value(),
+            static_cast<double>(a.charged_bytes() + b.charged_bytes()));
+}
+
 TEST(SegmentCache, ClearDropsEverything) {
   SegmentCache cache(CacheConfig{.capacity_bytes = 1000});
   cache.insert(key_of(1, 0), env_of(10), 1, 0.0);

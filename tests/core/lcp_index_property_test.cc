@@ -1,11 +1,11 @@
 // Prefix-index answer equivalence (DESIGN.md §16): the indexed serving
 // path must produce exactly the answer the LcpWorkspace catalog scan
-// produces — on randomized chain families (where the token equivalence is
-// provably exact and the fallback guard must never fire) and on branchy
-// DeepSpace graphs (where the guard is allowed to bail to the scan but the
-// answer must still match). Cluster-level tests then hold the invariant
-// through every incremental-maintenance path: put, retire, drain,
-// restart-rebuild, and anti-entropy repair. The LcpShare tests hold the
+// produces — on randomized chain families and on branchy DeepSpace graphs,
+// both clean, where the fallback guard must never fire. Cluster-level
+// tests then hold the invariant on chain and DeepSpace catalogs through
+// every incremental-maintenance path: put, retire, drain, restart-rebuild,
+// and anti-entropy repair; and the clean gate closes and re-arms with an
+// unclean stored model. The LcpShare tests hold the
 // scan-once rule of the replicated collective query (DESIGN.md §15): each
 // model is scanned by one provider per query, and no answer is lost to a
 // crashed or drained provider.
@@ -77,33 +77,30 @@ Answer scan_answer(const std::vector<CatalogEntry>& catalog,
   return out;
 }
 
-// The provider's index path: linearity gate, trie lookup, one exact
-// confirmation run, scan fallback on a depth disagreement
-// (Provider::handle_lcp_query mirrors this exactly).
+// The provider's index path: PrefixIndex::answer (the clean gate, the
+// ancestry walk and one confirming run), then the scan when it hands the
+// query over.
 Answer index_answer(const PrefixIndex& idx,
                     const std::vector<CatalogEntry>& catalog,
                     const ArchGraph& q, bool* fell_back) {
-  *fell_back = false;
-  if (!idx.all_linear() || !is_linear(q)) {
-    *fell_back = true;
-    return scan_answer(catalog, q);
-  }
-  auto hit = idx.lookup(q);
-  if (!hit.found) return {};
-  auto it = std::find_if(catalog.begin(), catalog.end(),
-                         [&](const CatalogEntry& e) { return e.id == hit.best; });
   LcpWorkspace ws;
-  LcpResult r;
-  if (it != catalog.end()) r = ws.run(q, it->graph, nullptr);
-  if (it == catalog.end() || r.length() != hit.depth) {
-    *fell_back = true;
-    return scan_answer(catalog, q);
-  }
+  LcpCost cost;
+  PrefixIndex::Answer hit = idx.answer(
+      q,
+      [&](ModelId id) -> const ArchGraph* {
+        for (const CatalogEntry& e : catalog) {
+          if (e.id == id) return &e.graph;
+        }
+        return nullptr;
+      },
+      ws, cost);
+  *fell_back = hit.needs_scan();
+  if (*fell_back) return scan_answer(catalog, q);
   Answer out;
-  out.found = true;
-  out.ancestor = hit.best;
-  out.quality = it->quality;
-  out.matches = std::move(r.matches);
+  out.found = hit.found;
+  out.ancestor = hit.ancestor;
+  out.quality = hit.quality;
+  out.matches = std::move(hit.matches);
   return out;
 }
 
@@ -183,10 +180,10 @@ TEST(LcpIndexProperty, DeepSpaceGraphsMatchScanViaGuard) {
     bool fell_back = false;
     Answer via_index = index_answer(idx, catalog, q, &fell_back);
     Answer via_scan = scan_answer(catalog, q);
-    // Branchy graphs step outside the token-equivalence family; the
-    // linearity gate must then hand the query to the scan — the ANSWER must
-    // always match, fallback or not.
+    // DeepSpace graphs are clean and its mutated queries have one maximal
+    // found vertex: the index answers every one, with the scan's answer.
     ASSERT_EQ(via_index, via_scan) << "query " << qi;
+    EXPECT_FALSE(fell_back) << "query " << qi;
     if (via_scan.found) ++found;
   }
   EXPECT_GT(found, 0u);
@@ -232,64 +229,111 @@ void expect_index_mirrors_catalog(EvoStoreRepository& repo) {
   }
 }
 
-// Run the same workload against an indexed cluster and a scan-only cluster
-// and require identical LCP responses at every step, across put, retire,
-// and drain.
-TEST(LcpIndexMaintenance, PutRetireDrainKeepAnswersIdenticalToScan) {
-  ClusterEnv indexed(4, indexed_config());
-  ClusterEnv scan(4, scan_config());
-
+// Chain catalog: three families of six members, mutated tails.
+std::vector<ArchGraph> chain_catalog() {
   std::vector<ArchGraph> graphs;
   for (int f = 0; f < 3; ++f) {
     for (int member = 0; member < 6; ++member) {
       graphs.push_back(chain_graph(8, 16 + 8 * f, member % 4, 3 + member));
     }
   }
-  std::vector<ModelId> indexed_ids;
-  std::vector<ModelId> scan_ids;
-  auto populate = [](ClusterEnv& env, const std::vector<ArchGraph>& gs,
-                     std::vector<ModelId>& ids) {
-    auto task = [&]() -> sim::CoTask<void> {
-      for (const auto& g : gs) {
-        model::Model m(env.repo->allocate_id(), g);
-        m.set_quality(0.25 * static_cast<double>(m.id().value % 4));
-        ids.push_back(m.id());
-        auto st = co_await env.client().put_model(m, nullptr);
-        EXPECT_TRUE(st.ok()) << st.to_string();
-      }
-    };
-    env.sim.run_until_complete(task());
+  return graphs;
+}
+
+std::vector<ArchGraph> chain_queries() {
+  std::vector<ArchGraph> qs;
+  for (int f = 0; f < 3; ++f) {
+    for (int t = 0; t < 4; ++t) {
+      qs.push_back(chain_graph(8, 16 + 8 * f, t % 3, 40 + t));
+    }
+  }
+  qs.push_back(chain_graph(8, 80));  // no family: found == false
+  return qs;
+}
+
+// DeepSpace catalog in perfbench lcp_catalog's narrow space: six random
+// bases, each with two mutated members; queries mutate members, plus one
+// unrelated architecture.
+struct DeepSpaceCatalog {
+  std::vector<ArchGraph> graphs;
+  std::vector<ArchGraph> queries;
+};
+
+DeepSpaceCatalog deepspace_catalog() {
+  workload::DeepSpaceConfig cfg;
+  cfg.input_dim = 8;
+  cfg.widths = {8, 16, 24, 32};
+  workload::DeepSpace space(cfg);
+  common::Xoshiro256 rng(91);
+  DeepSpaceCatalog out;
+  std::vector<workload::DeepSpaceSeq> seqs;
+  for (int base = 0; base < 6; ++base) {
+    seqs.push_back(space.random(rng));
+    seqs.push_back(space.mutate(seqs.back(), rng));
+    seqs.push_back(space.mutate(seqs.back(), rng));
+  }
+  for (const auto& s : seqs) out.graphs.push_back(space.decode_graph(s));
+  for (int q = 0; q < 12; ++q) {
+    out.queries.push_back(
+        space.decode_graph(space.mutate(seqs[rng.below(seqs.size())], rng)));
+  }
+  out.queries.push_back(space.decode_graph(space.random(rng)));
+  return out;
+}
+
+template <typename Env>
+std::vector<ModelId> put_all(Env& env, const std::vector<ArchGraph>& graphs) {
+  std::vector<ModelId> ids;
+  auto task = [&]() -> sim::CoTask<void> {
+    for (const auto& g : graphs) {
+      model::Model m(env.repo->allocate_id(), g);
+      m.set_quality(0.25 * static_cast<double>(m.id().value % 4));
+      ids.push_back(m.id());
+      auto st = co_await env.repo->client(env.worker).put_model(m, nullptr);
+      EXPECT_TRUE(st.ok()) << st.to_string();
+    }
   };
-  populate(indexed, graphs, indexed_ids);
-  populate(scan, graphs, scan_ids);
+  env.run(task());
+  return ids;
+}
+
+template <typename Env>
+std::vector<wire::LcpQueryResponse> query_all(
+    Env& env, const std::vector<ArchGraph>& queries) {
+  std::vector<wire::LcpQueryResponse> out;
+  for (const auto& g : queries) {
+    auto r = env.run(env.repo->client(env.worker).query_lcp(g));
+    EXPECT_TRUE(r.ok());
+    out.push_back(r.ok() ? *r : wire::LcpQueryResponse{});
+  }
+  return out;
+}
+
+void expect_same_answers(const std::vector<wire::LcpQueryResponse>& a,
+                         const std::vector<wire::LcpQueryResponse>& b,
+                         const char* phase) {
+  ASSERT_EQ(a.size(), b.size()) << phase;
+  for (size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i].found, b[i].found) << phase << " query " << i;
+    EXPECT_EQ(a[i].ancestor, b[i].ancestor) << phase << " query " << i;
+    EXPECT_EQ(a[i].quality, b[i].quality) << phase << " query " << i;
+    EXPECT_EQ(a[i].matches, b[i].matches) << phase << " query " << i;
+  }
+}
+
+// Run the same workload against an indexed cluster and a scan-only cluster
+// and require identical LCP responses at every step, across put, retire,
+// and drain.
+void put_retire_drain_matches_scan(const std::vector<ArchGraph>& graphs,
+                                   const std::vector<ArchGraph>& queries) {
+  ClusterEnv indexed(4, indexed_config());
+  ClusterEnv scan(4, scan_config());
+  std::vector<ModelId> indexed_ids = put_all(indexed, graphs);
+  std::vector<ModelId> scan_ids = put_all(scan, graphs);
   ASSERT_EQ(indexed_ids, scan_ids);  // identical id streams => comparable
   expect_index_mirrors_catalog(*indexed.repo);
-
-  auto queries = [&]() {
-    std::vector<ArchGraph> qs;
-    for (int f = 0; f < 3; ++f) {
-      for (int t = 0; t < 4; ++t) {
-        qs.push_back(chain_graph(8, 16 + 8 * f, t % 3, 40 + t));
-      }
-    }
-    qs.push_back(chain_graph(8, 80));  // no family: found == false
-    return qs;
-  }();
-
-  auto expect_same_answers = [&](const char* phase) {
-    for (size_t i = 0; i < queries.size(); ++i) {
-      auto a = indexed.run(indexed.client().query_lcp(queries[i]));
-      auto b = scan.run(scan.client().query_lcp(queries[i]));
-      ASSERT_TRUE(a.ok() && b.ok()) << phase << " query " << i;
-      ASSERT_EQ(a->found, b->found) << phase << " query " << i;
-      if (a->found) {
-        EXPECT_EQ(a->ancestor, b->ancestor) << phase << " query " << i;
-        EXPECT_EQ(a->quality, b->quality) << phase << " query " << i;
-        EXPECT_EQ(a->matches, b->matches) << phase << " query " << i;
-      }
-    }
-  };
-  expect_same_answers("initial");
+  expect_same_answers(query_all(indexed, queries), query_all(scan, queries),
+                      "initial");
 
   // Retire a third of the catalog (same models in both clusters): the
   // index must drop them incrementally, no rebuild.
@@ -299,7 +343,8 @@ TEST(LcpIndexMaintenance, PutRetireDrainKeepAnswersIdenticalToScan) {
     ASSERT_TRUE(scan.run(scan.repo->retire(scan.worker, scan_ids[i])).ok());
   }
   expect_index_mirrors_catalog(*indexed.repo);
-  expect_same_answers("post-retire");
+  expect_same_answers(query_all(indexed, queries), query_all(scan, queries),
+                      "post-retire");
 
   // Drain one provider: its catalog migrates to peers (replicate installs
   // must index incrementally on the receivers; the drained provider's index
@@ -309,11 +354,21 @@ TEST(LcpIndexMaintenance, PutRetireDrainKeepAnswersIdenticalToScan) {
   EXPECT_EQ(indexed.repo->provider(1).prefix_index().model_count(), 0u);
   EXPECT_EQ(indexed.repo->provider(1).prefix_index().node_count(), 0u);
   expect_index_mirrors_catalog(*indexed.repo);
-  expect_same_answers("post-drain");
+  expect_same_answers(query_all(indexed, queries), query_all(scan, queries),
+                      "post-drain");
 
   EXPECT_GT(total_index_answers(*indexed.repo), 0u);
   EXPECT_EQ(total_verify_mismatches(*indexed.repo), 0u);
   EXPECT_EQ(total_index_answers(*scan.repo), 0u);  // flag off => pure scan
+}
+
+TEST(LcpIndexMaintenance, PutRetireDrainKeepAnswersIdenticalToScan) {
+  put_retire_drain_matches_scan(chain_catalog(), chain_queries());
+}
+
+TEST(LcpIndexMaintenance, DeepSpacePutRetireDrainKeepAnswersIdenticalToScan) {
+  DeepSpaceCatalog cat = deepspace_catalog();
+  put_retire_drain_matches_scan(cat.graphs, cat.queries);
 }
 
 // Backed cluster with a fault injector: crash-restart must REBUILD the
@@ -365,35 +420,16 @@ struct BackedEnv {
   }
 };
 
-TEST(LcpIndexMaintenance, RestartRebuildsAndRepairReindexes) {
+// Answers before a crash-restart, after it, and after a wiped provider is
+// repaired must all equal a scan-only cluster's.
+void restart_and_repair_match_scan(const std::vector<ArchGraph>& graphs,
+                                   const std::vector<ArchGraph>& queries) {
   BackedEnv env(3, indexed_config());
-  auto& client = env.repo->client(env.worker);
-
-  std::vector<ArchGraph> graphs;
-  for (int member = 0; member < 8; ++member) {
-    graphs.push_back(chain_graph(8, 16, 1 + member % 4, 3 + member));
-  }
-  auto populate = [&]() -> sim::CoTask<void> {
-    for (const auto& g : graphs) {
-      model::Model m(env.repo->allocate_id(), g);
-      m.set_quality(0.5);
-      auto st = co_await client.put_model(m, nullptr);
-      EXPECT_TRUE(st.ok()) << st.to_string();
-    }
-  };
-  env.run(populate());
+  BackedEnv scan(3, scan_config());
+  ASSERT_EQ(put_all(env, graphs), put_all(scan, graphs));
   expect_index_mirrors_catalog(*env.repo);
-
-  auto query_all = [&]() {
-    std::vector<wire::LcpQueryResponse> out;
-    for (const auto& g : graphs) {
-      auto r = env.run(client.query_lcp(g));
-      EXPECT_TRUE(r.ok());
-      out.push_back(r.ok() ? *r : wire::LcpQueryResponse{});
-    }
-    return out;
-  };
-  auto before = query_all();
+  const auto reference = query_all(scan, queries);
+  expect_same_answers(query_all(env, queries), reference, "initial");
 
   // Crash + restart with the backend intact: the catalog restores and the
   // index is REBUILT from it (it is never persisted).
@@ -402,12 +438,7 @@ TEST(LcpIndexMaintenance, RestartRebuildsAndRepairReindexes) {
   env.settle(2.0);
   EXPECT_GE(env.repo->provider(1).stats().restarts, 1u);
   expect_index_mirrors_catalog(*env.repo);
-  auto after_restart = query_all();
-  for (size_t i = 0; i < before.size(); ++i) {
-    EXPECT_EQ(before[i].found, after_restart[i].found) << i;
-    EXPECT_EQ(before[i].ancestor, after_restart[i].ancestor) << i;
-    EXPECT_EQ(before[i].matches, after_restart[i].matches) << i;
-  }
+  expect_same_answers(query_all(env, queries), reference, "post-restart");
 
   // Permanent loss: wipe the backend, restart empty, repair from peers.
   // The replicate-install path must feed the index on the rebuilt provider.
@@ -424,15 +455,69 @@ TEST(LcpIndexMaintenance, RestartRebuildsAndRepairReindexes) {
   ASSERT_TRUE(env.run(env.repo->repair_provider(kLost)).ok());
   EXPECT_GT(env.repo->provider(kLost).model_count(), 0u);
   expect_index_mirrors_catalog(*env.repo);
-
-  auto after_repair = query_all();
-  for (size_t i = 0; i < before.size(); ++i) {
-    EXPECT_EQ(before[i].found, after_repair[i].found) << i;
-    EXPECT_EQ(before[i].ancestor, after_repair[i].ancestor) << i;
-    EXPECT_EQ(before[i].matches, after_repair[i].matches) << i;
-  }
+  expect_same_answers(query_all(env, queries), reference, "post-repair");
   EXPECT_EQ(total_verify_mismatches(*env.repo), 0u);
   EXPECT_GT(total_index_answers(*env.repo), 0u);
+}
+
+TEST(LcpIndexMaintenance, RestartRebuildsAndRepairReindexes) {
+  std::vector<ArchGraph> graphs;
+  for (int member = 0; member < 8; ++member) {
+    graphs.push_back(chain_graph(8, 16, 1 + member % 4, 3 + member));
+  }
+  restart_and_repair_match_scan(graphs, graphs);
+}
+
+TEST(LcpIndexMaintenance, DeepSpaceRestartRebuildsAndRepairReindexes) {
+  DeepSpaceCatalog cat = deepspace_catalog();
+  restart_and_repair_match_scan(cat.graphs, cat.queries);
+}
+
+uint64_t total_fallback_scans(EvoStoreRepository& repo) {
+  uint64_t n = 0;
+  for (size_t p = 0; p < repo.provider_count(); ++p) {
+    n += repo.provider(p).stats().lcp_index_fallback_scans;
+  }
+  return n;
+}
+
+// One stored model with twins closes the clean gate: every query goes to
+// the scan until it retires, and then the index answers again.
+TEST(LcpIndexMaintenance, TwinModelClosesGateUntilRetired) {
+  // Two providers at replication 2: each stores every model.
+  ClusterEnv env(2, indexed_config());
+  const std::vector<ArchGraph> chains = {
+      chain_graph(6, 16), chain_graph(6, 16, 2, 5), chain_graph(6, 24)};
+  const std::vector<ModelId> ids = put_all(env, chains);
+  std::vector<model::LayerDef> defs;
+  defs.push_back(model::make_input(16));
+  defs.push_back(model::make_dense(16, 16));
+  defs.push_back(model::make_dense(16, 16));
+  defs.push_back(model::make_dense(16, 8));
+  auto twins = ArchGraph::from_parts(std::move(defs),
+                                     {{0, 1}, {0, 2}, {1, 3}, {2, 3}});
+  ASSERT_TRUE(twins.ok());
+  const ModelId twin = put_all(env, {twins.value()})[0];
+  for (size_t p = 0; p < env.repo->provider_count(); ++p) {
+    EXPECT_FALSE(env.repo->provider(p).prefix_index().all_clean()) << p;
+  }
+
+  auto query_each = [&](uint64_t index_answers, uint64_t scans) {
+    for (size_t i = 0; i < chains.size(); ++i) {
+      const uint64_t answers0 = total_index_answers(*env.repo);
+      const uint64_t scans0 = total_fallback_scans(*env.repo);
+      auto r = env.run(env.client().query_lcp(chains[i]));
+      ASSERT_TRUE(r.ok()) << i;
+      EXPECT_EQ(r->ancestor, ids[i]) << i;
+      EXPECT_EQ(total_index_answers(*env.repo) - answers0, index_answers) << i;
+      EXPECT_EQ(total_fallback_scans(*env.repo) - scans0, scans) << i;
+    }
+  };
+  query_each(0, 2);  // both providers scan
+  ASSERT_TRUE(env.run(env.repo->retire(env.worker, twin)).ok());
+  expect_index_mirrors_catalog(*env.repo);
+  query_each(2, 0);  // both providers answer from the index
+  EXPECT_EQ(total_verify_mismatches(*env.repo), 0u);
 }
 
 // ---- scan-once collective LCP under replication ---------------------------
