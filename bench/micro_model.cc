@@ -1,5 +1,6 @@
 // Micro-benchmarks for the model layer: flattening, canonical hashing,
-// serialization — the metadata costs behind every query and put.
+// serialization, the LCP query decode — the metadata costs behind every
+// query and put.
 #include <benchmark/benchmark.h>
 
 #include "model/model.h"
@@ -58,6 +59,46 @@ void BM_GraphSerde(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GraphSerde);
+
+// What a provider pays to decode an LCP query's graph, once per query leg:
+// the full ArchGraph decode (every LayerDef built) beside the shape-only
+// decode providers run (GraphShape::deserialize). `family` 0 is perfbench
+// lcp_catalog's DeepSpace space, 1 a CANDLE-ATTN candidate; `shape` picks
+// the decoder.
+void BM_LcpQueryDecode(benchmark::State& state) {
+  const bool candle = state.range(0) != 0;
+  const bool shape = state.range(1) != 0;
+  common::Xoshiro256 rng(5);
+  std::vector<common::Bytes> queries;
+  for (int i = 0; i < 64; ++i) {
+    model::ArchGraph g;
+    if (candle) {
+      nas::AttnSearchSpace space;
+      g = space.decode(space.random(rng));
+    } else {
+      workload::DeepSpaceConfig cfg;
+      cfg.input_dim = 8;
+      cfg.widths = {8, 16, 24, 32};
+      workload::DeepSpace space(cfg);
+      g = space.decode_graph(space.random(rng));
+    }
+    common::Serializer s;
+    g.serialize(s);
+    queries.push_back(std::move(s).take());
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    common::Deserializer d(queries[i++ % queries.size()]);
+    if (shape) {
+      benchmark::DoNotOptimize(model::GraphShape::deserialize(d).size());
+    } else {
+      benchmark::DoNotOptimize(model::ArchGraph::deserialize(d).size());
+    }
+  }
+}
+BENCHMARK(BM_LcpQueryDecode)
+    ->ArgsProduct({{0, 1}, {0, 1}})
+    ->ArgNames({"candle", "shape"});
 
 void BM_RandomModelCreation(benchmark::State& state) {
   nas::AttnSearchSpace space;

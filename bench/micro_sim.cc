@@ -93,6 +93,35 @@ void BM_RpcRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_RpcRoundTrip);
 
+// Sequential round trips with a 1 s deadline each. Every call cancels its
+// deadline timer, which stays queued until its simulated second passes, so
+// up to range(0) timers are pending while the loop runs: the cost of
+// cancelling one must not grow with them.
+void BM_RpcRoundTripDeadlinesPending(benchmark::State& state) {
+  const int64_t calls = state.range(0);
+  for (auto _ : state) {
+    Simulation sim;
+    net::Fabric fabric(sim);
+    net::RpcSystem rpc(fabric);
+    rpc.set_default_timeout(1.0);
+    auto a = fabric.add_node(25e9, 25e9);
+    auto b = fabric.add_node(25e9, 25e9);
+    rpc.register_handler(b, "echo",
+                         [](common::Bytes req) -> CoTask<common::Bytes> {
+                           co_return req;
+                         });
+    auto loop = [&]() -> CoTask<void> {
+      for (int64_t i = 0; i < calls; ++i) {
+        auto r = co_await rpc.call(a, b, "echo", common::Bytes(64));
+        benchmark::DoNotOptimize(r.ok());
+      }
+    };
+    sim.run_until_complete(loop());
+  }
+  state.SetItemsProcessed(state.iterations() * calls);
+}
+BENCHMARK(BM_RpcRoundTripDeadlinesPending)->Arg(1000)->Arg(10000);
+
 void BM_SemaphoreHandoff(benchmark::State& state) {
   for (auto _ : state) {
     Simulation sim;

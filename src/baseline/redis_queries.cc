@@ -139,12 +139,13 @@ sim::CoTask<LcpQueryResponse> RedisQueries::handle_query(LcpQueryRequest req,
   co_await cpu_->acquire();
   core::LcpCost cost;
   core::LcpWorkspace ws;
+  const model::GraphShape& query = req.graph.shape();
   Entry* best = nullptr;
   size_t scanned = 0;
   for (auto& [id, entry] : entries_) {
     if (!entry.published) continue;
     ++scanned;
-    core::LcpResult r = ws.run(req.graph, entry.graph, &cost);
+    core::LcpResult r = ws.run(query, entry.graph, &cost);
     if (r.length() != 0 &&
         resp.offer(id, entry.quality, std::move(r.matches))) {
       best = &entry;

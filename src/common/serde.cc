@@ -55,14 +55,16 @@ double Deserializer::f64() {
   return v;
 }
 
-std::string Deserializer::str() {
+std::string Deserializer::str() { return std::string(str_view()); }
+
+std::string_view Deserializer::str_view() {
   uint64_t n = checked_varint(UINT64_MAX);
   // NOTE: compare against the remaining byte count; `pos_ + n` could wrap.
   if (!status_.ok() || n > data_.size() - pos_) {
     fail("string past end");
     return {};
   }
-  std::string s(reinterpret_cast<const char*>(data_.data() + pos_), n);
+  std::string_view s(reinterpret_cast<const char*>(data_.data() + pos_), n);
   pos_ += n;
   return s;
 }

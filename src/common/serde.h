@@ -81,6 +81,9 @@ class Deserializer {
   bool boolean() { return u8() != 0; }
   double f64();
   std::string str();
+  /// `str()` without the copy: a view into the input, valid while the
+  /// source span lives. Fails exactly where `str()` fails.
+  std::string_view str_view();
   Bytes bytes();
   Buffer buffer();
 

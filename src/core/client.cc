@@ -75,13 +75,13 @@ double Client::backoff_delay(int attempt) {
 // ---- LCP query: broadcast + reduce ---------------------------------------
 
 sim::CoTask<Result<wire::LcpQueryResponse>> Client::lcp_one(
-    NodeId to, wire::LcpQueryRequest req, obs::TraceContext parent) {
+    NodeId to, Encoded request, obs::TraceContext parent) {
   // One span per fan-out leg, so the trace shows the broadcast shape (and
   // which leg a slow or retried attempt belonged to).
   obs::Span leg = obs::Tracer::maybe_begin(tracer(), "lcp_leg", self_, parent);
   leg.tag_u64("provider_node", to);
-  co_return co_await call_retried<wire::LcpQueryResponse>(
-      to, Provider::kLcpQuery, std::move(req), leg.context());
+  co_return co_await call_encoded<wire::LcpQueryResponse>(
+      to, Provider::kLcpQuery, std::move(request), leg.context());
 }
 
 sim::CoTask<Result<wire::LcpQueryResponse>> Client::query_lcp(
@@ -90,6 +90,7 @@ sim::CoTask<Result<wire::LcpQueryResponse>> Client::query_lcp(
   obs::Span span =
       obs::Tracer::maybe_begin(tracer(), "lcp_query", self_, parent);
   double t0 = rpc_->simulation().now();
+  // The query's one copy of `g`: every round encodes from it.
   wire::LcpQueryRequest req;
   req.graph = g;
   req.live = membership_->live_bytes();
@@ -108,11 +109,13 @@ sim::CoTask<Result<wire::LcpQueryResponse>> Client::query_lcp(
   // failed providers' shares, which their next live replicas hold
   // (DESIGN.md §15).
   for (int round = 1; round <= 2 && !asked.empty(); ++round) {
+    // One encoding per round: every leg and every retry sends these bytes.
+    const Encoded request = encode_once(req);
     std::vector<sim::Future<Result<wire::LcpQueryResponse>>> futures;
     futures.reserve(asked.size());
     for (common::ProviderId p : asked) {
       futures.push_back(
-          sim.spawn(lcp_one(provider_nodes_[p], req, span.context())));
+          sim.spawn(lcp_one(provider_nodes_[p], request, span.context())));
     }
     std::vector<common::ProviderId> answered;
     std::vector<common::ProviderId> failed;
@@ -159,7 +162,7 @@ sim::CoTask<Result<wire::LcpQueryResponse>> Client::query_lcp(
 
 // ---- put -----------------------------------------------------------------
 
-sim::CoTask<Status> Client::put_one(NodeId home, wire::PutModelRequest req,
+sim::CoTask<Status> Client::put_one(NodeId home, Encoded request,
                                     size_t payload_bytes,
                                     obs::TraceContext parent, int attempt_cap,
                                     bool prior_rounds) {
@@ -177,8 +180,8 @@ sim::CoTask<Status> Client::put_one(NodeId home, wire::PutModelRequest req,
     Status st = co_await rpc_->bulk(
         self_, home, common::Buffer::synthetic(payload_bytes, 0));
     if (st.ok()) {
-      auto r = co_await net::typed_call<wire::PutModelResponse>(
-          rpc_, self_, home, Provider::kPutModel, req,
+      auto r = co_await net::typed_call_encoded<wire::PutModelResponse>(
+          rpc_, self_, home, Provider::kPutModel, *request,
           net::CallOptions{config_.rpc_timeout, span.context()});
       st = r.ok() ? r->status : r.status();
     }
@@ -236,7 +239,7 @@ sim::CoTask<Status> Client::modify_refs(
     pending.clear();
     struct Group {
       std::vector<common::SegmentKey> keys;
-      std::vector<wire::ModifyRefsRequest> requests;  // leg i's
+      std::vector<Encoded> requests;  // leg i's
       WriteLegs<Result<wire::ModifyRefsResponse>> legs;
     };
     std::vector<Group> states;
@@ -246,7 +249,7 @@ sim::CoTask<Status> Client::modify_refs(
       g.keys = std::move(group_keys);
       g.legs = spawn_legs<Result<wire::ModifyRefsResponse>>(
           reps, [&](common::ProviderId p) {
-            wire::ModifyRefsRequest& req = g.requests.emplace_back();
+            wire::ModifyRefsRequest req;
             req.increment = first_round && increment;
             req.token = next_token();
             // Pin-ledger bookkeeping describes the caller's keys only; the
@@ -257,8 +260,10 @@ sim::CoTask<Status> Client::modify_refs(
               req.pin_consume = pin_consume;
             }
             req.keys = g.keys;
-            return call_retried<wire::ModifyRefsResponse>(
-                provider_node(p), Provider::kModifyRefs, req, parent);
+            g.requests.push_back(encode_once(req));
+            return call_encoded<wire::ModifyRefsResponse>(
+                provider_node(p), Provider::kModifyRefs, g.requests.back(),
+                parent);
           });
     }
     for (Group& g : states) {
@@ -266,7 +271,7 @@ sim::CoTask<Status> Client::modify_refs(
           co_await await_legs(g.legs);
       // The delta must land on every still-member replica eventually or
       // the copies diverge, so a hint that cannot be parked is an error.
-      auto request = [&g](size_t i) -> const wire::ModifyRefsRequest& {
+      auto request = [&g](size_t i) -> const Encoded& {
         return g.requests[i];
       };
       Status hinted = co_await hint_failed_legs(
@@ -342,11 +347,12 @@ sim::CoTask<Status> Client::send_hint(common::ProviderId target,
   req.hint.target = target;
   req.hint.method = std::move(method);
   req.hint.payload = std::move(payload);
+  const Encoded request = encode_once(req);
   Status last = Status::Unavailable("no live custodian for hint");
   for (common::ProviderId custodian : replicas) {
     if (custodian == target || !membership_->is_live(custodian)) continue;
-    auto r = co_await call_retried<wire::StoreHintResponse>(
-        provider_node(custodian), Provider::kStoreHint, req, parent);
+    auto r = co_await call_encoded<wire::StoreHintResponse>(
+        provider_node(custodian), Provider::kStoreHint, request, parent);
     Status st = r.ok() ? r->status : r.status();
     if (st.ok()) {
       ++fault_stats_.hints_sent;
@@ -441,6 +447,9 @@ sim::CoTask<Status> Client::put_model(const Model& m, const TransferContext* tc)
   encode.tag_u64("segments", req.new_segments.size());
   encode.tag_u64("physical_bytes", payload);
   encode.end();
+  // One encoding for the whole write: every leg, every round and the parked
+  // hint send these bytes.
+  const Encoded put_request = encode_once(req);
 
   auto& sim = rpc_->simulation();
   // The model write fans out to every replica in its rendezvous set (same
@@ -463,8 +472,8 @@ sim::CoTask<Status> Client::put_model(const Model& m, const TransferContext* tc)
       config_.retry.write_leg_attempts > 0 ? config_.retry.max_attempts : 1;
   auto put_legs = [&](bool prior_rounds) {
     return spawn_legs<Status>(put_reps, [&](common::ProviderId p) {
-      return put_one(provider_node(p), req, payload, span.context(), leg_cap,
-                     prior_rounds);
+      return put_one(provider_node(p), put_request, payload, span.context(),
+                     leg_cap, prior_rounds);
     });
   };
   WriteLegs<Status> legs = put_legs(/*prior_rounds=*/false);
@@ -535,7 +544,7 @@ sim::CoTask<Status> Client::put_model(const Model& m, const TransferContext* tc)
   // anti-entropy repair, it never loses the committed write.
   (void)co_await hint_failed_legs(
       Provider::kPutModel, put_reps, &outcomes,
-      [&req](size_t) -> const wire::PutModelRequest& { return req; },
+      [&put_request](size_t) -> const Encoded& { return put_request; },
       span.context());
   Status final_status = finish_op(combine(put_status, ref_status));
   span.tag("outcome", final_status.ok() ? "ok" : final_status.to_string());
@@ -1160,12 +1169,12 @@ sim::CoTask<Status> Client::retire(ModelId id) {
   // the cached owner map instead of answering NotFound (which would leak
   // every refcount the fan-out below is about to release). The same token
   // fans to every replica — each removes its copy of the metadata once.
-  wire::RetireRequest req{id, next_token()};
+  const Encoded request = encode_once(wire::RetireRequest{id, next_token()});
   WriteLegs<Result<wire::RetireResponse>> legs =
       spawn_legs<Result<wire::RetireResponse>>(
           replicas_of(id), [&](common::ProviderId p) {
-            return call_retried<wire::RetireResponse>(
-                provider_node(p), Provider::kRetire, req, span.context());
+            return call_encoded<wire::RetireResponse>(
+                provider_node(p), Provider::kRetire, request, span.context());
           });
   std::vector<Result<wire::RetireResponse>> outcomes =
       co_await await_legs(legs);
@@ -1195,7 +1204,7 @@ sim::CoTask<Status> Client::retire(ModelId id) {
   // a retired model. Best-effort, like a put's hint.
   (void)co_await hint_failed_legs(
       Provider::kRetire, legs.replicas, &outcomes,
-      [&req](size_t) -> const wire::RetireRequest& { return req; },
+      [&request](size_t) -> const Encoded& { return request; },
       span.context());
   // Drop every cached segment the retired model contributed — the bytes may
   // be freed the moment the decrements below land, and a later model reusing

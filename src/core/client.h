@@ -301,22 +301,41 @@ class Client {
   /// lifecycle events). Null when detached: call sites pay one branch.
   obs::EventLog* events() { return rpc_->events(); }
 
+  /// A request encoded once (DESIGN.md §7): the legs of a fan-out, the
+  /// attempts of a retried call, the rounds of a put and a parked hint all
+  /// send these bytes instead of encoding the request again. Shared, so a
+  /// spawned leg owns what it sends.
+  using Encoded = std::shared_ptr<const common::Bytes>;
+  template <typename Request>
+  static Encoded encode_once(const Request& request) {
+    return std::make_shared<const common::Bytes>(wire::encode(request));
+  }
+
   /// typed_call with the client's deadline, retried per RetryPolicy on
-  /// retryable failures. The request is reused verbatim across attempts, so
-  /// an embedded idempotency token stays stable for the logical operation.
-  /// Each attempt gets its own child span of `parent`, tagged with the
-  /// attempt number, the fault outcome, and (when retrying) the backoff.
+  /// retryable failures: `call_encoded` on the request's one encoding.
   template <typename Response, typename Request>
   sim::CoTask<Result<Response>> call_retried(NodeId to, std::string method,
-                                             Request request,
+                                             const Request& request,
+                                             obs::TraceContext parent = {}) {
+    return call_encoded<Response>(to, std::move(method), encode_once(request),
+                                  parent);
+  }
+  /// The retry loop behind call_retried. Every attempt sends the same
+  /// bytes, so an embedded idempotency token stays stable for the logical
+  /// operation. Each attempt gets its own child span of `parent`, tagged
+  /// with the attempt number, the fault outcome, and (when retrying) the
+  /// backoff.
+  template <typename Response>
+  sim::CoTask<Result<Response>> call_encoded(NodeId to, std::string method,
+                                             Encoded request,
                                              obs::TraceContext parent = {}) {
     for (int attempt = 1;; ++attempt) {
       obs::Span span =
           obs::Tracer::maybe_begin(tracer(), "attempt", self_, parent);
       span.tag("method", method);
       span.tag_u64("attempt", static_cast<uint64_t>(attempt));
-      auto r = co_await net::typed_call<Response>(
-          rpc_, self_, to, method, request,
+      auto r = co_await net::typed_call_encoded<Response>(
+          rpc_, self_, to, method, *request,
           net::CallOptions{config_.rpc_timeout, span.context()});
       if (r.ok() || !common::is_retryable(r.status().code())) {
         span.tag("outcome", r.ok() ? "ok" : r.status().to_string());
@@ -336,12 +355,12 @@ class Client {
   }
 
   // Spawned fan-out legs. Member coroutines so they can retry via the
-  // client's policy; they take their request BY VALUE — a lazily-started
-  // frame holding a reference to a loop-local request would dangle. The
-  // trace context is likewise by value.
+  // client's policy; they take their request BY VALUE or as a shared
+  // encoding — a lazily-started frame holding a reference to a loop-local
+  // request would dangle. The trace context is likewise by value.
   sim::CoTask<Result<wire::LcpQueryResponse>> lcp_one(
-      NodeId to, wire::LcpQueryRequest req, obs::TraceContext parent);
-  sim::CoTask<Status> put_one(NodeId home, wire::PutModelRequest req,
+      NodeId to, Encoded request, obs::TraceContext parent);
+  sim::CoTask<Status> put_one(NodeId home, Encoded request,
                               size_t payload_bytes, obs::TraceContext parent,
                               int attempt_cap, bool prior_rounds);
   sim::CoTask<Result<wire::ReadSegmentsResponse>> read_one(
@@ -393,7 +412,7 @@ class Client {
   }
   // The hint step: once any leg has landed, park a hint for each leg that
   // failed retryably and whose replica is still a member, on another live
-  // replica of the set. `request(i)` is leg i's request, encoded only here.
+  // replica of the set. `request(i)` is the encoding leg i sent.
   // Returns Ok, or the first hint that could not be parked.
   template <typename Outcome, typename Request>
   sim::CoTask<Status> hint_failed_legs(
@@ -410,9 +429,8 @@ class Client {
           !membership_->is_live(replicas[i])) {
         continue;
       }
-      Status hinted = co_await send_hint(replicas[i], method,
-                                         wire::encode(request(i)), replicas,
-                                         parent);
+      Status hinted = co_await send_hint(replicas[i], method, *request(i),
+                                         replicas, parent);
       status = combine(status, hinted);
     }
     co_return status;

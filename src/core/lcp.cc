@@ -17,7 +17,8 @@ size_t LcpResult::prefix_param_bytes(const ArchGraph& g) const {
   return total;
 }
 
-std::vector<VertexId> LcpResult::unmatched_g_vertices(const ArchGraph& g) const {
+std::vector<VertexId> LcpResult::unmatched_g_vertices(
+    const GraphShape& g) const {
   std::vector<bool> in_prefix(g.size(), false);
   for (auto [gv, av] : matches) {
     (void)av;
@@ -30,17 +31,17 @@ std::vector<VertexId> LcpResult::unmatched_g_vertices(const ArchGraph& g) const 
   return out;
 }
 
-LcpResult longest_common_prefix(const ArchGraph& g, const ArchGraph& a) {
+LcpResult longest_common_prefix(const GraphShape& g, const GraphShape& a) {
   return longest_common_prefix(g, a, nullptr);
 }
 
-LcpResult longest_common_prefix(const ArchGraph& g, const ArchGraph& a,
+LcpResult longest_common_prefix(const GraphShape& g, const GraphShape& a,
                                 LcpCost* cost) {
   LcpWorkspace ws;
   return ws.run(g, a, cost);
 }
 
-LcpResult LcpWorkspace::run(const ArchGraph& g, const ArchGraph& a,
+LcpResult LcpWorkspace::run(const GraphShape& g, const GraphShape& a,
                             LcpCost* cost) {
   LcpResult result;
   uint64_t visits_done = 0;

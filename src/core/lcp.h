@@ -32,6 +32,7 @@ namespace evostore::core {
 
 using common::VertexId;
 using model::ArchGraph;
+using model::GraphShape;
 
 struct LcpResult {
   /// (G vertex, A vertex) pairs forming the prefix; empty if even the roots
@@ -45,18 +46,18 @@ struct LcpResult {
 
   /// Vertices of `g` NOT in the prefix (the segments a derived model must
   /// store itself).
-  std::vector<VertexId> unmatched_g_vertices(const ArchGraph& g) const;
+  std::vector<VertexId> unmatched_g_vertices(const GraphShape& g) const;
 };
 
 /// Compute the longest common prefix of `g` against ancestor `a`.
-LcpResult longest_common_prefix(const ArchGraph& g, const ArchGraph& a);
+LcpResult longest_common_prefix(const GraphShape& g, const GraphShape& a);
 
 /// Number of vertex visits Algorithm 1 performs (the work the provider-side
 /// cost model charges for; exposed for benchmarks and tests).
 struct LcpCost {
   uint64_t vertex_visits = 0;
 };
-LcpResult longest_common_prefix(const ArchGraph& g, const ArchGraph& a,
+LcpResult longest_common_prefix(const GraphShape& g, const GraphShape& a,
                                 LcpCost* cost);
 
 /// Reusable scratch space for catalog scans: a provider evaluating one query
@@ -64,10 +65,10 @@ LcpResult longest_common_prefix(const ArchGraph& g, const ArchGraph& a,
 /// per-call vectors. Not thread-safe; one workspace per scanning context.
 class LcpWorkspace {
  public:
-  LcpResult run(const ArchGraph& g, const ArchGraph& a, LcpCost* cost);
+  LcpResult run(const GraphShape& g, const GraphShape& a, LcpCost* cost);
 
  private:
-  friend LcpResult longest_common_prefix(const ArchGraph&, const ArchGraph&,
+  friend LcpResult longest_common_prefix(const GraphShape&, const GraphShape&,
                                          LcpCost*);
   std::vector<VertexId> match_;
   std::vector<uint8_t> a_used_;

@@ -36,7 +36,7 @@ struct Walk {
 // and asks `admit(H(v))` whether v joins the walk. Edges into vertex 0 are
 // skipped, as Algorithm 1 skips them.
 template <typename Admit>
-Walk walk(const model::ArchGraph& g, Admit&& admit) {
+Walk walk(const model::GraphShape& g, Admit&& admit) {
   Walk w;
   const size_t n = g.size();
   if (n == 0) return w;
@@ -92,7 +92,7 @@ bool has_twins(const std::vector<Visit>& visits) {
 
 }  // namespace
 
-std::vector<common::Hash128> ancestry_hashes(const model::ArchGraph& g,
+std::vector<common::Hash128> ancestry_hashes(const model::GraphShape& g,
                                              bool* clean) {
   Walk w = walk(g, [](const common::Hash128&) { return true; });
   std::vector<common::Hash128> out(g.size());
@@ -216,7 +216,7 @@ void PrefixIndex::erase_slot(size_t i) {
 }
 
 void PrefixIndex::insert(common::ModelId id, double quality,
-                         const model::ArchGraph& g) {
+                         const model::GraphShape& g) {
   if (g.empty()) return;  // never matched by the scan
   bool clean = false;
   std::vector<common::Hash128> hashes = ancestry_hashes(g, &clean);
@@ -236,7 +236,7 @@ void PrefixIndex::insert(common::ModelId id, double quality,
   for (const common::Hash128& h : hashes) add(h, holder);
 }
 
-bool PrefixIndex::remove(common::ModelId id, const model::ArchGraph& g) {
+bool PrefixIndex::remove(common::ModelId id, const model::GraphShape& g) {
   if (g.empty()) return false;
   bool clean = false;
   std::vector<common::Hash128> hashes = ancestry_hashes(g, &clean);
@@ -277,7 +277,8 @@ bool PrefixIndex::remove(common::ModelId id, const model::ArchGraph& g) {
 
 void PrefixIndex::clear() { *this = PrefixIndex{}; }
 
-PrefixIndex::LookupResult PrefixIndex::lookup(const model::ArchGraph& g) const {
+PrefixIndex::LookupResult PrefixIndex::lookup(
+    const model::GraphShape& g) const {
   LookupResult r;
   std::vector<const Slot*> found;  // parallel to the admitted vertices
   found.reserve(g.size());
@@ -312,7 +313,7 @@ PrefixIndex::LookupResult PrefixIndex::lookup(const model::ArchGraph& g) const {
   return r;
 }
 
-PrefixIndex::Answer PrefixIndex::answer(const model::ArchGraph& query,
+PrefixIndex::Answer PrefixIndex::answer(const model::GraphShape& query,
                                         const StoredGraph& stored,
                                         LcpWorkspace& ws, LcpCost& cost) const {
   Answer out;
@@ -336,7 +337,7 @@ PrefixIndex::Answer PrefixIndex::answer(const model::ArchGraph& query,
     out.outcome = IndexOutcome::kBranchyScan;
     return out;
   }
-  const model::ArchGraph* a = stored(hit.best);
+  const model::GraphShape* a = stored(hit.best);
   LcpResult r;
   if (a != nullptr) r = ws.run(query, *a, &cost);
   if (a == nullptr || r.length() != hit.depth) {

@@ -51,7 +51,7 @@ namespace evostore::core {
 /// vertex the topological walk from vertex 0 never reaches (a second
 /// source, a cycle, a vertex below either) keeps a zero hash. `*clean`, if
 /// given, is set to whether `g` is clean.
-std::vector<common::Hash128> ancestry_hashes(const model::ArchGraph& g,
+std::vector<common::Hash128> ancestry_hashes(const model::GraphShape& g,
                                              bool* clean = nullptr);
 
 /// How the index branch of a `find_ancestor` query ended.
@@ -93,17 +93,17 @@ class PrefixIndex {
   /// Index a model. Empty graphs are not indexed (the scan never matches
   /// them). An unclean model is counted but holds no postings; while any
   /// is present the serving path scans.
-  void insert(common::ModelId id, double quality, const model::ArchGraph& g);
+  void insert(common::ModelId id, double quality, const model::GraphShape& g);
 
   /// Remove a model previously inserted with the same (id, graph). Returns
   /// false (and changes nothing) if it was never indexed.
-  bool remove(common::ModelId id, const model::ArchGraph& g);
+  bool remove(common::ModelId id, const model::GraphShape& g);
 
   /// Drop everything (drain, restart).
   void clear();
 
   /// Walk the query from vertex 0 (file comment).
-  LookupResult lookup(const model::ArchGraph& g) const;
+  LookupResult lookup(const model::GraphShape& g) const;
 
   /// The index branch of `find_ancestor`, shared by the provider, the
   /// tests and the benches: the clean gate, `lookup`, and one confirming
@@ -123,8 +123,8 @@ class PrefixIndex {
     bool needs_scan() const { return outcome != IndexOutcome::kIndex; }
   };
   using StoredGraph =
-      std::function<const model::ArchGraph*(common::ModelId)>;
-  Answer answer(const model::ArchGraph& query, const StoredGraph& stored,
+      std::function<const model::GraphShape*(common::ModelId)>;
+  Answer answer(const model::GraphShape& query, const StoredGraph& stored,
                 LcpWorkspace& ws, LcpCost& cost) const;
 
   size_t model_count() const { return model_count_; }

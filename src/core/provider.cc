@@ -1,7 +1,6 @@
 #include "core/provider.h"
 
 #include <algorithm>
-#include <set>
 
 #include "common/log.h"
 #include "core/lcp.h"
@@ -821,13 +820,13 @@ sim::CoTask<wire::LcpQueryResponse> Provider::handle_lcp_query(
       ctx.trace);
   ++stats_.lcp_queries;
   LcpCost cost;
-  LcpWorkspace ws;
+  const model::GraphShape& query = req.graph.shape();
   // Run Algorithm 1 against one stored model, keeping the best answer in
   // LcpQueryResponse::offer's order: the body of the share scan, of the
   // index path's fallback and of the verify oracle below.
   auto scan_model = [&](wire::LcpQueryResponse& out, LcpCost* c,
                         const CatalogEntry& entry) {
-    LcpResult r = ws.run(req.graph, entry.second.graph, c);
+    LcpResult r = lcp_ws_.run(query, entry.second.graph, c);
     if (r.length() != 0) {
       out.offer(entry.first, entry.second.quality, std::move(r.matches));
     }
@@ -840,12 +839,12 @@ sim::CoTask<wire::LcpQueryResponse> Provider::handle_lcp_query(
     // run. An unclean query or catalog, several maximal vertices, or a
     // confirm-run mismatch hands the query to the scan.
     hit = lcp_index_.answer(
-        req.graph,
-        [this](ModelId id) -> const ArchGraph* {
+        query,
+        [this](ModelId id) -> const model::GraphShape* {
           auto it = models_.find(id);
           return it == models_.end() ? nullptr : &it->second.graph;
         },
-        ws, cost);
+        lcp_ws_, cost);
     if (hit.needs_scan()) {
       ++stats_.lcp_index_fallback_scans;
       scan_needed = true;
@@ -929,14 +928,25 @@ Status Provider::drained_status() const {
   return Status::Unavailable("provider " + std::to_string(id_) + " drained");
 }
 
-std::vector<std::pair<ModelId, bool>> Provider::owner_ids() const {
-  std::vector<std::pair<ModelId, bool>> out;
-  for (ModelId id : model_ids()) out.emplace_back(id, true);
-  std::set<ModelId> orphan_owners;
+std::vector<Provider::OwnerPush> Provider::owner_pushes() const {
+  std::map<ModelId, std::vector<common::VertexId>> local;
   for (const auto& [key, entry] : segments_) {
-    if (models_.find(key.owner) == models_.end()) orphan_owners.insert(key.owner);
+    local[key.owner].push_back(key.vertex);
   }
-  for (ModelId owner : orphan_owners) out.emplace_back(owner, false);
+  std::vector<OwnerPush> out;
+  out.reserve(models_.size() + local.size());
+  auto add = [&](ModelId id, bool with_meta) {
+    OwnerPush& push = out.emplace_back(OwnerPush{id, with_meta, {}});
+    auto it = local.find(id);
+    if (it == local.end()) return;
+    // segments_ is hashed: sort for a deterministic push order.
+    push.vertices = std::move(it->second);
+    std::sort(push.vertices.begin(), push.vertices.end());
+  };
+  for (ModelId id : model_ids()) add(id, true);
+  for (const auto& [owner, vertices] : local) {
+    if (models_.find(owner) == models_.end()) add(owner, false);
+  }
   return out;
 }
 
@@ -1202,14 +1212,13 @@ sim::CoTask<wire::ReplicateResponse> Provider::handle_replicate(
 }
 
 sim::CoTask<uint64_t> Provider::push_owner(
-    common::ModelId id, bool with_meta,
-    std::vector<common::ProviderId> targets,
+    OwnerPush owner, std::vector<common::ProviderId> targets,
     std::vector<common::NodeId> provider_nodes,
     std::vector<common::NodeId> peer_nodes, obs::TraceContext parent) {
   wire::ReplicateRequest rr;
-  rr.id = id;
-  auto mit = models_.find(id);
-  if (with_meta && mit != models_.end()) {
+  rr.id = owner.id;
+  auto mit = models_.find(owner.id);
+  if (owner.with_meta && mit != models_.end()) {
     rr.has_meta = true;
     rr.graph = mit->second.graph;
     rr.owners = mit->second.owners;
@@ -1217,22 +1226,17 @@ sim::CoTask<uint64_t> Provider::push_owner(
     rr.ancestor = mit->second.ancestor;
     rr.store_time = mit->second.store_time;
   }
-  // Deterministic segment order (segments_ is hashed): sort by vertex.
-  std::vector<std::pair<common::SegmentKey, const SegEntry*>> local;
-  for (const auto& [key, entry] : segments_) {
-    if (key.owner == id) local.push_back({key, &entry});
-  }
-  std::sort(local.begin(), local.end(), [](const auto& a, const auto& b) {
-    return a.first.vertex < b.first.vertex;
-  });
-  for (const auto& [key, entry] : local) {
+  for (common::VertexId v : owner.vertices) {
+    auto it = segments_.find(common::SegmentKey{owner.id, v});
+    if (it == segments_.end()) continue;  // freed since the pass began
     rr.segments.push_back(wire::ReplicateSegment{
-        key, entry->segment,
-        static_cast<uint32_t>(std::max(entry->refs, 0))});
+        it->first, it->second.segment,
+        static_cast<uint32_t>(std::max(it->second.refs, 0))});
   }
   rr.source_node = node_;
   rr.peer_nodes = std::move(peer_nodes);
   const uint64_t pushed = rr.segments.size();
+  const common::Bytes request = wire::encode(rr);
   for (common::ProviderId target : targets) {
     if (target >= provider_nodes.size()) continue;
     net::CallOptions opts;
@@ -1240,8 +1244,8 @@ sim::CoTask<uint64_t> Provider::push_owner(
     opts.parent = parent;
     // Best effort: a joiner that is down right now is rebuilt by the next
     // repair pass; the surviving replicas still hold everything.
-    (void)co_await net::typed_call<wire::ReplicateResponse>(
-        rpc_, node_, provider_nodes[target], kReplicate, rr, opts);
+    (void)co_await net::typed_call_encoded<wire::ReplicateResponse>(
+        rpc_, node_, provider_nodes[target], kReplicate, request, opts);
   }
   co_return pushed;
 }
@@ -1295,9 +1299,11 @@ sim::CoTask<wire::DrainResponse> Provider::handle_drain(
     }
     return std::make_pair(joiners, peers);
   };
-  for (auto [id, with_meta] : owner_ids()) {
-    auto [joiners, peers] = joiners_of(id);
-    uint64_t segs = co_await push_owner(id, with_meta, joiners,
+  std::vector<OwnerPush> owners = owner_pushes();
+  for (OwnerPush& owner : owners) {
+    const bool with_meta = owner.with_meta;
+    auto [joiners, peers] = joiners_of(owner.id);
+    uint64_t segs = co_await push_owner(std::move(owner), joiners,
                                         req.provider_nodes, peers,
                                         span.context());
     if (with_meta) {
@@ -1420,11 +1426,14 @@ sim::CoTask<wire::RepairResponse> Provider::handle_repair(
     return peers;
   };
   const std::vector<common::ProviderId> target_only{req.target};
-  for (auto [id, with_meta] : owner_ids()) {
-    if (!responsible(id)) continue;
+  std::vector<OwnerPush> owners = owner_pushes();
+  for (OwnerPush& owner : owners) {
+    if (!responsible(owner.id)) continue;
+    const bool with_meta = owner.with_meta;
+    std::vector<common::NodeId> peers = peers_of(owner.id);
     uint64_t segs =
-        co_await push_owner(id, with_meta, target_only, req.provider_nodes,
-                            peers_of(id), span.context());
+        co_await push_owner(std::move(owner), target_only, req.provider_nodes,
+                            std::move(peers), span.context());
     if (with_meta) ++resp.models_pushed;
     resp.segments_pushed += segs;
   }

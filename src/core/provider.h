@@ -408,18 +408,26 @@ class Provider {
   void erase_hint(uint64_t seq);
   /// The answer to a write (put, hint, replicate push) once drained.
   common::Status drained_status() const;
+  /// One owner id's local state, as a drain or repair pass pushes it.
+  struct OwnerPush {
+    common::ModelId id;
+    bool with_meta = false;  // a stored model: push its metadata too
+    std::vector<common::VertexId> vertices;  // its local segments, ascending
+  };
   /// Every owner id with local state, in push order for drain and repair:
-  /// models first (`true`: push the metadata too), then orphan segment
-  /// owners (meta retired, payloads alive through inherited references).
-  std::vector<std::pair<common::ModelId, bool>> owner_ids() const;
-  /// Push one owner id's local state (metadata when `with_meta`, plus every
-  /// locally stored segment owned by it) to each provider in `targets` via
+  /// models first, then orphan segment owners (meta retired, payloads alive
+  /// through inherited references). One walk over the segments groups them
+  /// by owner for the whole pass.
+  std::vector<OwnerPush> owner_pushes() const;
+  /// Push one owner id's local state (metadata when `with_meta`, plus each
+  /// of its segments still stored: an earlier push of the pass may have
+  /// awaited while a decrement freed some) to each provider in `targets` via
   /// evostore.replicate. `peer_nodes` names where missing chunk bodies can
   /// be fetched besides this provider. Returns segments pushed (counted once
   /// whatever the fan-out, for drain/repair reporting).
   /// `parent` parents the replicate RPC spans under the caller's drain /
   /// repair serve span (invalid roots them, matching the untraced path).
-  sim::CoTask<uint64_t> push_owner(common::ModelId id, bool with_meta,
+  sim::CoTask<uint64_t> push_owner(OwnerPush owner,
                                    std::vector<common::ProviderId> targets,
                                    std::vector<common::NodeId> provider_nodes,
                                    std::vector<common::NodeId> peer_nodes,
@@ -483,6 +491,10 @@ class Provider {
   /// mutation when config.lcp_index is set; rebuilt (not restored) on
   /// restart, like the chunk store. Empty when the flag is off.
   PrefixIndex lcp_index_;
+  /// Algorithm 1's scratch space, shared by every LCP query this provider
+  /// serves. A query uses it only before its first suspension, so queries
+  /// interleaving in sim time never meet inside it.
+  LcpWorkspace lcp_ws_;
   /// This provider's primary share of the catalog under `view`, the ring
   /// view of the last round-1 LCP query (empty: none cached yet). Derived
   /// state like the prefix index: never persisted. install_model and

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <concepts>
 #include <cstdint>
 #include <span>
@@ -18,6 +19,7 @@
 #include <tuple>
 #include <type_traits>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/serde.h"
@@ -250,8 +252,8 @@ struct Codec<T> {
   }
 };
 
-/// Types defined outside this file that bring their own serde (ArchGraph,
-/// OwnerMap, CompressedSegment).
+/// Types that bring their own serde (ArchGraph, OwnerMap, CompressedSegment,
+/// QueryGraph).
 template <typename T>
   requires(!HasFields<T>) && requires(const T& v, Serializer& s,
                                       Deserializer& d) {
@@ -800,6 +802,38 @@ struct RepairResponse {
 
 // ---- lcp_query (provider-side collective piece) --------------------------
 
+/// An LCP query's graph (DESIGN.md §7). The client copies or moves its
+/// ArchGraph in (a request never borrows the caller's graph), and it
+/// encodes exactly as ArchGraph::serialize does. A provider decodes only
+/// the shape Algorithm 1 reads (GraphShape::deserialize), without building
+/// any LayerDef; a decoded query is answered, never encoded again.
+class QueryGraph {
+ public:
+  QueryGraph() = default;
+  // NOLINTNEXTLINE(google-explicit-constructor): a query is its graph
+  QueryGraph(ArchGraph graph) : graph_(std::move(graph)) {}
+
+  /// The shape Algorithm 1 reads, on either side of the wire.
+  const model::GraphShape& shape() const {
+    return std::visit(
+        [](const auto& g) -> const model::GraphShape& { return g; }, graph_);
+  }
+
+  void serialize(Serializer& s) const {
+    const ArchGraph* g = std::get_if<ArchGraph>(&graph_);
+    assert(g != nullptr && "a decoded query has no layers to encode");
+    if (g != nullptr) g->serialize(s);
+  }
+  static QueryGraph deserialize(Deserializer& d) {
+    QueryGraph q;
+    q.graph_ = model::GraphShape::deserialize(d);
+    return q;
+  }
+
+ private:
+  std::variant<ArchGraph, model::GraphShape> graph_;
+};
+
 /// One round of the collective LCP query (DESIGN.md §15). Each provider
 /// scans only its share of the catalog: the models it is the first live
 /// replica of under `live`, the client's ring view in DrainRequest's
@@ -808,7 +842,7 @@ struct RepairResponse {
 /// of their round-1 shares that now falls to it. `cover` is empty in
 /// round 1.
 struct LcpQueryRequest {
-  ArchGraph graph;
+  QueryGraph graph;
   std::vector<uint8_t> live{};
   std::vector<common::ProviderId> cover{};
 

@@ -1,7 +1,9 @@
 #include "model/arch_graph.h"
 
 #include <algorithm>
+#include <iterator>
 #include <queue>
+#include <string_view>
 
 namespace evostore::model {
 
@@ -128,24 +130,30 @@ common::Result<ArchGraph> ArchGraph::from_parts(
 }
 
 void ArchGraph::finalize() {
-  size_t n = defs_.size();
-  sigs_.resize(n);
-  for (size_t i = 0; i < n; ++i) sigs_[i] = defs_[i].signature();
-  in_degree_.assign(n, 0);
+  sigs_.resize(defs_.size());
+  for (size_t i = 0; i < defs_.size(); ++i) sigs_[i] = defs_[i].signature();
+  count_in_degrees();
+}
+
+void GraphShape::count_in_degrees() {
+  in_degree_.assign(sigs_.size(), 0);
   for (const auto& adj : out_) {
     for (VertexId v : adj) ++in_degree_[v];
   }
+}
+
+common::Hash128 GraphShape::graph_hash() const {
   common::Hasher128 h(0xa2c4);
-  h.u64(n);
-  for (size_t i = 0; i < n; ++i) {
+  h.u64(size());
+  for (size_t i = 0; i < size(); ++i) {
     h.h128(sigs_[i]);
     h.u64(out_[i].size());
     for (VertexId v : out_[i]) h.u64(v);
   }
-  graph_hash_ = h.finish();
+  return h.finish();
 }
 
-size_t ArchGraph::edge_count() const {
+size_t GraphShape::edge_count() const {
   size_t n = 0;
   for (const auto& adj : out_) n += adj.size();
   return n;
@@ -166,6 +174,25 @@ void ArchGraph::serialize(common::Serializer& s) const {
   }
 }
 
+bool GraphShape::read_edges(common::Deserializer& d, size_t n) {
+  out_.assign(n, {});
+  for (size_t i = 0; i < n && d.ok(); ++i) {
+    uint64_t deg = d.u64();
+    if (!d.check_count(deg)) break;
+    out_[i].resize(deg);
+    for (auto& v : out_[i]) {
+      v = d.u32();
+      if (v >= n) {
+        // Malformed input: an edge target outside the vertex range must not
+        // reach the in-degree count.
+        (void)d.check_count(UINT64_MAX);  // fail the stream
+        return false;
+      }
+    }
+  }
+  return d.ok();
+}
+
 ArchGraph ArchGraph::deserialize(common::Deserializer& d) {
   ArchGraph g;
   uint64_t n = d.u64();
@@ -174,25 +201,69 @@ ArchGraph ArchGraph::deserialize(common::Deserializer& d) {
   for (uint64_t i = 0; i < n && d.ok(); ++i) {
     g.defs_.push_back(LayerDef::deserialize(d));
   }
-  if (!d.ok()) return g;
-  g.out_.assign(n, {});
-  for (uint64_t i = 0; i < n && d.ok(); ++i) {
-    uint64_t deg = d.u64();
-    if (!d.check_count(deg)) break;
-    g.out_[i].resize(deg);
-    for (auto& v : g.out_[i]) {
-      v = d.u32();
-      if (v >= n) {
-        // Malformed input: an edge target outside the vertex range must not
-        // reach finalize()'s in-degree accounting.
-        g.out_.clear();
-        g.defs_.clear();
-        (void)d.check_count(UINT64_MAX);  // fail the stream
-        return g;
-      }
-    }
+  if (!d.ok() || !g.read_edges(d, n)) return ArchGraph{};
+  g.finalize();
+  return g;
+}
+
+namespace {
+
+// One layer's parameters as encoded: key views into the input.
+template <typename V>
+using ParamViews = std::vector<std::pair<std::string_view, V>>;
+
+// Read `count` (key, value) pairs as LayerDef::deserialize reads them.
+template <typename V, typename ReadValue>
+void read_params(common::Deserializer& d, uint64_t count, ParamViews<V>& out,
+                 ReadValue read_value) {
+  out.clear();
+  for (uint64_t i = 0; i < count && d.ok(); ++i) {
+    std::string_view key = d.str_view();
+    V value = read_value(d);
+    out.emplace_back(key, value);
   }
-  if (d.ok()) g.finalize();
+  // LayerDef::set_int / set_float keep the keys sorted and let a repeated
+  // key's last value win. LayerDef::serialize writes them that way, so this
+  // is one comparison pass for every encoding it produced.
+  auto before = [](const auto& a, const auto& b) { return a.first < b.first; };
+  auto not_before = [&](const auto& a, const auto& b) { return !before(a, b); };
+  if (std::adjacent_find(out.begin(), out.end(), not_before) == out.end()) {
+    return;
+  }
+  std::stable_sort(out.begin(), out.end(), before);
+  auto kept = out.begin();
+  for (auto it = out.begin(); it != out.end(); ++it) {
+    auto next = std::next(it);
+    if (next == out.end() || next->first != it->first) *kept++ = *it;
+  }
+  out.erase(kept, out.end());
+}
+
+}  // namespace
+
+GraphShape GraphShape::deserialize(common::Deserializer& d) {
+  GraphShape g;
+  uint64_t n = d.u64();
+  if (!d.check_count(n)) return g;
+  g.sigs_.reserve(n);
+  // LayerDef::deserialize's reads, in its order, so the stream fails at the
+  // same byte with the same status.
+  ParamViews<int64_t> ints;
+  ParamViews<double> floats;
+  for (uint64_t i = 0; i < n && d.ok(); ++i) {
+    auto kind = static_cast<LayerKind>(d.u8());
+    (void)d.str_view();  // the display name: never part of the signature
+    uint64_t ni = d.u64();
+    if (!d.ok()) break;
+    read_params(d, ni, ints, [](common::Deserializer& in) { return in.i64(); });
+    uint64_t nf = d.u64();
+    if (!d.ok()) break;
+    read_params(d, nf, floats,
+                [](common::Deserializer& in) { return in.f64(); });
+    g.sigs_.push_back(layer_signature(kind, ints, floats));
+  }
+  if (!d.ok() || !g.read_edges(d, n)) return GraphShape{};
+  g.count_in_degrees();
   return g;
 }
 

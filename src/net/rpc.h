@@ -189,24 +189,21 @@ class RpcSystem {
   obs::Histogram* hist_bulk_bytes_ = nullptr;
 };
 
-/// Convenience: serialize a request struct, call, deserialize the response.
-/// Request/Response must provide `void serialize(common::Serializer&) const`
-/// and `static Response deserialize(common::Deserializer&)`.
+/// The call behind `typed_call`, for a request already encoded: send
+/// `request` as is and decode the response. A fan-out encodes its request
+/// once and sends each leg and each retry a copy of those bytes.
 /// A malformed response is annotated with the method and target node so the
 /// failure is attributable without a packet trace. The server-side twin is
 /// `register_typed_handler`.
 /// `rpc` is a pointer and `method` a by-value copy because both are used
 /// after the call suspends (EVO-CORO-003: the caller's frame may be gone
 /// when this coroutine resumes).
-template <typename Response, typename Request>
-sim::CoTask<Result<Response>> typed_call(RpcSystem* rpc, NodeId from, NodeId to,
-                                         std::string method,
-                                         const Request& request,
-                                         CallOptions options = {}) {
-  common::Serializer s;
-  request.serialize(s);
-  auto raw =
-      co_await rpc->call(from, to, method, std::move(s).take(), options);
+template <typename Response>
+sim::CoTask<Result<Response>> typed_call_encoded(RpcSystem* rpc, NodeId from,
+                                                 NodeId to, std::string method,
+                                                 Bytes request,
+                                                 CallOptions options = {}) {
+  auto raw = co_await rpc->call(from, to, method, std::move(request), options);
   if (!raw.ok()) co_return raw.status();
   common::Deserializer d(raw.value());
   Response resp = Response::deserialize(d);
@@ -217,6 +214,21 @@ sim::CoTask<Result<Response>> typed_call(RpcSystem* rpc, NodeId from, NodeId to,
             rpc->fabric().node_name(to) + ": " + d.status().message());
   }
   co_return resp;
+}
+
+/// Convenience: serialize a request struct, call, deserialize the response.
+/// Request/Response must provide `void serialize(common::Serializer&) const`
+/// and `static Response deserialize(common::Deserializer&)`. The request is
+/// encoded here, before this returns, so the task never reads it.
+template <typename Response, typename Request>
+sim::CoTask<Result<Response>> typed_call(RpcSystem* rpc, NodeId from, NodeId to,
+                                         std::string method,
+                                         const Request& request,
+                                         CallOptions options = {}) {
+  common::Serializer s;
+  request.serialize(s);
+  return typed_call_encoded<Response>(rpc, from, to, std::move(method),
+                                      std::move(s).take(), options);
 }
 
 namespace detail {

@@ -1,7 +1,5 @@
 #include "sim/simulation.h"
 
-#include <algorithm>
-
 #include "common/log.h"
 
 namespace evostore::sim {
@@ -36,23 +34,15 @@ uint64_t Simulation::run(uint64_t max_steps) {
     now_ = e.t;
     ++processed;
     ++steps_;
-    if (e.callback) {
-      prune_cell(e.seq);
-      if (!e.callback->cancelled) e.callback->fn();
-    } else if (e.handle) {
+    if (e.handle) {
       e.handle.resume();
+    } else if (auto it = callbacks_.find(e.seq); it != callbacks_.end()) {
+      std::function<void()> fn = std::move(it->second);
+      callbacks_.erase(it);
+      fn();
     }
   }
   return processed;
-}
-
-void Simulation::prune_cell(uint64_t token) {
-  auto it = std::find_if(cells_.begin(), cells_.end(),
-                         [&](const auto& p) { return p.first == token; });
-  if (it != cells_.end()) {
-    std::swap(*it, cells_.back());
-    cells_.pop_back();
-  }
 }
 
 }  // namespace evostore::sim

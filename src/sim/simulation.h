@@ -17,6 +17,7 @@
 #include <functional>
 #include <memory>
 #include <queue>
+#include <unordered_map>
 #include <vector>
 
 #include "sim/task.h"
@@ -103,29 +104,21 @@ class Simulation {
   /// Resume `h` at virtual time `t` (>= now).
   void schedule_handle(SimTime t, std::coroutine_handle<> h) {
     assert(t >= now_);
-    queue_.push(Entry{t, next_seq_++, h, nullptr});
+    queue_.push(Entry{t, next_seq_++, h});
   }
 
   /// Run `fn` at virtual time `t`. Returns a token usable with `cancel`.
   uint64_t schedule_callback(SimTime t, std::function<void()> fn) {
     assert(t >= now_);
-    auto cell = std::make_shared<CallbackCell>();
-    cell->fn = std::move(fn);
     uint64_t token = next_seq_++;
-    cells_.emplace_back(token, cell);
-    queue_.push(Entry{t, token, {}, std::move(cell)});
+    callbacks_.emplace(token, std::move(fn));
+    queue_.push(Entry{t, token, {}});
     return token;
   }
 
-  /// Cancel a pending callback (no-op if it already ran).
-  void cancel(uint64_t token) {
-    for (auto& [id, cell] : cells_) {
-      if (id == token) {
-        cell->cancelled = true;
-        return;
-      }
-    }
-  }
+  /// Cancel a pending callback (no-op if it already ran). O(1): the
+  /// callback is dropped, and its queue entry drains as a no-op.
+  void cancel(uint64_t token) { callbacks_.erase(token); }
 
   /// Awaitable: suspend the current coroutine for `dt` virtual seconds.
   struct DelayAwaiter {
@@ -168,15 +161,11 @@ class Simulation {
   }
 
  private:
-  struct CallbackCell {
-    std::function<void()> fn;
-    bool cancelled = false;
-  };
+  // A null `handle` marks a callback, keyed by `seq` in callbacks_.
   struct Entry {
     SimTime t;
     uint64_t seq;
     std::coroutine_handle<> handle;
-    std::shared_ptr<CallbackCell> callback;
     bool operator>(const Entry& o) const {
       if (t != o.t) return t > o.t;
       return seq > o.seq;
@@ -222,10 +211,9 @@ class Simulation {
   uint64_t next_seq_ = 0;
   uint64_t steps_ = 0;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue_;
-  // Live callback cells for cancellation lookup; pruned as they fire.
-  std::vector<std::pair<uint64_t, std::shared_ptr<CallbackCell>>> cells_;
-
-  void prune_cell(uint64_t token);
+  // Callbacks not yet fired or cancelled, by token. Point lookups only:
+  // the queue alone orders events, so nothing iterates this map.
+  std::unordered_map<uint64_t, std::function<void()>> callbacks_;
 };
 
 namespace detail {

@@ -5,8 +5,10 @@
 
 #include "common/rng.h"
 #include "core/wire.h"
+#include "nas/attn_space.h"
 #include "storage/h5file.h"
 #include "tests/core/test_env.h"
+#include "workload/deepspace.h"
 
 namespace evostore {
 namespace {
@@ -93,6 +95,45 @@ TEST(Fuzz, ArchGraphDecodeRejectsOrRoundTrips) {
   // Some mutations (e.g., hyperparameter bit flips) decode fine — but the
   // framing must catch structural damage most of the time.
   EXPECT_LT(ok_count, 1500);
+}
+
+// The shape-only decode a provider runs on LCP queries agrees with the full
+// decode on every mutation: the same status at the same position, and the
+// same shape whenever both succeed.
+TEST(Fuzz, GraphShapeDecodeAgreesWithArchGraph) {
+  Xoshiro256 rng(4);
+  workload::DeepSpaceConfig narrow;
+  narrow.input_dim = 8;
+  narrow.widths = {8, 16, 24, 32};
+  workload::DeepSpace space(narrow);
+  nas::AttnSearchSpace attn;
+  const std::vector<model::ArchGraph> graphs = {
+      core::testing::chain_graph(6, 16, 2),
+      space.decode_graph(space.random(rng)),
+      attn.decode(attn.random(rng)),
+  };
+  int ok_count = 0;
+  for (const model::ArchGraph& graph : graphs) {
+    Serializer s;
+    graph.serialize(s);
+    const Bytes valid = s.data();
+    for (int iter = 0; iter < 1500; ++iter) {
+      Bytes mutated = mutate_bytes(valid, rng);
+      Deserializer full(mutated);
+      auto g = model::ArchGraph::deserialize(full);
+      Deserializer shape(mutated);
+      auto sh = model::GraphShape::deserialize(shape);
+      ASSERT_EQ(shape.status(), full.status()) << "iteration " << iter;
+      ASSERT_EQ(shape.position(), full.position()) << "iteration " << iter;
+      if (full.ok()) {
+        ++ok_count;
+        ASSERT_EQ(sh, g) << "iteration " << iter;
+      }
+    }
+  }
+  // Both outcomes ran: bit flips in parameter values decode fine.
+  EXPECT_GT(ok_count, 100);
+  EXPECT_LT(ok_count, 4000);
 }
 
 TEST(Fuzz, WireMessagesSurviveMutation) {

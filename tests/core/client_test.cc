@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
+#include "core/placement.h"
+#include "net/fault.h"
 #include "tests/core/test_env.h"
 
 namespace evostore::core {
@@ -244,6 +248,130 @@ TEST(Client, QueryLcpTieOnLengthAndQualityPicksLowerId) {
   EXPECT_EQ(r->ancestor, low);
   EXPECT_EQ(r->lcp_len(), g.size());
   EXPECT_DOUBLE_EQ(r->quality, 0.5);
+}
+
+// ---- one encoding per logical request (DESIGN.md §7) ----------------------
+
+// Stub provider nodes: raw handlers that record every request's bytes, per
+// node and method, and answer a fixed response. A node the fault injector
+// holds down answers nothing: its legs fail Unavailable.
+struct StubNodes {
+  sim::Simulation sim;
+  net::Fabric fabric;
+  net::RpcSystem rpc;
+  net::FaultInjector faults;
+  std::vector<common::NodeId> nodes;
+  common::NodeId worker;
+  std::map<std::pair<common::NodeId, std::string>, std::vector<common::Bytes>>
+      seen;
+
+  explicit StubNodes(size_t providers)
+      : fabric(sim,
+               net::FabricConfig{.latency = 1.5e-6, .local_latency = 2e-7}),
+        rpc(fabric),
+        faults(sim) {
+    for (size_t i = 0; i < providers; ++i) {
+      nodes.push_back(fabric.add_node(25e9, 25e9));
+    }
+    worker = fabric.add_node(25e9, 25e9);
+    rpc.set_fault_injector(&faults);
+  }
+
+  void serve(common::NodeId node, const std::string& method,
+             common::Bytes response) {
+    rpc.register_handler(
+        node, method,
+        [log = &seen[{node, method}],
+         response](common::Bytes request) -> sim::CoTask<common::Bytes> {
+          log->push_back(std::move(request));
+          co_return response;
+        });
+  }
+  const std::vector<common::Bytes>& requests(common::NodeId node,
+                                             const std::string& method) {
+    return seen[{node, method}];
+  }
+};
+
+TEST(EncodeOnce, LcpRoundsSendOneEncodingEach) {
+  StubNodes env(3);
+  for (common::NodeId node : env.nodes) {
+    env.serve(node, Provider::kLcpQuery,
+              wire::encode(wire::LcpQueryResponse{}));
+  }
+  env.faults.crash_node(env.nodes[1]);  // its round-1 leg fails
+  ClientConfig cfg;
+  cfg.retry.max_attempts = 2;
+  Client client(env.rpc, env.worker, 1, env.nodes, cfg);
+  const model::ArchGraph g = chain_graph(6, 16);
+  auto r = env.sim.run_until_complete(client.query_lcp(g));
+  ASSERT_TRUE(r.ok()) << r.status().to_string();
+  EXPECT_FALSE(r->found);
+  EXPECT_TRUE(r->partial);
+
+  // Round 1 asks every provider with the client's full ring view; the cover
+  // round asks the responders to cover provider 1's share.
+  const common::Bytes round1 =
+      wire::encode(wire::LcpQueryRequest{g, {1, 1, 1}, {}});
+  const common::Bytes round2 =
+      wire::encode(wire::LcpQueryRequest{g, {1, 0, 1}, {1}});
+  for (common::NodeId node : {env.nodes[0], env.nodes[2]}) {
+    const auto& seen = env.requests(node, Provider::kLcpQuery);
+    ASSERT_EQ(seen.size(), 2u);
+    EXPECT_EQ(seen[0], round1);
+    EXPECT_EQ(seen[1], round2);
+    auto cover = wire::decode<wire::LcpQueryRequest>(seen[1]);
+    ASSERT_TRUE(cover.ok());
+    EXPECT_EQ(cover->graph.shape(), g);
+    EXPECT_EQ(cover->live, (std::vector<uint8_t>{1, 0, 1}));
+    EXPECT_EQ(cover->cover, (std::vector<common::ProviderId>{1}));
+  }
+  EXPECT_TRUE(env.requests(env.nodes[1], Provider::kLcpQuery).empty());
+}
+
+TEST(EncodeOnce, PutLegsRetriesAndHintShareOneEncoding) {
+  StubNodes env(3);
+  const model::ArchGraph g = chain_graph(4, 16);
+  const ModelId id = ModelId::make(1, 1);  // the client's first id
+  const std::vector<common::ProviderId> reps = Membership(3, 2).replicas(id);
+  ASSERT_EQ(reps.size(), 2u);
+  // The first replica commits; the second answers Unavailable until its
+  // leg runs out of attempts, and its hint is parked on the first.
+  const common::NodeId committer = env.nodes[reps[0]];
+  const common::NodeId refuser = env.nodes[reps[1]];
+  env.serve(committer, Provider::kPutModel,
+            wire::encode(wire::PutModelResponse{common::Status::Ok(), 1}));
+  env.serve(refuser, Provider::kPutModel,
+            wire::encode(wire::PutModelResponse{
+                common::Status::Unavailable("stub"), 0}));
+  env.serve(committer, Provider::kStoreHint,
+            wire::encode(wire::StoreHintResponse{common::Status::Ok()}));
+  ClientConfig cfg;
+  cfg.retry.max_attempts = 3;
+  cfg.retry.initial_backoff = 0.001;
+  Client client(env.rpc, env.worker, 1, env.nodes, cfg);
+  ASSERT_EQ(client.allocate_id(), id);
+  auto m = model::Model::random(id, g, 3);
+  EXPECT_TRUE(env.sim.run_until_complete(client.put_model(m, nullptr)).ok());
+
+  const auto& committed = env.requests(committer, Provider::kPutModel);
+  const auto& refused = env.requests(refuser, Provider::kPutModel);
+  ASSERT_EQ(committed.size(), 1u);
+  ASSERT_EQ(refused.size(), 3u);  // every attempt of the failing leg
+  for (const common::Bytes& bytes : refused) EXPECT_EQ(bytes, committed[0]);
+  auto put = wire::decode<wire::PutModelRequest>(committed[0]);
+  ASSERT_TRUE(put.ok());
+  EXPECT_EQ(put->id, id);
+  EXPECT_EQ(put->graph.graph_hash(), g.graph_hash());
+
+  const auto& hints = env.requests(committer, Provider::kStoreHint);
+  ASSERT_EQ(hints.size(), 1u);
+  auto hint = wire::decode<wire::StoreHintRequest>(hints[0]);
+  ASSERT_TRUE(hint.ok());
+  EXPECT_EQ(hint->hint.target, reps[1]);
+  EXPECT_EQ(hint->hint.method, Provider::kPutModel);
+  EXPECT_EQ(hint->hint.payload, committed[0]);
+  EXPECT_EQ(client.fault_stats().hints_sent, 1u);
 }
 
 }  // namespace

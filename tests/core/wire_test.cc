@@ -529,7 +529,8 @@ TEST(Wire, LcpQueryMessages) {
   LcpQueryRequest req;
   req.graph = chain_graph(5, 16);
   auto rout = round_trip(req);
-  EXPECT_EQ(rout.graph.graph_hash(), req.graph.graph_hash());
+  // A provider decodes the query's shape only.
+  EXPECT_EQ(rout.graph.shape(), req.graph.shape());
 
   LcpQueryResponse resp;
   resp.found = true;
@@ -594,6 +595,20 @@ void expect_golden(const T& msg, std::string_view golden) {
   EXPECT_EQ(hex_of(back), golden);
 }
 
+// The LCP query variant of expect_golden: `golden` decodes into the query's
+// shape, live view and cover list. A decoded query holds no layer
+// definitions, so it is compared rather than encoded again.
+void expect_golden_query(const LcpQueryRequest& msg, std::string_view golden) {
+  EXPECT_EQ(hex_of(msg), golden);
+  Bytes bytes = unhex(golden);
+  Deserializer d(bytes);
+  LcpQueryRequest back = LcpQueryRequest::deserialize(d);
+  ASSERT_TRUE(d.finish().ok()) << d.status().to_string();
+  EXPECT_EQ(back.graph.shape(), msg.graph.shape());
+  EXPECT_EQ(back.live, msg.live);
+  EXPECT_EQ(back.cover, msg.cover);
+}
+
 const ModelId kGoldenId = ModelId::make(1, 2);
 const ModelId kGoldenAncestor = ModelId::make(1, 1);
 const common::Hash128 kGoldenDigest{0x1234, 0x5678};
@@ -653,10 +668,10 @@ TEST(WireGolden, ModelMessages) {
   expect_golden(RetireRequest{kGoldenId, 8}, "828080801008");
   expect_golden(RetireResponse{common::Status::Unavailable("r"), golden_owners()},
                 "08017202818080801000828080801001");
-  expect_golden(LcpQueryRequest{golden_graph()}, "020000010364696d080001000304626961730202696e08036f757408000101000000");
+  expect_golden_query(LcpQueryRequest{golden_graph()}, "020000010364696d080001000304626961730202696e08036f757408000101000000");
   // A cover round's ring view: provider 1 failed round 1.
-  expect_golden(LcpQueryRequest{golden_graph(), {1, 0, 1}, {1}},
-                "020000010364696d080001000304626961730202696e08036f75740800010100030100010101");
+  expect_golden_query(LcpQueryRequest{golden_graph(), {1, 0, 1}, {1}},
+                      "020000010364696d080001000304626961730202696e08036f75740800010100030100010101");
   // `partial` is client-side only: it never reaches the wire.
   expect_golden(LcpQueryResponse{true, kGoldenAncestor, 0.5, {{0, 0}, {1, 1}},
                                  true},

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <vector>
+
+#include "common/rng.h"
 
 namespace evostore::sim {
 namespace {
@@ -120,6 +124,59 @@ TEST(Simulation, CancelAfterFireIsNoop) {
   sim.run();
   sim.cancel(token);  // must not crash or double-fire
   EXPECT_EQ(count, 1);
+}
+
+// Cancellation is a point operation on the pending set: cancelling any
+// scrambled subset, before the run or from a callback mid-run, leaves
+// exactly the rest to fire, in (time, sequence) order.
+TEST(Simulation, CancelScrambledSubsetFiresExactlyTheRestInOrder) {
+  Simulation sim;
+  common::Xoshiro256 rng(61);
+  constexpr size_t kCount = 4000;
+  constexpr double kMidRun = 25.0;
+  std::vector<double> at(kCount);
+  std::vector<uint64_t> tokens(kCount);
+  std::vector<size_t> fired;
+  for (size_t i = 0; i < kCount; ++i) {
+    at[i] = static_cast<double>(rng.below(50));  // many equal times
+    tokens[i] =
+        sim.schedule_callback(at[i], [&fired, i] { fired.push_back(i); });
+  }
+  std::vector<size_t> order(kCount);
+  std::iota(order.begin(), order.end(), size_t{0});
+  for (size_t i = kCount - 1; i > 0; --i) {
+    std::swap(order[i], order[rng.below(i + 1)]);
+  }
+  std::vector<bool> cancelled(kCount, false);
+  for (size_t j = 0; j < kCount / 3; ++j) {
+    sim.cancel(tokens[order[j]]);
+    cancelled[order[j]] = true;
+  }
+  // From inside the run: cancel a further scrambled slice of what is still
+  // pending after kMidRun, and re-cancel some already-cancelled ones.
+  std::vector<size_t> later;
+  for (size_t j = kCount / 3; j < kCount / 2; ++j) {
+    if (at[order[j]] > kMidRun) later.push_back(order[j]);
+  }
+  (void)sim.schedule_callback(kMidRun, [&] {
+    for (size_t i : later) sim.cancel(tokens[i]);
+    for (size_t j = 0; j < 100; ++j) sim.cancel(tokens[order[j]]);
+  });
+  for (size_t i : later) cancelled[i] = true;
+  sim.run();
+
+  std::vector<size_t> expected;
+  for (size_t i = 0; i < kCount; ++i) {
+    if (!cancelled[i]) expected.push_back(i);
+  }
+  // Tokens grow with i, so (time, index) is the (time, sequence) order.
+  std::stable_sort(expected.begin(), expected.end(),
+                   [&](size_t a, size_t b) { return at[a] < at[b]; });
+  EXPECT_EQ(fired, expected);
+  EXPECT_GT(later.size(), 100u);
+  // Cancelling what already fired stays a no-op.
+  for (uint64_t token : tokens) sim.cancel(token);
+  EXPECT_EQ(sim.run(), 0u);
 }
 
 TEST(Simulation, YieldInterleavesAtSameTime) {
