@@ -22,6 +22,15 @@ std::string id_list(const std::vector<common::ProviderId>& ids) {
   return out;
 }
 
+// The targets of a fan-out's per-target requests, in target order.
+template <typename Target, typename Request>
+std::vector<Target> targets_of(const std::map<Target, Request>& requests) {
+  std::vector<Target> targets;
+  targets.reserve(requests.size());
+  for (const auto& [target, request] : requests) targets.push_back(target);
+  return targets;
+}
+
 }  // namespace
 
 Client::Client(net::RpcSystem& rpc, NodeId self, uint32_t client_id,
@@ -94,7 +103,6 @@ sim::CoTask<Result<wire::LcpQueryResponse>> Client::query_lcp(
   wire::LcpQueryRequest req;
   req.graph = g;
   req.live = membership_->live_bytes();
-  auto& sim = rpc_->simulation();
   std::vector<common::ProviderId> asked;
   for (size_t p = 0; p < provider_nodes_.size(); ++p) {
     // Drained providers hold no catalog; broadcasting to them would only
@@ -111,16 +119,14 @@ sim::CoTask<Result<wire::LcpQueryResponse>> Client::query_lcp(
   for (int round = 1; round <= 2 && !asked.empty(); ++round) {
     // One encoding per round: every leg and every retry sends these bytes.
     const Encoded request = encode_once(req);
-    std::vector<sim::Future<Result<wire::LcpQueryResponse>>> futures;
-    futures.reserve(asked.size());
-    for (common::ProviderId p : asked) {
-      futures.push_back(
-          sim.spawn(lcp_one(provider_nodes_[p], request, span.context())));
-    }
+    auto legs = spawn_legs<Result<wire::LcpQueryResponse>>(
+        asked, [&](common::ProviderId p) {
+          return lcp_one(provider_nodes_[p], request, span.context());
+        });
     std::vector<common::ProviderId> answered;
     std::vector<common::ProviderId> failed;
-    for (size_t i = 0; i < futures.size(); ++i) {
-      auto r = co_await futures[i];
+    for (size_t i = 0; i < asked.size(); ++i) {
+      auto r = co_await legs.futures[i];
       if (!r.ok()) {
         // Graceful degradation: a provider that stayed unreachable through
         // the retry budget is left out of the reduce, and the answer is
@@ -163,55 +169,32 @@ sim::CoTask<Result<wire::LcpQueryResponse>> Client::query_lcp(
 // ---- put -----------------------------------------------------------------
 
 sim::CoTask<Status> Client::put_one(NodeId home, Encoded request,
-                                    size_t payload_bytes,
-                                    obs::TraceContext parent, int attempt_cap,
-                                    bool prior_rounds) {
+                                    size_t payload_bytes, int attempt,
+                                    bool prior_rounds, obs::Span* span) {
   // Data plane first: the consolidated new tensors cross via bulk RDMA,
-  // then the (small) metadata RPC publishes the model. Both legs retry as
-  // one unit — a lost publish re-sends the (idempotent) payload too.
-  // `attempt_cap` bounds THIS leg only; exhausting it is not an operation
-  // failure (put_model may hint the leg away or re-fan another round), so
-  // the exhausted counter is the caller's to bump.
-  for (int attempt = 1;; ++attempt) {
-    obs::Span span =
-        obs::Tracer::maybe_begin(tracer(), "put_attempt", self_, parent);
-    span.tag_u64("attempt", static_cast<uint64_t>(attempt));
-    span.tag_u64("payload_bytes", payload_bytes);
-    Status st = co_await rpc_->bulk(
-        self_, home, common::Buffer::synthetic(payload_bytes, 0));
-    if (st.ok()) {
-      auto r = co_await net::typed_call_encoded<wire::PutModelResponse>(
-          rpc_, self_, home, Provider::kPutModel, *request,
-          net::CallOptions{config_.rpc_timeout, span.context()});
-      st = r.ok() ? r->status : r.status();
-    }
-    if (st.ok()) {
-      span.tag("outcome", "ok");
-      co_return st;
-    }
-    // Model ids are globally unique, so AlreadyExists on a RETRY (including
-    // an earlier outer round) can only mean an earlier attempt committed and
-    // its response was lost.
-    if ((attempt > 1 || prior_rounds) &&
-        st.code() == common::ErrorCode::kAlreadyExists) {
-      span.tag("outcome", "committed-by-earlier-attempt");
-      co_return Status::Ok();
-    }
-    if (!common::is_retryable(st.code())) {
-      span.tag("outcome", st.to_string());
-      co_return st;
-    }
-    if (attempt >= attempt_cap) {
-      span.tag("outcome", "leg exhausted: " + st.to_string());
-      co_return st;
-    }
-    ++fault_stats_.retries;
-    double backoff = backoff_delay(attempt);
-    span.tag("outcome", st.to_string());
-    span.tag_f64("backoff_seconds", backoff);
-    span.end();
-    co_await rpc_->simulation().delay(backoff);
+  // then the (small) metadata RPC publishes the model. The attempt loop
+  // retries both as one unit — a lost publish re-sends the (idempotent)
+  // payload too.
+  span->tag_u64("attempt", static_cast<uint64_t>(attempt));
+  span->tag_u64("payload_bytes", payload_bytes);
+  Status st = co_await rpc_->bulk(
+      self_, home, common::Buffer::synthetic(payload_bytes, 0));
+  if (st.ok()) {
+    auto r = co_await net::typed_call_encoded<wire::PutModelResponse>(
+        rpc_, self_, home, Provider::kPutModel, *request,
+        net::CallOptions{config_.rpc_timeout, span->context()});
+    st = r.ok() ? r->status : r.status();
   }
+  // Model ids are globally unique, so AlreadyExists on a RETRY (including
+  // an earlier outer round) can only mean an earlier attempt committed and
+  // its response was lost.
+  if ((attempt > 1 || prior_rounds) &&
+      st.code() == common::ErrorCode::kAlreadyExists) {
+    span->tag("outcome", "committed-by-earlier-attempt");
+    span->end();
+    co_return Status::Ok();
+  }
+  co_return st;
 }
 
 sim::CoTask<Status> Client::modify_refs(
@@ -240,7 +223,7 @@ sim::CoTask<Status> Client::modify_refs(
     struct Group {
       std::vector<common::SegmentKey> keys;
       std::vector<Encoded> requests;  // leg i's
-      WriteLegs<Result<wire::ModifyRefsResponse>> legs;
+      Legs<Result<wire::ModifyRefsResponse>> legs;
     };
     std::vector<Group> states;
     states.reserve(groups.size());
@@ -275,7 +258,7 @@ sim::CoTask<Status> Client::modify_refs(
         return g.requests[i];
       };
       Status hinted = co_await hint_failed_legs(
-          Provider::kModifyRefs, g.legs.replicas, &outcomes, request, parent);
+          Provider::kModifyRefs, g.legs.targets, &outcomes, request, parent);
       status = combine(status, hinted);
       // Replicas hold identical copies and each logical ±1 reaches every
       // replica exactly once, so their refcounts move in lockstep: any ONE
@@ -461,7 +444,9 @@ sim::CoTask<Status> Client::put_model(const Model& m, const TransferContext* tc)
   // short per-round cap, and rounds below re-fan the same tokened request to
   // every replica while none has committed. One replica down → its leg
   // exhausts fast and becomes a hinted handoff; the client's own egress
-  // down → every leg fails fast but the rounds ride out the outage.
+  // down → every leg fails fast but the rounds ride out the outage. A leg
+  // that exhausts its cap is no operation failure (it may be hinted away or
+  // re-fanned), so only the put's final status counts as exhausted.
   std::vector<common::ProviderId> put_reps = replicas_of(m.id());
   const int leg_cap =
       config_.retry.write_leg_attempts > 0
@@ -472,11 +457,16 @@ sim::CoTask<Status> Client::put_model(const Model& m, const TransferContext* tc)
       config_.retry.write_leg_attempts > 0 ? config_.retry.max_attempts : 1;
   auto put_legs = [&](bool prior_rounds) {
     return spawn_legs<Status>(put_reps, [&](common::ProviderId p) {
-      return put_one(provider_node(p), put_request, payload, span.context(),
-                     leg_cap, prior_rounds);
+      return attempt_loop<Status>(
+          "put_attempt", leg_cap, "leg exhausted: ", span.context(),
+          [this, home = provider_node(p), put_request, payload, prior_rounds](
+              int attempt, obs::Span* attempt_span) {
+            return put_one(home, put_request, payload, attempt, prior_rounds,
+                           attempt_span);
+          });
     });
   };
-  WriteLegs<Status> legs = put_legs(/*prior_rounds=*/false);
+  Legs<Status> legs = put_legs(/*prior_rounds=*/false);
   // Every inherited entry and every kept delta base (base_keys) needs this
   // model's reference. Without a pin, each gets its +1 here. A pinned
   // transfer already holds it: the pins prepare_transfer recorded become
@@ -558,7 +548,8 @@ sim::CoTask<Status> Client::put_model(const Model& m, const TransferContext* tc)
 
 sim::CoTask<Result<ModelMeta>> Client::get_meta(ModelId id,
                                                 obs::TraceContext parent) {
-  wire::GetMetaRequest req{id};
+  // One encoding for every replica the read fails over to.
+  const Encoded request = encode_once(wire::GetMetaRequest{id});
   std::vector<common::ProviderId> reps = replicas_of(id);
   Status last = Status::NotFound("model " + id.to_string());
   for (size_t i = 0; i < reps.size(); ++i) {
@@ -571,8 +562,8 @@ sim::CoTask<Result<ModelMeta>> Client::get_meta(ModelId id,
                     {"to", obs::EventLog::u64(reps[i])}});
       }
     }
-    auto r = co_await call_retried<wire::GetMetaResponse>(
-        provider_node(reps[i]), Provider::kGetMeta, req, parent);
+    auto r = co_await call_encoded<wire::GetMetaResponse>(
+        provider_node(reps[i]), Provider::kGetMeta, request, parent);
     if (!r.ok()) {
       // Exhausted retries on this replica: the next one may still answer.
       // Non-retryable failures signal bugs, not faults, and propagate.
@@ -604,44 +595,26 @@ sim::CoTask<Result<ModelMeta>> Client::get_meta(ModelId id,
 }
 
 sim::CoTask<Result<wire::ReadSegmentsResponse>> Client::read_one(
-    NodeId to, wire::ReadSegmentsRequest req, obs::TraceContext parent) {
-  // Reads are naturally idempotent, so the whole RPC + payload pull retries
-  // as one unit without tokens.
-  for (int attempt = 1;; ++attempt) {
-    obs::Span span =
-        obs::Tracer::maybe_begin(tracer(), "read_attempt", self_, parent);
-    span.tag_u64("attempt", static_cast<uint64_t>(attempt));
-    span.tag_u64("keys", req.keys.size());
-    auto r = co_await net::typed_call<wire::ReadSegmentsResponse>(
-        rpc_, self_, to, Provider::kReadSegments, req,
-        net::CallOptions{config_.rpc_timeout, span.context()});
-    Status st = r.ok() ? r->status : r.status();
-    if (r.ok() && st.ok()) {
-      // RDMA-style payload pull: charge the bulk bytes provider -> client
-      // (post-compression — reading a delta chain moves only the deltas).
-      st = co_await rpc_->bulk(
-          to, self_, common::Buffer::synthetic(r->payload_bytes, 0));
-      if (st.ok()) {
-        span.tag("outcome", "ok");
-        span.tag_u64("payload_bytes", r->payload_bytes);
-        co_return std::move(r).value();
-      }
-    }
-    if (!common::is_retryable(st.code())) {
-      span.tag("outcome", st.to_string());
-      co_return st;
-    }
-    if (attempt >= config_.retry.max_attempts) {
-      span.tag("outcome", "exhausted: " + st.to_string());
-      co_return st;
-    }
-    ++fault_stats_.retries;
-    double backoff = backoff_delay(attempt);
-    span.tag("outcome", st.to_string());
-    span.tag_f64("backoff_seconds", backoff);
-    span.end();
-    co_await rpc_->simulation().delay(backoff);
+    NodeId to, Encoded request, size_t keys, int attempt, obs::Span* span) {
+  // Reads are naturally idempotent, so the attempt loop retries the RPC and
+  // the payload pull as one unit, without tokens.
+  span->tag_u64("attempt", static_cast<uint64_t>(attempt));
+  span->tag_u64("keys", keys);
+  auto r = co_await net::typed_call_encoded<wire::ReadSegmentsResponse>(
+      rpc_, self_, to, Provider::kReadSegments, *request,
+      net::CallOptions{config_.rpc_timeout, span->context()});
+  Status st = r.ok() ? r->status : r.status();
+  if (st.ok()) {
+    // RDMA-style payload pull: charge the bulk bytes provider -> client
+    // (post-compression — reading a delta chain moves only the deltas).
+    st = co_await rpc_->bulk(to, self_,
+                             common::Buffer::synthetic(r->payload_bytes, 0));
   }
+  if (!st.ok()) co_return st;
+  span->tag("outcome", "ok");
+  span->tag_u64("payload_bytes", r->payload_bytes);
+  span->end();
+  co_return std::move(r).value();
 }
 
 sim::CoTask<Result<wire::PeerReadResponse>> Client::peer_one(
@@ -743,17 +716,13 @@ sim::CoTask<Status> Client::fetch_envelopes(
   // fallback. A peer-served envelope is provider-validated transitively (the
   // redirect named its exact current version and the peer matched it).
   if (!round.redirects.empty()) {
-    std::vector<wire::PeerReadRequest> peer_reqs;
-    std::vector<NodeId> peer_ids;
-    std::vector<sim::Future<Result<wire::PeerReadResponse>>> peer_futures;
-    for (auto& [peer, preq] : round.redirects) {
-      peer_reqs.push_back(preq);
-      peer_ids.push_back(peer);
-      peer_futures.push_back(sim.spawn(peer_one(peer, std::move(preq), parent)));
-    }
-    for (size_t i = 0; i < peer_futures.size(); ++i) {
-      auto r = co_await peer_futures[i];
-      const wire::PeerReadRequest& preq = peer_reqs[i];
+    auto legs = spawn_legs<Result<wire::PeerReadResponse>>(
+        targets_of(round.redirects), [&](NodeId peer) {
+          return peer_one(peer, round.redirects[peer], parent);
+        });
+    for (size_t i = 0; i < legs.targets.size(); ++i) {
+      auto r = co_await legs.futures[i];
+      const wire::PeerReadRequest& preq = round.redirects[legs.targets[i]];
       uint64_t peer_hits = 0;
       uint64_t peer_misses = 0;
       if (!r.ok() || !r->status.ok() ||
@@ -781,7 +750,7 @@ sim::CoTask<Status> Client::fetch_envelopes(
       }
       if (obs::EventLog* ev = events()) {
         ev->record(sim.now(), "cache.peer", self_,
-                   {{"peer", obs::EventLog::u64(peer_ids[i])},
+                   {{"peer", obs::EventLog::u64(legs.targets[i])},
                     {"hits", obs::EventLog::u64(peer_hits)},
                     {"misses", obs::EventLog::u64(peer_misses)}});
       }
@@ -827,27 +796,33 @@ sim::CoTask<Status> Client::read_rounds(
       }
     }
     todo.clear();
-    std::vector<std::vector<common::SegmentKey>> order;
-    std::vector<common::ProviderId> order_provider;
-    std::vector<sim::Future<Result<wire::ReadSegmentsResponse>>> futures;
-    for (auto& [provider, req] : groups) {
-      if (cache_ != nullptr) {
-        req.reader_node = self_;
-        req.caching = true;
-        req.accept_redirect = validated;
-      }
-      order.push_back(req.keys);
-      order_provider.push_back(provider);
-      futures.push_back(
-          sim.spawn(read_one(provider_node(provider), std::move(req), parent)));
-    }
-    for (size_t i = 0; i < futures.size(); ++i) {
-      auto r = co_await futures[i];
+    // One read leg per group: the attempt loop over read_one, every attempt
+    // sending the group's one encoding.
+    auto legs = spawn_legs<Result<wire::ReadSegmentsResponse>>(
+        targets_of(groups), [&](common::ProviderId provider) {
+          wire::ReadSegmentsRequest& req = groups[provider];
+          if (cache_ != nullptr) {
+            req.reader_node = self_;
+            req.caching = true;
+            req.accept_redirect = validated;
+          }
+          return attempt_loop<Result<wire::ReadSegmentsResponse>>(
+              "read_attempt", config_.retry.max_attempts, "exhausted: ",
+              parent,
+              [this, to = provider_node(provider), request = encode_once(req),
+               keys = req.keys.size()](int n, obs::Span* span) {
+                return read_one(to, request, keys, n, span);
+              });
+        });
+    for (size_t i = 0; i < legs.targets.size(); ++i) {
+      auto r = co_await legs.futures[i];
+      const common::ProviderId provider = legs.targets[i];
+      const std::vector<common::SegmentKey>& group = groups[provider].keys;
       if (!r.ok()) {
         // Drop the group's cache entries — they may be the reason the
         // answer is gone — then fail the keys over to their next replicas.
         if (cache_ != nullptr) {
-          for (const auto& key : order[i]) cache_->invalidate(key);
+          for (const auto& key : group) cache_->invalidate(key);
         }
         Status st = r.status();
         if (!common::is_retryable(st.code()) &&
@@ -858,11 +833,11 @@ sim::CoTask<Status> Client::read_rounds(
           // Aggregated: one event per failed group, not per key, so a large
           // fan-out can never flood the ring with identical failovers.
           ev->record(sim.now(), "read.failover", self_,
-                     {{"from", obs::EventLog::u64(order_provider[i])},
-                      {"keys", obs::EventLog::u64(order[i].size())},
+                     {{"from", obs::EventLog::u64(provider)},
+                      {"keys", obs::EventLog::u64(group.size())},
                       {"error", st.to_string()}});
         }
-        for (const auto& key : order[i]) {
+        for (const auto& key : group) {
           size_t next = ++attempt[key];
           if (next >= replicas_of(key.owner).size()) co_return st;
           ++fault_stats_.read_failovers;
@@ -874,14 +849,14 @@ sim::CoTask<Status> Client::read_rounds(
         continue;
       }
       auto& resp = r.value();
-      if (resp.info.size() != order[i].size()) {
+      if (resp.info.size() != group.size()) {
         co_return Status::Internal("info count mismatch in read fan-out");
       }
       uint64_t nm_count = 0;
       uint64_t redirect_count = 0;
       size_t fresh_idx = 0;
-      for (size_t j = 0; j < order[i].size(); ++j) {
-        const common::SegmentKey& key = order[i][j];
+      for (size_t j = 0; j < group.size(); ++j) {
+        const common::SegmentKey& key = group[j];
         const wire::ReadEntryInfo& info = resp.info[j];
         if (!validated && info.state != wire::ReadEntryState::kFresh) {
           co_return Status::Internal("non-fresh entry in read fallback");
@@ -926,7 +901,7 @@ sim::CoTask<Status> Client::read_rounds(
       obs::EventLog* ev = validated ? events() : nullptr;
       if (ev != nullptr) {
         ev->record(sim.now(), "cache.lookup", self_,
-                   {{"provider", obs::EventLog::u64(order_provider[i])},
+                   {{"provider", obs::EventLog::u64(provider)},
                     {"fresh", obs::EventLog::u64(fresh_idx)},
                     {"not_modified", obs::EventLog::u64(nm_count)},
                     {"redirect", obs::EventLog::u64(redirect_count)}});
@@ -1170,7 +1145,7 @@ sim::CoTask<Status> Client::retire(ModelId id) {
   // every refcount the fan-out below is about to release). The same token
   // fans to every replica — each removes its copy of the metadata once.
   const Encoded request = encode_once(wire::RetireRequest{id, next_token()});
-  WriteLegs<Result<wire::RetireResponse>> legs =
+  Legs<Result<wire::RetireResponse>> legs =
       spawn_legs<Result<wire::RetireResponse>>(
           replicas_of(id), [&](common::ProviderId p) {
             return call_encoded<wire::RetireResponse>(
@@ -1203,7 +1178,7 @@ sim::CoTask<Status> Client::retire(ModelId id) {
   // of the metadata must eventually go, or a failover read would resurrect
   // a retired model. Best-effort, like a put's hint.
   (void)co_await hint_failed_legs(
-      Provider::kRetire, legs.replicas, &outcomes,
+      Provider::kRetire, legs.targets, &outcomes,
       [&request](size_t) -> const Encoded& { return request; },
       span.context());
   // Drop every cached segment the retired model contributed — the bytes may
@@ -1224,25 +1199,24 @@ sim::CoTask<Status> Client::retire(ModelId id) {
 
 sim::CoTask<Result<wire::StatsResponse>> Client::provider_stats(
     common::ProviderId provider) {
-  wire::StatsRequest req;
-  auto r = co_await call_retried<wire::StatsResponse>(
-      provider_node(provider), Provider::kGetStats, req);
+  auto r = co_await call_encoded<wire::StatsResponse>(
+      provider_node(provider), Provider::kGetStats,
+      encode_once(wire::StatsRequest{}));
   if (!r.ok()) co_return finish_op(r.status());
   if (!r->status.ok()) co_return r->status;
   co_return std::move(r).value();
 }
 
 sim::CoTask<Result<Client::ClusterStats>> Client::collect_stats() {
-  auto& sim = rpc_->simulation();
-  std::vector<sim::Future<Result<wire::StatsResponse>>> futures;
-  futures.reserve(provider_nodes_.size());
-  for (NodeId node : provider_nodes_) {
-    futures.push_back(sim.spawn(call_retried<wire::StatsResponse>(
-        node, Provider::kGetStats, wire::StatsRequest{})));
-  }
+  const Encoded request = encode_once(wire::StatsRequest{});
+  auto legs = spawn_legs<Result<wire::StatsResponse>>(
+      provider_nodes_, [&](NodeId node) {
+        return call_encoded<wire::StatsResponse>(node, Provider::kGetStats,
+                                                 request);
+      });
   ClusterStats out;
-  out.per_provider.reserve(futures.size());
-  for (auto& f : futures) {
+  out.per_provider.reserve(legs.futures.size());
+  for (auto& f : legs.futures) {
     auto r = co_await f;
     if (!r.ok()) co_return finish_op(r.status());
     if (!r->status.ok()) co_return r->status;

@@ -5,11 +5,12 @@
 // on faults), fans bulk reads out in parallel with each segment striped to
 // one replica of its owner (replica vertex mod k first, the next ones on
 // faults), broadcasts LCP queries and reduces the replies, and drives the
-// distributed reference-count updates for put/retire. Puts, refcount
-// updates and retires share one write path: one leg per replica of the
-// write's replica set, and one hint step that, once any leg has landed,
-// parks each leg that stayed unreachable through its retry budget as a
-// hinted handoff on a surviving peer (DESIGN.md §15).
+// distributed reference-count updates for put/retire. Each RPC leg runs
+// under one attempt loop and each fan-out spawns through one helper; puts,
+// refcount updates and retires share one write path on top: one leg per
+// replica of the write's set, and one hint step that, once any leg has
+// landed, parks each leg that stayed unreachable through its retry budget
+// as a hinted handoff on a surviving peer (DESIGN.md §15).
 #pragma once
 
 #include <algorithm>
@@ -40,9 +41,10 @@ using model::ArchGraph;
 using model::Model;
 using model::Segment;
 
-/// Capped-exponential-backoff retry for RPCs that fail with a retryable
-/// code (Unavailable, DeadlineExceeded). The default (`max_attempts == 1`)
-/// disables retries entirely: every call behaves exactly as before.
+/// Capped-exponential-backoff retry for RPC legs that fail with a retryable
+/// code (Unavailable, DeadlineExceeded), applied to every leg by the
+/// client's one attempt loop. The default (`max_attempts == 1`) sends each
+/// leg once.
 struct RetryPolicy {
   /// Growth of the backoff from one retry to the next.
   static constexpr double kBackoffMultiplier = 2.0;
@@ -53,15 +55,15 @@ struct RetryPolicy {
   int max_attempts = 1;
   double initial_backoff = 0.05;
   double max_backoff = 2.0;
-  /// Two-tier budget for replicated writes. 0 (default) keeps the classic
-  /// behavior: each replica leg retries up to `max_attempts` before the
-  /// caller parks a hinted handoff. A positive value caps each leg at that
-  /// many attempts per round — a write whose target is down parks its hint
-  /// after ~a second instead of riding the whole budget — and put_model adds
-  /// up to `max_attempts` outer rounds that re-fan the SAME tokened request
-  /// to the replicas that have not committed yet (idempotent), so a client
-  /// whose own egress is down (co-located node outage) still rides through
-  /// long outages instead of failing fast.
+  /// Two-tier budget for puts. 0 (default): one round, in which each
+  /// replica leg retries up to `max_attempts` before the caller parks a
+  /// hinted handoff. A positive value caps each leg at that many attempts
+  /// per round — a write whose target is down parks its hint after ~a
+  /// second instead of riding the whole budget — and put_model runs up to
+  /// `max_attempts` rounds that re-fan the SAME tokened request to every
+  /// replica while none has committed (idempotent), so a client whose own
+  /// egress is down (co-located node outage) still rides through long
+  /// outages instead of failing fast.
   int write_leg_attempts = 0;
 };
 
@@ -302,69 +304,118 @@ class Client {
   obs::EventLog* events() { return rpc_->events(); }
 
   /// A request encoded once (DESIGN.md §7): the legs of a fan-out, the
-  /// attempts of a retried call, the rounds of a put and a parked hint all
-  /// send these bytes instead of encoding the request again. Shared, so a
-  /// spawned leg owns what it sends.
+  /// attempts of a leg, the rounds of a put and a parked hint all send
+  /// these bytes instead of encoding the request again. Shared, so a spawned
+  /// leg owns what it sends.
   using Encoded = std::shared_ptr<const common::Bytes>;
   template <typename Request>
   static Encoded encode_once(const Request& request) {
     return std::make_shared<const common::Bytes>(wire::encode(request));
   }
 
-  /// typed_call with the client's deadline, retried per RetryPolicy on
-  /// retryable failures: `call_encoded` on the request's one encoding.
-  template <typename Response, typename Request>
-  sim::CoTask<Result<Response>> call_retried(NodeId to, std::string method,
-                                             const Request& request,
-                                             obs::TraceContext parent = {}) {
-    return call_encoded<Response>(to, std::move(method), encode_once(request),
-                                  parent);
-  }
-  /// The retry loop behind call_retried. Every attempt sends the same
-  /// bytes, so an embedded idempotency token stays stable for the logical
-  /// operation. Each attempt gets its own child span of `parent`, tagged
-  /// with the attempt number, the fault outcome, and (when retrying) the
-  /// backoff.
-  template <typename Response>
-  sim::CoTask<Result<Response>> call_encoded(NodeId to, std::string method,
-                                             Encoded request,
-                                             obs::TraceContext parent = {}) {
+  // ---- The attempt loop (RetryPolicy) ----
+  // Every RPC leg runs here. Attempt n is `once(n, &span)`, the leg's
+  // one-try body, which tags the span's leading tags and sends the attempt;
+  // the span is a child of `parent` named `name`. A landed or non-retryable
+  // outcome ends the leg, tagged; a retryable one at attempt `cap` ends it
+  // tagged `exhausted` + the error, and an earlier one is tagged with the
+  // error and its backoff, counted in fault_stats_.retries, and retried
+  // after that backoff. A body that tags its own outcome ends the span
+  // first (an ended span drops tags). `once` and its by-value captures live
+  // in this frame for every attempt; the span outlives each body.
+  template <typename Outcome, typename Once>
+  sim::CoTask<Outcome> attempt_loop(const char* name, int cap,
+                                    const char* exhausted,
+                                    obs::TraceContext parent, Once once) {
     for (int attempt = 1;; ++attempt) {
-      obs::Span span =
-          obs::Tracer::maybe_begin(tracer(), "attempt", self_, parent);
-      span.tag("method", method);
-      span.tag_u64("attempt", static_cast<uint64_t>(attempt));
-      auto r = co_await net::typed_call_encoded<Response>(
-          rpc_, self_, to, method, *request,
-          net::CallOptions{config_.rpc_timeout, span.context()});
-      if (r.ok() || !common::is_retryable(r.status().code())) {
-        span.tag("outcome", r.ok() ? "ok" : r.status().to_string());
-        co_return r;
+      obs::Span span = obs::Tracer::maybe_begin(tracer(), name, self_, parent);
+      Outcome out = co_await once(attempt, &span);
+      const Status& st = leg_status(out);
+      if (st.ok() || !common::is_retryable(st.code())) {
+        span.tag("outcome", st.ok() ? "ok" : st.to_string());
+        co_return out;
       }
-      if (attempt >= config_.retry.max_attempts) {
-        span.tag("outcome", "exhausted: " + r.status().to_string());
-        co_return r;
+      if (attempt >= cap) {
+        span.tag("outcome", exhausted + st.to_string());
+        co_return out;
       }
       ++fault_stats_.retries;
       double backoff = backoff_delay(attempt);
-      span.tag("outcome", r.status().to_string());
+      span.tag("outcome", st.to_string());
       span.tag_f64("backoff_seconds", backoff);
       span.end();
       co_await rpc_->simulation().delay(backoff);
     }
   }
+  // How a leg ended: Ok once it landed (its target answered, its bulk
+  // payload crossed, and a put leg's replica committed the model).
+  static const Status& leg_status(const Status& st) { return st; }
+  template <typename Response>
+  static const Status& leg_status(const Result<Response>& r) {
+    return r.status();
+  }
 
-  // Spawned fan-out legs. Member coroutines so they can retry via the
-  // client's policy; they take their request BY VALUE or as a shared
-  // encoding — a lazily-started frame holding a reference to a loop-local
+  /// A call leg: typed_call with the client's deadline under the attempt
+  /// loop. Every attempt sends the request's one encoding, so an embedded
+  /// idempotency token stays stable for the logical operation. Only a
+  /// failed call is retried; a response travels back as it is.
+  template <typename Response>
+  sim::CoTask<Result<Response>> call_encoded(NodeId to, std::string method,
+                                             Encoded request,
+                                             obs::TraceContext parent = {}) {
+    return attempt_loop<Result<Response>>(
+        "attempt", config_.retry.max_attempts, "exhausted: ", parent,
+        [this, to, method = std::move(method), request = std::move(request)](
+            int attempt, obs::Span* span) {
+          span->tag("method", method);
+          span->tag_u64("attempt", static_cast<uint64_t>(attempt));
+          return net::typed_call_encoded<Response>(
+              rpc_, self_, to, method, *request,
+              net::CallOptions{config_.rpc_timeout, span->context()});
+        });
+  }
+
+  // ---- Fan-out ----
+  // Every parallel fan-out is one leg per target (a provider, or a peer's
+  // node). spawn_legs starts them in target order (`leg(t)` is target t's
+  // task); `co_await legs.futures[i]` yields leg i's outcome as it lands,
+  // and await_legs returns every outcome in target order.
+  template <typename Outcome, typename Target = common::ProviderId>
+  struct Legs {
+    std::vector<Target> targets;
+    std::vector<sim::Future<Outcome>> futures;
+  };
+  template <typename Outcome, typename Target, typename Leg>
+  Legs<Outcome, Target> spawn_legs(std::vector<Target> targets, Leg leg) {
+    Legs<Outcome, Target> legs{std::move(targets), {}};
+    legs.futures.reserve(legs.targets.size());
+    for (const Target& t : legs.targets) {
+      legs.futures.push_back(rpc_->simulation().spawn(leg(t)));
+    }
+    return legs;
+  }
+  template <typename Outcome, typename Target>
+  static sim::CoTask<std::vector<Outcome>> await_legs(
+      Legs<Outcome, Target> legs) {
+    std::vector<Outcome> outcomes;
+    for (auto& f : legs.futures) outcomes.push_back(co_await f);
+    co_return outcomes;
+  }
+
+  // Legs and leg bodies. They take their request BY VALUE or as a shared
+  // encoding: a lazily-started frame holding a reference to a loop-local
   // request would dangle. The trace context is likewise by value.
+  // One LCP broadcast leg: a call leg under its own `lcp_leg` span.
   sim::CoTask<Result<wire::LcpQueryResponse>> lcp_one(
       NodeId to, Encoded request, obs::TraceContext parent);
+  // One try of a put leg: the bulk payload, then the publish. `prior_rounds`
+  // says an earlier round sent this request too.
   sim::CoTask<Status> put_one(NodeId home, Encoded request,
-                              size_t payload_bytes, obs::TraceContext parent,
-                              int attempt_cap, bool prior_rounds);
+                              size_t payload_bytes, int attempt,
+                              bool prior_rounds, obs::Span* span);
+  // One try of a read leg: the call, then the bulk pull of its payload.
   sim::CoTask<Result<wire::ReadSegmentsResponse>> read_one(
-      NodeId to, wire::ReadSegmentsRequest req, obs::TraceContext parent);
+      NodeId to, Encoded request, size_t keys, int attempt, obs::Span* span);
   // Park a hinted handoff for `target` (a replica that stayed unreachable
   // through a write's retry budget) on the first other live member of
   // `replicas` that accepts it. `payload` is the serialized original
@@ -376,44 +427,12 @@ class Client {
                                 obs::TraceContext parent);
 
   // ---- The replicated write (DESIGN.md §15) ----
-  // put_model, modify_refs and retire send a write to every replica of a
-  // replica set through these three steps and keep only their own
-  // decisions. A leg is one replica's copy of the write. spawn_legs starts
-  // one leg per replica (`leg(p)` is replica p's task) and await_legs
-  // returns every leg's outcome in replica order; hint_failed_legs is the
-  // hint step.
-  template <typename Outcome>
-  struct WriteLegs {
-    std::vector<common::ProviderId> replicas;
-    std::vector<sim::Future<Outcome>> futures;
-  };
-  template <typename Outcome, typename Leg>
-  WriteLegs<Outcome> spawn_legs(std::vector<common::ProviderId> replicas,
-                                Leg leg) {
-    WriteLegs<Outcome> legs{std::move(replicas), {}};
-    for (common::ProviderId p : legs.replicas) {
-      legs.futures.push_back(rpc_->simulation().spawn(leg(p)));
-    }
-    return legs;
-  }
-  template <typename Outcome>
-  static sim::CoTask<std::vector<Outcome>> await_legs(
-      WriteLegs<Outcome> legs) {
-    std::vector<Outcome> outcomes;
-    for (auto& f : legs.futures) outcomes.push_back(co_await f);
-    co_return outcomes;
-  }
-  // How a leg ended. It landed when this is Ok: its replica answered, and a
-  // put leg's replica also committed the model.
-  static const Status& leg_status(const Status& st) { return st; }
-  template <typename Response>
-  static const Status& leg_status(const Result<Response>& r) {
-    return r.status();
-  }
-  // The hint step: once any leg has landed, park a hint for each leg that
-  // failed retryably and whose replica is still a member, on another live
-  // replica of the set. `request(i)` is the encoding leg i sent.
-  // Returns Ok, or the first hint that could not be parked.
+  // put_model, modify_refs and retire fan a write out as one leg per
+  // replica (spawn_legs, await_legs) and keep only their own decisions.
+  // This is their hint step: once any leg has landed, park a hint for each
+  // leg that failed retryably and whose replica is still a member, on
+  // another live replica of the set. `request(i)` is the encoding leg i
+  // sent. Returns Ok, or the first hint that could not be parked.
   template <typename Outcome, typename Request>
   sim::CoTask<Status> hint_failed_legs(
       std::string method, std::vector<common::ProviderId> replicas,
@@ -474,7 +493,7 @@ class Client {
     std::vector<common::SegmentKey> fallback;
   };
   // Read `keys` into `out` with striped replicas and failover: a key starts
-  // at replica (vertex mod |R|) of its owner's set R, one read_one goes to
+  // at replica (vertex mod |R|) of its owner's set R, one read leg goes to
   // each replica group per round, and a failed or NotFound group moves each
   // key on to its next replica. With `validation` the requests carry cached
   // versions and accept redirects, and the keys the round cannot settle

@@ -46,23 +46,17 @@ inline std::vector<common::ProviderId> replicas_for(
     if (!live.empty() && !live[p]) continue;
     ranked.push_back(static_cast<common::ProviderId>(p));
   }
-  if (k < ranked.size()) {
-    std::partial_sort(ranked.begin(), ranked.begin() + static_cast<long>(k),
-                      ranked.end(),
-                      [id](common::ProviderId a, common::ProviderId b) {
-                        uint64_t sa = placement_score(id, a);
-                        uint64_t sb = placement_score(id, b);
-                        return sa != sb ? sa > sb : a < b;
-                      });
-    ranked.resize(k);
-  } else {
-    std::sort(ranked.begin(), ranked.end(),
-              [id](common::ProviderId a, common::ProviderId b) {
-                uint64_t sa = placement_score(id, a);
-                uint64_t sb = placement_score(id, b);
-                return sa != sb ? sa > sb : a < b;
-              });
-  }
+  // The comparator is a strict total order, so the top min(k, live) come
+  // out in the same order whichever k asks.
+  const size_t top = std::min(k, ranked.size());
+  std::partial_sort(ranked.begin(), ranked.begin() + static_cast<long>(top),
+                    ranked.end(),
+                    [id](common::ProviderId a, common::ProviderId b) {
+                      uint64_t sa = placement_score(id, a);
+                      uint64_t sb = placement_score(id, b);
+                      return sa != sb ? sa > sb : a < b;
+                    });
+  ranked.resize(top);
   return ranked;
 }
 

@@ -617,7 +617,6 @@ sim::CoTask<wire::ReadSegmentsResponse> Provider::handle_read_segments(
       resp.info.push_back(
           {wire::ReadEntryState::kNotModified, version, 0});
       ++stats_.not_modified_reads;
-      if (req.caching) cache_dir_[key] = req.reader_node;
       continue;
     }
     // Redirect hint: point the reader at the last client known to cache
@@ -656,7 +655,13 @@ sim::CoTask<wire::ReadSegmentsResponse> Provider::handle_read_segments(
     resp.info.push_back({wire::ReadEntryState::kFresh, version, 0});
     resp.payload_bytes += env->physical_bytes;
     resp.segments.push_back(std::move(*env));
-    if (req.caching) cache_dir_[key] = req.reader_node;
+  }
+  // The reader caches every entry it was not redirected for. Only a
+  // response that succeeds names it: a failed one delivers no entry.
+  for (size_t i = 0; req.caching && i < req.keys.size(); ++i) {
+    if (resp.info[i].state != wire::ReadEntryState::kRedirect) {
+      cache_dir_[req.keys[i]] = req.reader_node;
+    }
   }
   {
     obs::Span fetch = obs::Tracer::maybe_begin(tracer(), "segment_read",

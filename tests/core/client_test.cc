@@ -374,5 +374,186 @@ TEST(EncodeOnce, PutLegsRetriesAndHintShareOneEncoding) {
   EXPECT_EQ(client.fault_stats().hints_sent, 1u);
 }
 
+// ---- the attempt loop behind every RPC leg ---------------------------------
+
+using Tags = std::vector<std::pair<std::string, std::string>>;
+
+// The tags of every span named `name`, in the order the spans began.
+std::vector<Tags> span_tags(const obs::Tracer& tracer, const std::string& name) {
+  std::vector<Tags> out;
+  for (const obs::SpanRecord& r : tracer.records()) {
+    if (r.name == name) out.push_back(r.tags);
+  }
+  return out;
+}
+
+// Checks one attempt span: its leading tags, then its outcome, then (on an
+// attempt that is retried) a positive backoff.
+void expect_attempt(const Tags& tags, const Tags& lead,
+                    const std::string& outcome, bool backoff) {
+  Tags expected = lead;
+  expected.emplace_back("outcome", outcome);
+  ASSERT_EQ(tags.size(), expected.size() + (backoff ? 1 : 0));
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(tags[i], expected[i]) << i;
+  }
+  if (backoff) {
+    EXPECT_EQ(tags.back().first, "backoff_seconds");
+    EXPECT_GT(std::stod(tags.back().second), 0.0);
+  }
+}
+
+ClientConfig retrying_config(int max_attempts) {
+  ClientConfig cfg;
+  cfg.replication = 1;
+  cfg.retry.max_attempts = max_attempts;
+  cfg.retry.initial_backoff = 0.001;
+  return cfg;
+}
+
+TEST(AttemptLoop, CallLegRetriesThenExhausts) {
+  StubNodes env(1);
+  env.serve(env.nodes[0], Provider::kGetMeta,
+            wire::encode(wire::GetMetaResponse{}));
+  env.faults.crash_node(env.nodes[0]);
+  obs::Tracer tracer(env.sim);
+  env.rpc.set_tracer(&tracer);
+  Client client(env.rpc, env.worker, 1, env.nodes, retrying_config(3));
+  auto r = env.sim.run_until_complete(client.get_meta(ModelId::make(1, 1)));
+  ASSERT_EQ(r.status().code(), common::ErrorCode::kUnavailable);
+  const std::string error = r.status().to_string();
+
+  EXPECT_EQ(client.fault_stats().retries, 2u);
+  EXPECT_EQ(client.fault_stats().exhausted, 1u);
+  const std::vector<Tags> spans = span_tags(tracer, "attempt");
+  ASSERT_EQ(spans.size(), 3u);
+  for (size_t i = 0; i < spans.size(); ++i) {
+    const Tags lead = {{"method", Provider::kGetMeta},
+                       {"attempt", std::to_string(i + 1)}};
+    const bool last = i + 1 == spans.size();
+    expect_attempt(spans[i], lead, last ? "exhausted: " + error : error,
+                   !last);
+  }
+}
+
+// A put leg against a replica that answers Unavailable: `leg_attempts` is
+// RetryPolicy::write_leg_attempts, so the leg runs `rounds` rounds of
+// `per_round` attempts each.
+void put_leg_retries(int leg_attempts, size_t rounds, size_t per_round) {
+  StubNodes env(1);
+  env.serve(env.nodes[0], Provider::kPutModel,
+            wire::encode(wire::PutModelResponse{
+                common::Status::Unavailable("stub"), 0}));
+  obs::Tracer tracer(env.sim);
+  env.rpc.set_tracer(&tracer);
+  ClientConfig cfg = retrying_config(3);
+  cfg.retry.write_leg_attempts = leg_attempts;
+  Client client(env.rpc, env.worker, 1, env.nodes, cfg);
+  auto m = model::Model::random(client.allocate_id(), chain_graph(4, 16), 3);
+  common::Status st = env.sim.run_until_complete(client.put_model(m, nullptr));
+  ASSERT_EQ(st.code(), common::ErrorCode::kUnavailable);
+  const std::string error = st.to_string();
+
+  EXPECT_EQ(env.requests(env.nodes[0], Provider::kPutModel).size(),
+            rounds * per_round);
+  // One retry per non-final attempt of each round, one per later round.
+  EXPECT_EQ(client.fault_stats().retries,
+            rounds * (per_round - 1) + (rounds - 1));
+  EXPECT_EQ(client.fault_stats().exhausted, 1u);
+  const std::vector<Tags> spans = span_tags(tracer, "put_attempt");
+  ASSERT_EQ(spans.size(), rounds * per_round);
+  ASSERT_EQ(spans[0].size(), 4u);
+  const std::string payload = spans[0][1].second;
+  EXPECT_EQ(spans[0][1].first, "payload_bytes");
+  EXPECT_GT(std::stoull(payload), 0u);
+  for (size_t i = 0; i < spans.size(); ++i) {
+    const size_t attempt = i % per_round + 1;
+    const Tags lead = {{"attempt", std::to_string(attempt)},
+                       {"payload_bytes", payload}};
+    const bool last = attempt == per_round;
+    expect_attempt(spans[i], lead, last ? "leg exhausted: " + error : error,
+                   !last);
+  }
+}
+
+TEST(AttemptLoop, PutLegRetriesThenExhaustsItsBudget) {
+  put_leg_retries(/*leg_attempts=*/0, /*rounds=*/1, /*per_round=*/3);
+}
+
+TEST(AttemptLoop, CappedPutLegRetriesEveryRound) {
+  put_leg_retries(/*leg_attempts=*/2, /*rounds=*/3, /*per_round=*/2);
+}
+
+// A put leg against a replica that answers `answers` in turn (the last one
+// repeats); returns the put's status and its attempt spans' tags.
+std::pair<common::Status, std::vector<Tags>> put_against(
+    std::vector<common::Status> answers) {
+  StubNodes env(1);
+  size_t calls = 0;
+  env.rpc.register_handler(
+      env.nodes[0], Provider::kPutModel,
+      [answers, calls = &calls](common::Bytes) -> sim::CoTask<common::Bytes> {
+        const size_t i = std::min((*calls)++, answers.size() - 1);
+        co_return wire::encode(wire::PutModelResponse{answers[i], 0});
+      });
+  obs::Tracer tracer(env.sim);
+  env.rpc.set_tracer(&tracer);
+  Client client(env.rpc, env.worker, 1, env.nodes, retrying_config(3));
+  auto m = model::Model::random(client.allocate_id(), chain_graph(4, 16), 3);
+  common::Status st = env.sim.run_until_complete(client.put_model(m, nullptr));
+  EXPECT_EQ(client.fault_stats().retries, calls - 1);
+  EXPECT_EQ(client.fault_stats().exhausted, 0u);
+  return {st, span_tags(tracer, "put_attempt")};
+}
+
+// AlreadyExists on a retry can only mean an earlier attempt committed and
+// its answer was lost: the leg lands. On a first attempt it is an error.
+TEST(AttemptLoop, PutLegRetryFindingItsModelCommittedLands) {
+  auto [st, spans] = put_against({common::Status::Unavailable("lost"),
+                                  common::Status::AlreadyExists("dup")});
+  EXPECT_TRUE(st.ok()) << st.to_string();
+  ASSERT_EQ(spans.size(), 2u);
+  const std::string payload = spans[0][1].second;
+  expect_attempt(spans[0], {{"attempt", "1"}, {"payload_bytes", payload}},
+                 common::Status::Unavailable("lost").to_string(), true);
+  expect_attempt(spans[1], {{"attempt", "2"}, {"payload_bytes", payload}},
+                 "committed-by-earlier-attempt", false);
+
+  auto [first, first_spans] =
+      put_against({common::Status::AlreadyExists("dup")});
+  EXPECT_EQ(first.code(), common::ErrorCode::kAlreadyExists);
+  ASSERT_EQ(first_spans.size(), 1u);
+  expect_attempt(first_spans[0],
+                 {{"attempt", "1"}, {"payload_bytes", payload}},
+                 common::Status::AlreadyExists("dup").to_string(), false);
+}
+
+TEST(AttemptLoop, ReadLegRetriesThenExhausts) {
+  StubNodes env(1);
+  wire::ReadSegmentsResponse refused;
+  refused.status = common::Status::Unavailable("stub");
+  env.serve(env.nodes[0], Provider::kReadSegments, wire::encode(refused));
+  obs::Tracer tracer(env.sim);
+  env.rpc.set_tracer(&tracer);
+  Client client(env.rpc, env.worker, 1, env.nodes, retrying_config(3));
+  const OwnerMap owners = OwnerMap::self_owned(ModelId::make(1, 1), 4);
+  auto r = env.sim.run_until_complete(
+      client.read_segments(&owners, std::vector<VertexId>{0, 2}));
+  ASSERT_EQ(r.status().code(), common::ErrorCode::kUnavailable);
+  const std::string error = r.status().to_string();
+
+  EXPECT_EQ(env.requests(env.nodes[0], Provider::kReadSegments).size(), 3u);
+  EXPECT_EQ(client.fault_stats().retries, 2u);
+  EXPECT_EQ(client.fault_stats().exhausted, 1u);
+  const std::vector<Tags> spans = span_tags(tracer, "read_attempt");
+  ASSERT_EQ(spans.size(), 3u);
+  for (size_t i = 0; i < spans.size(); ++i) {
+    const Tags lead = {{"attempt", std::to_string(i + 1)}, {"keys", "2"}};
+    const bool last = i + 1 == spans.size();
+    expect_attempt(spans[i], lead, last ? "exhausted: " + error : error,
+                   !last);
+  }
+}
+
 }  // namespace
 }  // namespace evostore::core

@@ -100,6 +100,37 @@ TEST(Replicas, ClampsToLiveCount) {
   EXPECT_EQ(reps.size(), 2u);  // only two live providers remain
 }
 
+// Every k ranks the same way: the top min(k, live) of the full ranking, which
+// is in strictly descending rendezvous score.
+TEST(Replicas, EveryKIsAPrefixOfTheFullRanking) {
+  const std::vector<std::vector<bool>> views = {
+      {}, {true, false, true, true, true, false, true, true},
+      {false, true, false, true}, {false, false, false}};
+  for (const std::vector<bool>& live : views) {
+    const size_t n = live.empty() ? 8 : live.size();
+    const size_t live_count =
+        live.empty() ? n : static_cast<size_t>(
+                               std::count(live.begin(), live.end(), true));
+    for (uint32_t i = 1; i < 100; ++i) {
+      const ModelId id = ModelId::make(8, i);
+      const std::vector<common::ProviderId> full =
+          replicas_for(id, n, n, live);
+      ASSERT_EQ(full.size(), live_count);
+      for (size_t j = 1; j < full.size(); ++j) {
+        EXPECT_GT(placement_score(id, full[j - 1]),
+                  placement_score(id, full[j]));
+      }
+      for (size_t k = 0; k <= n + 1; ++k) {
+        const size_t m = std::min(k, live_count);
+        EXPECT_EQ(replicas_for(id, n, k, live),
+                  std::vector<common::ProviderId>(
+                      full.begin(), full.begin() + static_cast<long>(m)))
+            << "id " << i << " k " << k;
+      }
+    }
+  }
+}
+
 // The HRW property drain depends on: retiring one provider moves ONLY the
 // keys that provider replicated — every other key's replica set (and its
 // order) is unchanged.

@@ -266,6 +266,49 @@ TEST(Provider, TokenReplaysAreByteIdentical) {
   EXPECT_EQ(first->owners.size(), 3u);
 }
 
+// A read that fails delivers none of its entries, so it must not name its
+// reader in the redirect directory: a later reader of a key the failed read
+// reached first is served, not sent to a peer that never cached it.
+TEST(Provider, FailedReadLeavesNoRedirect) {
+  SingleEnv env;
+  auto m = model::Model::random(env.repo->allocate_id(), chain_graph(2, 8), 1);
+  ASSERT_TRUE(env.run(store_model(env.client(), m)).ok());
+  const common::NodeId node = env.provider_nodes[0];
+  const common::NodeId reader_a = env.worker;
+  const common::NodeId reader_b = env.fabric.add_node(25e9, 25e9);
+  const SegmentKey held{m.id(), 0};
+  const SegmentKey missing{ModelId::make(0, 999), 0};
+  auto read = [&](common::NodeId reader, std::vector<SegmentKey> keys,
+                  bool accept_redirect) {
+    wire::ReadSegmentsRequest req;
+    req.keys = std::move(keys);
+    req.reader_node = reader;
+    req.caching = true;
+    req.accept_redirect = accept_redirect;
+    auto raw = env.run(env.rpc.call(reader, node, Provider::kReadSegments,
+                                    wire::encode(req)));
+    EXPECT_TRUE(raw.ok()) << raw.status().to_string();
+    auto resp = wire::decode<wire::ReadSegmentsResponse>(
+        raw.ok() ? raw.value() : common::Bytes{});
+    EXPECT_TRUE(resp.ok()) << resp.status().to_string();
+    return resp.ok() ? std::move(resp).value() : wire::ReadSegmentsResponse{};
+  };
+
+  auto failed = read(reader_a, {held, missing}, false);
+  EXPECT_EQ(failed.status.code(), common::ErrorCode::kNotFound);
+  auto served = read(reader_b, {held}, true);
+  ASSERT_TRUE(served.status.ok()) << served.status.to_string();
+  ASSERT_EQ(served.info.size(), 1u);
+  EXPECT_EQ(served.info[0].state, wire::ReadEntryState::kFresh);
+
+  // A read that succeeds does name its reader: the next one is redirected.
+  ASSERT_TRUE(read(reader_a, {held}, false).status.ok());
+  auto redirected = read(reader_b, {held}, true);
+  ASSERT_EQ(redirected.info.size(), 1u);
+  EXPECT_EQ(redirected.info[0].state, wire::ReadEntryState::kRedirect);
+  EXPECT_EQ(redirected.info[0].redirect, reader_a);
+}
+
 // ---- malformed requests ---------------------------------------------------
 
 constexpr double kOpSeconds = 1.0;  // per-op cost: any charged op would show
