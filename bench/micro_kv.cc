@@ -80,6 +80,50 @@ void BM_LogKvGet(benchmark::State& state) {
 }
 BENCHMARK(BM_LogKvGet);
 
+// One put and one erase of the same key: the tombstone's cost on top of a
+// fresh put.
+void BM_LogKvErase(benchmark::State& state) {
+  auto dir = std::filesystem::temp_directory_path() / "evostore_bench_logkv_e";
+  std::filesystem::remove_all(dir);
+  auto kv = std::move(storage::LogKv::open(dir).value());
+  uint64_t i = 0;
+  for (auto _ : state) {
+    const uint64_t k = i++;
+    const std::string key = "key" + std::to_string(k % 4096);
+    auto put = kv->put(key, Buffer::synthetic(64, k + 1));
+    auto erase = kv->erase(key);
+    benchmark::DoNotOptimize(put.ok() && erase.ok());
+  }
+  kv.reset();
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_LogKvErase);
+
+// Reopening a log whose 1k keys were each written four times and half
+// erased: the rebuild scan replays every overwrite and tombstone.
+void BM_LogKvReopen(benchmark::State& state) {
+  auto dir = std::filesystem::temp_directory_path() / "evostore_bench_logkv_r";
+  std::filesystem::remove_all(dir);
+  storage::LogKvOptions options;
+  options.compact_on_open_ratio = 0;  // every open replays the same log
+  {
+    auto kv = std::move(storage::LogKv::open(dir, options).value());
+    for (int round = 0; round < 4; ++round) {
+      for (int i = 0; i < 1024; ++i) {
+        (void)kv->put("key" + std::to_string(i),
+                      Buffer::synthetic(512, round * 1024 + i));
+      }
+    }
+    for (int i = 0; i < 1024; i += 2) (void)kv->erase("key" + std::to_string(i));
+  }
+  for (auto _ : state) {
+    auto kv = storage::LogKv::open(dir, options);
+    benchmark::DoNotOptimize(kv.ok());
+  }
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_LogKvReopen);
+
 void BM_LogKvCompact(benchmark::State& state) {
   auto dir = std::filesystem::temp_directory_path() / "evostore_bench_logkv_c";
   for (auto _ : state) {

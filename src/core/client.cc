@@ -126,7 +126,7 @@ sim::CoTask<Result<wire::LcpQueryResponse>> Client::query_lcp(
     std::vector<common::ProviderId> answered;
     std::vector<common::ProviderId> failed;
     for (size_t i = 0; i < asked.size(); ++i) {
-      auto r = co_await legs.futures[i];
+      auto r = co_await std::move(legs.futures[i]);
       if (!r.ok()) {
         // Graceful degradation: a provider that stayed unreachable through
         // the retry budget is left out of the reduce, and the answer is
@@ -721,7 +721,7 @@ sim::CoTask<Status> Client::fetch_envelopes(
           return peer_one(peer, round.redirects[peer], parent);
         });
     for (size_t i = 0; i < legs.targets.size(); ++i) {
-      auto r = co_await legs.futures[i];
+      auto r = co_await std::move(legs.futures[i]);
       const wire::PeerReadRequest& preq = round.redirects[legs.targets[i]];
       uint64_t peer_hits = 0;
       uint64_t peer_misses = 0;
@@ -815,7 +815,7 @@ sim::CoTask<Status> Client::read_rounds(
               });
         });
     for (size_t i = 0; i < legs.targets.size(); ++i) {
-      auto r = co_await legs.futures[i];
+      auto r = co_await std::move(legs.futures[i]);
       const common::ProviderId provider = legs.targets[i];
       const std::vector<common::SegmentKey>& group = groups[provider].keys;
       if (!r.ok()) {
@@ -1217,7 +1217,7 @@ sim::CoTask<Result<Client::ClusterStats>> Client::collect_stats() {
   ClusterStats out;
   out.per_provider.reserve(legs.futures.size());
   for (auto& f : legs.futures) {
-    auto r = co_await f;
+    auto r = co_await std::move(f);
     if (!r.ok()) co_return finish_op(r.status());
     if (!r->status.ok()) co_return r->status;
     out.per_provider.push_back(std::move(r).value());

@@ -378,8 +378,9 @@ class Client {
   // ---- Fan-out ----
   // Every parallel fan-out is one leg per target (a provider, or a peer's
   // node). spawn_legs starts them in target order (`leg(t)` is target t's
-  // task); `co_await legs.futures[i]` yields leg i's outcome as it lands,
-  // and await_legs returns every outcome in target order.
+  // task); `co_await std::move(legs.futures[i])` moves leg i's outcome out
+  // as it lands (each leg has one consumer), and await_legs returns every
+  // outcome in target order.
   template <typename Outcome, typename Target = common::ProviderId>
   struct Legs {
     std::vector<Target> targets;
@@ -398,7 +399,7 @@ class Client {
   static sim::CoTask<std::vector<Outcome>> await_legs(
       Legs<Outcome, Target> legs) {
     std::vector<Outcome> outcomes;
-    for (auto& f : legs.futures) outcomes.push_back(co_await f);
+    for (auto& f : legs.futures) outcomes.push_back(co_await std::move(f));
     co_return outcomes;
   }
 

@@ -573,18 +573,15 @@ sim::CoTask<wire::PutModelResponse> Provider::handle_put(
   co_return resp;
 }
 
-sim::CoTask<wire::GetMetaResponse> Provider::handle_get_meta(
+sim::CoTask<wire::GetMetaView<ModelMeta>> Provider::handle_get_meta(
     wire::GetMetaRequest req, net::HandlerContext) {
-  wire::GetMetaResponse resp;
   ++stats_.meta_gets;
   co_await sim_->delay(config_.op_seconds);
   auto it = models_.find(req.id);
-  if (it != models_.end()) {
-    resp.found = true;
-    // The found branch and the stored record share one field list.
-    wire::meta_fields(resp) = wire::meta_fields(it->second);
-  }
-  co_return resp;
+  // The found branch encodes from the stored record itself: the handler's
+  // task ends here and the response is encoded before anything else runs.
+  co_return wire::GetMetaView<ModelMeta>{it != models_.end() ? &it->second
+                                                              : nullptr};
 }
 
 sim::CoTask<wire::ReadSegmentsResponse> Provider::handle_read_segments(

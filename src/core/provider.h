@@ -379,8 +379,8 @@ class Provider {
 
   sim::CoTask<wire::PutModelResponse> handle_put(wire::PutModelRequest req,
                                                  net::HandlerContext ctx);
-  sim::CoTask<wire::GetMetaResponse> handle_get_meta(wire::GetMetaRequest req,
-                                                     net::HandlerContext ctx);
+  sim::CoTask<wire::GetMetaView<ModelMeta>> handle_get_meta(
+      wire::GetMetaRequest req, net::HandlerContext ctx);
   sim::CoTask<wire::ReadSegmentsResponse> handle_read_segments(
       wire::ReadSegmentsRequest req, net::HandlerContext ctx);
   sim::CoTask<wire::ModifyRefsResponse> handle_modify_refs(

@@ -456,6 +456,22 @@ struct GetMetaResponse {
   EVOSTORE_WIRE_SERDE(GetMetaResponse)
 };
 
+/// A GetMetaResponse, byte for byte, encoded straight from a meta record
+/// the sender keeps (`meta`; null when not found) rather than from a copy
+/// of its graph and owner map. Encode-only: the receiver decodes a
+/// GetMetaResponse. `*meta` must outlive the encode.
+template <typename M>
+struct GetMetaView {
+  const M* meta = nullptr;
+
+  void serialize(Serializer& s) const {
+    wire::put(s, meta != nullptr);
+    if (meta == nullptr) return;
+    std::apply([&](const auto&... f) { (wire::put(s, f), ...); },
+               meta_fields(*meta));
+  }
+};
+
 // ---- read_segments -------------------------------------------------------
 
 struct ReadSegmentsRequest {

@@ -36,6 +36,7 @@ struct FutureValue {
   std::optional<T> value;
   void set(T v) { value.emplace(std::move(v)); }
   T get() const { return *value; }
+  T take() { return std::move(*value); }
   bool has() const { return value.has_value(); }
 };
 
@@ -44,6 +45,7 @@ struct FutureValue<void> {
   bool done = false;
   void set() { done = true; }
   void get() const {}
+  void take() {}
   bool has() const { return done; }
 };
 
@@ -61,8 +63,14 @@ struct FutureState {
 }  // namespace detail
 
 /// Handle to the eventual result of a spawned coroutine. Copyable; many
-/// coroutines may await the same future. `await_resume` returns a copy of
-/// the result (results are small or internally shared in this codebase).
+/// coroutines may await the same future.
+///
+/// `co_await f` and `f.get()` copy the result, so every awaiter of a shared
+/// future sees it intact. `co_await std::move(f)` and `std::move(f).get()`
+/// move it out instead, for the future's single consumer: a leg's response
+/// carries payload bytes that a copy would duplicate. After a move-out the
+/// result is gone and `f` is no longer valid; no other copy of the future
+/// may read it.
 template <typename T>
 class Future {
  public:
@@ -72,18 +80,39 @@ class Future {
   bool valid() const { return state_ != nullptr; }
   bool done() const { return state_ && state_->completed; }
 
-  /// Result accessor for after the simulation has run (non-coroutine code).
-  T get() const {
-    assert(done());
-    if (state_->exception) std::rethrow_exception(state_->exception);
-    return state_->value.get();
+  /// Result accessors for after the simulation has run (non-coroutine code).
+  T get() const& {
+    assert(valid());
+    return result<false>(*state_);
+  }
+  T get() && {
+    assert(valid());
+    auto state = std::move(state_);
+    return result<true>(*state);
   }
 
-  bool await_ready() const noexcept { return done(); }
-  void await_suspend(std::coroutine_handle<> h) { state_->waiters.push_back(h); }
-  T await_resume() const { return get(); }
+  template <bool kTake>
+  struct Awaiter {
+    std::shared_ptr<detail::FutureState<T>> state;
+    bool await_ready() const noexcept { return state->completed; }
+    void await_suspend(std::coroutine_handle<> h) { state->waiters.push_back(h); }
+    T await_resume() const { return result<kTake>(*state); }
+  };
+  Awaiter<false> operator co_await() const& { return {state_}; }
+  Awaiter<true> operator co_await() && { return {std::move(state_)}; }
 
  private:
+  template <bool kTake>
+  static T result(detail::FutureState<T>& state) {
+    assert(state.completed);
+    if (state.exception) std::rethrow_exception(state.exception);
+    if constexpr (kTake) {
+      return state.value.take();
+    } else {
+      return state.value.get();
+    }
+  }
+
   std::shared_ptr<detail::FutureState<T>> state_;
 };
 
@@ -157,7 +186,7 @@ class Simulation {
     Future<T> f = spawn(std::move(task));
     run();
     assert(f.done() && "simulation drained but task still blocked (deadlock?)");
-    return f.get();
+    return std::move(f).get();
   }
 
  private:

@@ -24,9 +24,12 @@ using common::Status;
 /// persisted as their (seed, size) descriptor — a tag byte plus two varints —
 /// so their footprint is a small constant regardless of logical size. Dense
 /// buffers cost their content.
-inline size_t physical_value_size(const Buffer& v) {
+inline size_t physical_value_size(size_t logical, bool synthetic) {
   constexpr size_t kSyntheticDescriptorBytes = 1 + 8 + 8;
-  return v.is_synthetic() ? kSyntheticDescriptorBytes : v.size();
+  return synthetic ? kSyntheticDescriptorBytes : logical;
+}
+inline size_t physical_value_size(const Buffer& v) {
+  return physical_value_size(v.size(), v.is_synthetic());
 }
 
 class KvStore {

@@ -1,7 +1,11 @@
 #include "storage/log_kv.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstring>
+#include <limits>
 
 #include "common/hash.h"
 #include "common/log.h"
@@ -28,6 +32,16 @@ uint64_t get_u64(const unsigned char* p) {
   return v;
 }
 
+// fsync the directory `dir`, making the names of files created in it
+// durable.
+Status sync_dir(const std::filesystem::path& dir) {
+  int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) return Status::IoError("open " + dir.string() + " for fsync");
+  const bool ok = ::fsync(fd) == 0;
+  ::close(fd);
+  return ok ? Status::Ok() : Status::IoError("fsync " + dir.string());
+}
+
 }  // namespace
 
 Result<std::unique_ptr<LogKv>> LogKv::open(std::filesystem::path dir,
@@ -52,8 +66,37 @@ Result<std::unique_ptr<LogKv>> LogKv::open(std::filesystem::path dir,
   return kv;
 }
 
-LogKv::~LogKv() {
-  if (active_file_ != nullptr) std::fclose(active_file_);
+LogKv::~LogKv() { close_segments(); }
+
+void LogKv::close_segments() {
+  if (active_file_ != nullptr) {
+    std::fclose(active_file_);
+    active_file_ = nullptr;
+  }
+  for (auto& [id, seg] : segments_) {
+    if (seg.read_fd >= 0) ::close(seg.read_fd);
+    seg.read_fd = -1;
+  }
+}
+
+Status LogKv::open_reader(uint64_t id) {
+  int fd = ::open(segment_path(id).c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    return Status::IoError("open segment " + segment_path(id).string());
+  }
+  segments_[id].read_fd = fd;
+  return Status::Ok();
+}
+
+void LogKv::add_live(const Location& loc) {
+  live_logical_bytes_ += loc.logical_size();
+  live_physical_bytes_ += loc.physical_size();
+}
+
+void LogKv::retire(const Location& loc) {
+  live_logical_bytes_ -= loc.logical_size();
+  live_physical_bytes_ -= loc.physical_size();
+  dead_bytes_ += loc.length;
 }
 
 std::filesystem::path LogKv::segment_path(uint64_t id) const {
@@ -120,45 +163,28 @@ Status LogKv::load() {
         return Status::Corruption("corrupt record in non-final segment " +
                                   std::to_string(id));
       }
-      uint64_t record_len = kHeaderLen + plen;
-      // Apply to index.
+      const auto record_len = static_cast<uint32_t>(kHeaderLen + plen);
+      // Apply to index: the entry being replaced carries its value's sizes.
       auto it = index_.find(key);
-      if (it != index_.end()) {
-        dead_bytes_ += it->second.length;
-        // The old value is no longer live.
-      }
+      if (it != index_.end()) retire(it->second);
       if (tombstone) {
-        if (it != index_.end()) {
-          // Recompute live bytes lazily: we cannot know the old value size
-          // without re-reading; track via read.
-          std::string dummy;
-          auto old = read_record(it->second, &dummy);
-          if (old.ok()) {
-            live_logical_bytes_ -= old.value().size();
-            live_physical_bytes_ -= physical_value_size(old.value());
-          }
-          index_.erase(it);
-        }
+        if (it != index_.end()) index_.erase(it);
         dead_bytes_ += record_len;  // the tombstone itself is dead weight
       } else {
+        const Location loc{static_cast<uint32_t>(id), record_len, offset,
+                           Location::value_of(value)};
         if (it != index_.end()) {
-          std::string dummy;
-          auto old = read_record(it->second, &dummy);
-          if (old.ok()) {
-            live_logical_bytes_ -= old.value().size();
-            live_physical_bytes_ -= physical_value_size(old.value());
-          }
-          it->second = Location{id, offset, record_len};
+          it->second = loc;
         } else {
-          index_.emplace(key, Location{id, offset, record_len});
+          index_.emplace(std::move(key), loc);
         }
-        live_logical_bytes_ += value.size();
-        live_physical_bytes_ += physical_value_size(value);
+        add_live(loc);
       }
       offset += record_len;
     }
     if (f != nullptr) std::fclose(f);
-    segments_[id] = std::filesystem::file_size(segment_path(id));
+    segments_[id].bytes = std::filesystem::file_size(segment_path(id));
+    EVO_RETURN_IF_ERROR(open_reader(id));
   }
 
   active_segment_ = ids.empty() ? 0 : ids.back();
@@ -170,7 +196,7 @@ Status LogKv::load() {
     if (active_file_ == nullptr) {
       return Status::IoError("open active segment for append");
     }
-    active_offset_ = segments_[active_segment_];
+    active_offset_ = segments_[active_segment_].bytes;
   }
   return Status::Ok();
 }
@@ -188,17 +214,25 @@ Status LogKv::roll_segment() {
                            segment_path(active_segment_).string());
   }
   active_offset_ = 0;
-  segments_[active_segment_] = 0;
+  segments_[active_segment_].bytes = 0;
+  EVO_RETURN_IF_ERROR(open_reader(active_segment_));
+  // The new segment's name must survive a crash as well as its records.
+  if (options_.sync_every_write) EVO_RETURN_IF_ERROR(sync_dir(dir_));
   return Status::Ok();
 }
 
-Status LogKv::append_record(std::string_view key, const Buffer* value,
-                            Location* loc) {
+Result<LogKv::Location> LogKv::append_record(std::string_view key,
+                                             const Buffer* value) {
   common::Serializer s;
   s.boolean(value == nullptr);
   s.str(key);
   if (value != nullptr) s.buffer(*value);
   common::Bytes payload = std::move(s).take();
+  if (payload.size() > std::numeric_limits<uint32_t>::max() - kHeaderLen) {
+    return Status::InvalidArgument("record of " +
+                                   std::to_string(payload.size()) +
+                                   " bytes exceeds the log's u32 length");
+  }
 
   unsigned char header[kHeaderLen];
   put_u32(header, static_cast<uint32_t>(payload.size()));
@@ -209,34 +243,35 @@ Status LogKv::append_record(std::string_view key, const Buffer* value,
   }
   if (std::fwrite(header, 1, kHeaderLen, active_file_) != kHeaderLen ||
       std::fwrite(payload.data(), 1, payload.size(), active_file_) !=
-          payload.size()) {
+          payload.size() ||
+      std::fflush(active_file_) != 0) {
     return Status::IoError("append failed");
   }
-  std::fflush(active_file_);
-  if (options_.sync_every_write) {
-    // fflush + OS sync; fileno is POSIX.
-    // (fdatasync omitted on purpose in tests for speed.)
+  const Location loc{static_cast<uint32_t>(active_segment_),
+                     static_cast<uint32_t>(kHeaderLen + payload.size()),
+                     active_offset_,
+                     value != nullptr ? Location::value_of(*value) : 0};
+  // The record is in the file whether or not the sync below succeeds.
+  active_offset_ += loc.length;
+  segments_[active_segment_].bytes = active_offset_;
+  if (options_.sync_every_write && ::fsync(::fileno(active_file_)) != 0) {
+    return Status::IoError("fsync segment " + std::to_string(active_segment_));
   }
-  uint64_t record_len = kHeaderLen + payload.size();
-  if (loc != nullptr) {
-    *loc = Location{active_segment_, active_offset_, record_len};
-  }
-  active_offset_ += record_len;
-  segments_[active_segment_] = active_offset_;
-  return Status::Ok();
+  return loc;
 }
 
-Result<Buffer> LogKv::read_record(const Location& loc,
-                                  std::string* key_out) const {
-  std::FILE* f = std::fopen(segment_path(loc.segment).string().c_str(), "rb");
-  if (f == nullptr) {
-    return Status::IoError("open segment " + std::to_string(loc.segment));
+Result<Buffer> LogKv::read_record(const Location& loc) const {
+  auto seg = segments_.find(loc.segment);
+  if (seg == segments_.end()) {
+    return Status::Internal("index names deleted segment " +
+                            std::to_string(loc.segment));
   }
   std::vector<unsigned char> record(loc.length);
-  bool ok = std::fseek(f, static_cast<long>(loc.offset), SEEK_SET) == 0 &&
-            std::fread(record.data(), 1, loc.length, f) == loc.length;
-  std::fclose(f);
-  if (!ok) return Status::IoError("short read");
+  if (::pread(seg->second.read_fd, record.data(), record.size(),
+              static_cast<off_t>(loc.offset)) !=
+      static_cast<ssize_t>(record.size())) {
+    return Status::IoError("short read");
+  }
   uint32_t plen = get_u32(record.data());
   if (plen + kHeaderLen != loc.length) return Status::Corruption("bad length");
   if (common::fnv1a64(record.data() + kHeaderLen, plen) !=
@@ -246,41 +281,25 @@ Result<Buffer> LogKv::read_record(const Location& loc,
   common::Deserializer d(std::span<const std::byte>(
       reinterpret_cast<const std::byte*>(record.data() + kHeaderLen), plen));
   bool tombstone = d.boolean();
-  std::string key = d.str();
+  d.str();
   if (tombstone) return Status::Corruption("tombstone in index");
   Buffer value = d.buffer();
   if (!d.ok()) return d.status();
-  if (key_out != nullptr) *key_out = std::move(key);
   return value;
 }
 
 Status LogKv::put(std::string_view key, Buffer value) {
   std::lock_guard lock(mu_);
+  auto loc = append_record(key, &value);
+  if (!loc.ok()) return loc.status();
   auto it = index_.find(key);
-  size_t old_value_size = 0;
-  size_t old_physical_size = 0;
-  bool had_old = false;
   if (it != index_.end()) {
-    std::string dummy;
-    auto old = read_record(it->second, &dummy);
-    if (old.ok()) {
-      old_value_size = old.value().size();
-      old_physical_size = physical_value_size(old.value());
-    }
-    had_old = true;
-  }
-  Location loc;
-  EVO_RETURN_IF_ERROR(append_record(key, &value, &loc));
-  if (had_old) {
-    dead_bytes_ += it->second.length;
-    live_logical_bytes_ -= old_value_size;
-    live_physical_bytes_ -= old_physical_size;
-    it->second = loc;
+    retire(it->second);
+    it->second = *loc;
   } else {
-    index_.emplace(std::string(key), loc);
+    index_.emplace(std::string(key), *loc);
   }
-  live_logical_bytes_ += value.size();
-  live_physical_bytes_ += physical_value_size(value);
+  add_live(*loc);
   return Status::Ok();
 }
 
@@ -290,7 +309,7 @@ Result<Buffer> LogKv::get(std::string_view key) const {
   if (it == index_.end()) {
     return Status::NotFound("key '" + std::string(key) + "'");
   }
-  return read_record(it->second, nullptr);
+  return read_record(it->second);
 }
 
 Status LogKv::erase(std::string_view key) {
@@ -299,15 +318,10 @@ Status LogKv::erase(std::string_view key) {
   if (it == index_.end()) {
     return Status::NotFound("key '" + std::string(key) + "'");
   }
-  std::string dummy;
-  auto old = read_record(it->second, &dummy);
-  Location loc;
-  EVO_RETURN_IF_ERROR(append_record(key, nullptr, &loc));
-  dead_bytes_ += it->second.length + loc.length;
-  if (old.ok()) {
-    live_logical_bytes_ -= old.value().size();
-    live_physical_bytes_ -= physical_value_size(old.value());
-  }
+  auto tombstone = append_record(key, nullptr);
+  if (!tombstone.ok()) return tombstone.status();
+  retire(it->second);
+  dead_bytes_ += tombstone->length;
   index_.erase(it);
   return Status::Ok();
 }
@@ -343,23 +357,20 @@ size_t LogKv::logical_value_bytes() const {
 Result<size_t> LogKv::compact() {
   std::lock_guard lock(mu_);
   size_t before = 0;
-  for (const auto& [id, sz] : segments_) before += sz;
+  for (const auto& [id, seg] : segments_) before += seg.bytes;
 
   // Snapshot live records.
   std::vector<std::pair<std::string, Buffer>> live;
   live.reserve(index_.size());
   for (const auto& [key, loc] : index_) {
-    auto value = read_record(loc, nullptr);
+    auto value = read_record(loc);
     if (!value.ok()) return value.status();
     live.emplace_back(key, std::move(value).value());
   }
 
   // Remove all existing segments and start fresh.
-  if (active_file_ != nullptr) {
-    std::fclose(active_file_);
-    active_file_ = nullptr;
-  }
-  for (const auto& [id, sz] : segments_) {
+  close_segments();
+  for (const auto& [id, seg] : segments_) {
     std::error_code ec;
     std::filesystem::remove(segment_path(id), ec);
   }
@@ -371,21 +382,20 @@ Result<size_t> LogKv::compact() {
   EVO_RETURN_IF_ERROR(roll_segment());
 
   for (auto& [key, value] : live) {
-    Location loc;
-    EVO_RETURN_IF_ERROR(append_record(key, &value, &loc));
-    index_.emplace(key, loc);
-    live_logical_bytes_ += value.size();
-    live_physical_bytes_ += physical_value_size(value);
+    auto loc = append_record(key, &value);
+    if (!loc.ok()) return loc.status();
+    index_.emplace(key, *loc);
+    add_live(*loc);
   }
   size_t after = 0;
-  for (const auto& [id, sz] : segments_) after += sz;
+  for (const auto& [id, seg] : segments_) after += seg.bytes;
   return before > after ? before - after : size_t{0};
 }
 
 size_t LogKv::disk_bytes() const {
   std::lock_guard lock(mu_);
   size_t n = 0;
-  for (const auto& [id, sz] : segments_) n += sz;
+  for (const auto& [id, seg] : segments_) n += seg.bytes;
   return n;
 }
 

@@ -4,6 +4,11 @@
 // Design: append-only segment files + an in-memory index.
 //  - Every put/erase appends one checksummed record to the active segment;
 //    the log is the write-ahead log.
+//  - Each index entry carries its value's logical size and whether it is
+//    synthetic, so an overwrite, an erase and the rebuild scan keep the
+//    live- and dead-byte counters from the index and never read the log.
+//  - A get is one `pread` on the segment's read descriptor, which stays
+//    open for the segment's life.
 //  - `open` rebuilds the index by scanning segments in order. A torn write
 //    at the tail of the *last* segment (crash mid-append) is detected by the
 //    checksum and truncated away; corruption anywhere else is an error.
@@ -29,7 +34,8 @@ namespace evostore::storage {
 struct LogKvOptions {
   /// Roll to a new segment once the active one exceeds this many bytes.
   size_t segment_max_bytes = 64 * 1024 * 1024;
-  /// fsync after every append (slow; off for tests/benches).
+  /// fsync the segment after every append, and the directory when a new
+  /// segment is created (slow; off for tests/benches).
   bool sync_every_write = false;
   /// Compact during `open` when at least this fraction of the on-disk bytes
   /// is dead (overwritten records and tombstones). The rebuild scan already
@@ -72,24 +78,47 @@ class LogKv final : public KvStore {
   LogKv(std::filesystem::path dir, LogKvOptions options)
       : dir_(std::move(dir)), options_(options) {}
 
+  // Where a live key's record is, and its value's sizes. 24 bytes: the
+  // index holds one per live key.
   struct Location {
-    uint64_t segment = 0;
+    static constexpr uint64_t kSyntheticBit = uint64_t{1} << 63;
+
+    uint32_t segment = 0;
+    uint32_t length = 0;  // full record length incl. header
     uint64_t offset = 0;  // of the record header
-    uint64_t length = 0;  // full record length incl. header
+    uint64_t value = 0;   // logical value size | kSyntheticBit if synthetic
+
+    static uint64_t value_of(const Buffer& v) {
+      return v.size() | (v.is_synthetic() ? kSyntheticBit : 0);
+    }
+    size_t logical_size() const { return value & ~kSyntheticBit; }
+    size_t physical_size() const {
+      return physical_value_size(logical_size(), (value & kSyntheticBit) != 0);
+    }
+  };
+  static_assert(sizeof(Location) == 24);
+
+  struct Segment {
+    uint64_t bytes = 0;
+    int read_fd = -1;  // open from creation (or load) until deletion
   };
 
   Status load();
   Status roll_segment();
-  Status append_record(std::string_view key, const Buffer* value,
-                       Location* loc);
-  Result<Buffer> read_record(const Location& loc, std::string* key_out) const;
+  Status open_reader(uint64_t id);
+  void close_segments();
+  Result<Location> append_record(std::string_view key, const Buffer* value);
+  Result<Buffer> read_record(const Location& loc) const;
+  // Counter updates: a record becomes live, or a live record becomes dead.
+  void add_live(const Location& loc);
+  void retire(const Location& loc);
   std::filesystem::path segment_path(uint64_t id) const;
 
   std::filesystem::path dir_;
   LogKvOptions options_;
   mutable std::mutex mu_;
   std::map<std::string, Location, std::less<>> index_;
-  std::map<uint64_t, uint64_t> segments_;  // id -> byte size
+  std::map<uint64_t, Segment> segments_;
   uint64_t active_segment_ = 0;
   std::FILE* active_file_ = nullptr;
   uint64_t active_offset_ = 0;

@@ -665,6 +665,12 @@ TEST(WireGolden, ModelMessages) {
                                 kGoldenAncestor, 2.25, 3},
                 "01020000010364696d080001000304626961730202696e08036f7574080001010002818080801000828080801001000000000000e03f8180808010000000000000024003");
   expect_golden(GetMetaResponse{}, "00");
+  // A provider encodes its answer from the stored record: the same bytes.
+  const core::ModelMeta meta{golden_graph(), golden_owners(), 0.5,
+                             kGoldenAncestor, 2.25, 3};
+  EXPECT_EQ(hex_of(GetMetaView<core::ModelMeta>{&meta}),
+            "01020000010364696d080001000304626961730202696e08036f7574080001010002818080801000828080801001000000000000e03f8180808010000000000000024003");
+  EXPECT_EQ(hex_of(GetMetaView<core::ModelMeta>{}), "00");
   expect_golden(RetireRequest{kGoldenId, 8}, "828080801008");
   expect_golden(RetireResponse{common::Status::Unavailable("r"), golden_owners()},
                 "08017202818080801000828080801001");

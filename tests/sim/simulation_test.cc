@@ -83,6 +83,66 @@ TEST(Simulation, FutureDeliversResultToMultipleWaiters) {
   EXPECT_EQ(w2.get(), 10);
 }
 
+// A result that counts its copies (moves are free).
+struct CopyCounted {
+  static inline int copies = 0;
+  std::vector<int> payload;
+
+  explicit CopyCounted(std::vector<int> p) : payload(std::move(p)) {}
+  CopyCounted(const CopyCounted& o) : payload(o.payload) { ++copies; }
+  CopyCounted(CopyCounted&&) = default;
+  CopyCounted& operator=(const CopyCounted& o) {
+    payload = o.payload;
+    ++copies;
+    return *this;
+  }
+  CopyCounted& operator=(CopyCounted&&) = default;
+};
+
+CoTask<CopyCounted> counted(Simulation& sim) {
+  co_await sim.delay(1.0);
+  co_return CopyCounted({1, 2, 3});
+}
+
+TEST(Simulation, SingleConsumerMovesFutureResultOut) {
+  Simulation sim;
+  CopyCounted::copies = 0;
+  auto consumer = [](Future<CopyCounted> f) -> CoTask<std::vector<int>> {
+    CopyCounted v = co_await std::move(f);
+    EXPECT_FALSE(f.valid());
+    co_return std::move(v.payload);
+  };
+  auto out = sim.spawn(consumer(sim.spawn(counted(sim))));
+  sim.run();
+  EXPECT_EQ(std::move(out).get(), (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(CopyCounted::copies, 0);
+
+  // Outside a coroutine, the rvalue get() moves the result out too.
+  auto direct = sim.spawn(counted(sim));
+  sim.run();
+  EXPECT_EQ(std::move(direct).get().payload, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(sim.run_until_complete(counted(sim)).payload.size(), 3u);
+  EXPECT_EQ(CopyCounted::copies, 0);
+}
+
+TEST(Simulation, SharedFutureCopiesItsResultToEachAwaiter) {
+  Simulation sim;
+  CopyCounted::copies = 0;
+  auto waiter = [](Future<CopyCounted> f) -> CoTask<std::vector<int>> {
+    CopyCounted v = co_await f;
+    co_return std::move(v.payload);
+  };
+  auto fut = sim.spawn(counted(sim));
+  auto w1 = sim.spawn(waiter(fut));
+  auto w2 = sim.spawn(waiter(fut));
+  sim.run();
+  EXPECT_EQ(CopyCounted::copies, 2);
+  EXPECT_EQ(std::move(w1).get(), (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(std::move(w2).get(), (std::vector<int>{1, 2, 3}));
+  // The future itself still holds the intact result.
+  EXPECT_EQ(fut.get().payload, (std::vector<int>{1, 2, 3}));
+}
+
 TEST(Simulation, AwaitingCompletedFutureIsImmediate) {
   Simulation sim;
   auto fut = sim.spawn(immediate(1));

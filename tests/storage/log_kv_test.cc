@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <filesystem>
 #include <fstream>
+
+#include "common/rng.h"
 
 namespace evostore::storage {
 namespace {
@@ -31,6 +35,16 @@ class LogKvTest : public ::testing::Test {
 
 Buffer value_of(const std::string& s) {
   return Buffer::copy(std::as_bytes(std::span(s.data(), s.size())));
+}
+
+// XOR the byte at `offset` of `path` in place.
+void flip_byte(const std::filesystem::path& path, std::streamoff offset) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  char c;
+  f.seekg(offset);
+  f.get(c);
+  f.seekp(offset);
+  f.put(static_cast<char>(c ^ 0x5a));
 }
 
 TEST_F(LogKvTest, PutGetRoundTrip) {
@@ -183,15 +197,7 @@ TEST_F(LogKvTest, CorruptPayloadDetectedByChecksum) {
     ASSERT_TRUE(kv->put("x", value_of("sensitive-data")).ok());
   }
   // Flip a byte inside the record payload.
-  auto seg = dir_ / "00000001.evl";
-  std::fstream f(seg, std::ios::in | std::ios::out | std::ios::binary);
-  f.seekp(20);
-  char c;
-  f.seekg(20);
-  f.get(c);
-  f.seekp(20);
-  f.put(static_cast<char>(c ^ 0x5a));
-  f.close();
+  flip_byte(dir_ / "00000001.evl", 20);
 
   // Single (= last) segment: recovery truncates the corrupt tail.
   auto kv = open();
@@ -265,6 +271,164 @@ TEST_F(LogKvTest, ReopenSweepSkipsMostlyLiveLog) {
   // Under the ratio: no rewrite (the tombstone's dead bytes survive).
   EXPECT_EQ(kv->disk_bytes(), disk_before);
   EXPECT_GT(kv->dead_bytes(), 0u);
+}
+
+std::string file_hex(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::string out;
+  char c;
+  while (in.get(c)) {
+    static constexpr char kDigits[] = "0123456789abcdef";
+    const auto b = static_cast<unsigned char>(c);
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xf];
+  }
+  return out;
+}
+
+// The exact bytes of the segment files for a fixed history: dense,
+// synthetic and empty values, an overwrite, a tombstone, and a rollover.
+// The record format and order are the log's on-disk contract (an existing
+// log must replay under a newer build), so a change to either fails here.
+TEST_F(LogKvTest, GoldenSegmentBytes) {
+  LogKvOptions opt;
+  opt.segment_max_bytes = 48;
+  opt.compact_on_open_ratio = 0;
+  {
+    auto kv = open(opt);
+    ASSERT_TRUE(kv->put("a", value_of("one")).ok());
+    ASSERT_TRUE(kv->put("syn", Buffer::synthetic(1 << 20, 7)).ok());
+    ASSERT_TRUE(kv->put("a", value_of("two!")).ok());
+    ASSERT_TRUE(kv->erase("syn").ok());
+    ASSERT_TRUE(kv->put("e", Buffer()).ok());
+  }
+  std::vector<std::pair<std::string, std::string>> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    files.emplace_back(entry.path().filename().string(),
+                       file_hex(entry.path()));
+  }
+  std::sort(files.begin(), files.end());
+  // Each record: u32 payload length, u64 FNV-1a of the payload, payload =
+  // tombstone flag, key, value (0 + length + bytes dense; 1 + seed + size
+  // synthetic).
+  const std::vector<std::pair<std::string, std::string>> golden = {
+      {"00000001.evl",
+       "08000000" "11cc29c8f70029ea" "00" "0161" "00036f6e65"
+       "0a000000" "33f140e8e0a06dc5" "00" "0373796e" "0107808040"
+       "09000000" "1078b43973de3499" "00" "0161" "000474776f21"},
+      {"00000002.evl",
+       "05000000" "987b4a6d1ed55dbe" "01" "0373796e"
+       "05000000" "9bd3d8265990b0b2" "00" "0165" "0000"},
+  };
+  EXPECT_EQ(files, golden);
+}
+
+// Accounting oracle over a seeded history of dense and synthetic puts,
+// overwrites, erases and rollovers. After each phase: the live-byte
+// counters equal a recount over every stored value, a reopen rebuilds all
+// four counters, and compaction reclaims exactly `dead_bytes()`.
+TEST_F(LogKvTest, AccountingMatchesRecount) {
+  LogKvOptions opt;
+  opt.segment_max_bytes = 512;
+  opt.compact_on_open_ratio = 0;
+  auto kv = open(opt);
+  auto counters = [](const LogKv& s) {
+    return std::array<size_t, 4>{s.value_bytes(), s.logical_value_bytes(),
+                                 s.dead_bytes(), s.disk_bytes()};
+  };
+  common::Xoshiro256 rng(0x10c4);
+  size_t max_segments = 0;
+  for (int phase = 0; phase < 4; ++phase) {
+    for (int op = 0; op < 150; ++op) {
+      const std::string key = "k" + std::to_string(rng.below(24));
+      const uint64_t dice = rng.below(10);
+      if (dice < 3 && kv->contains(key)) {
+        ASSERT_TRUE(kv->erase(key).ok());
+      } else if (dice < 6) {
+        ASSERT_TRUE(kv->put(key, Buffer::synthetic(1 + rng.below(1 << 20),
+                                                   rng.next()))
+                        .ok());
+      } else {
+        // Dense, empty included.
+        ASSERT_TRUE(kv->put(key, Buffer::synthetic(rng.below(100), rng.next())
+                                     .materialize())
+                        .ok());
+      }
+      max_segments = std::max(max_segments, kv->segment_count());
+    }
+    size_t physical = 0;
+    size_t logical = 0;
+    for (const std::string& key : kv->keys()) {
+      auto v = kv->get(key);
+      ASSERT_TRUE(v.ok()) << key;
+      physical += physical_value_size(*v);
+      logical += v->size();
+    }
+    EXPECT_EQ(kv->value_bytes(), physical) << "phase " << phase;
+    EXPECT_EQ(kv->logical_value_bytes(), logical) << "phase " << phase;
+
+    const auto live = counters(*kv);
+    kv.reset();
+    kv = open(opt);
+    EXPECT_EQ(counters(*kv), live) << "phase " << phase;
+
+    const size_t dead = kv->dead_bytes();
+    ASSERT_TRUE(kv->compact().ok());
+    EXPECT_EQ(live[3] - kv->disk_bytes(), dead) << "phase " << phase;
+    EXPECT_EQ(counters(*kv),
+              (std::array<size_t, 4>{live[0], live[1], 0, live[3] - dead}));
+  }
+  EXPECT_GT(max_segments, 3u);
+}
+
+// The counters come from the index, not from re-reading the log: an
+// overwrite and an erase whose old records no longer verify still subtract
+// the old values.
+TEST_F(LogKvTest, MutationsDoNotDependOnOldRecords) {
+  auto kv = open();
+  ASSERT_TRUE(kv->put("a", Buffer::zeros(40)).ok());
+  ASSERT_TRUE(kv->put("b", Buffer::zeros(40)).ok());
+  ASSERT_TRUE(kv->put("c", Buffer::zeros(40)).ok());
+  // Each record is 12 header bytes + 5 of flag, key and value length + 40;
+  // flip a value byte of a's and of b's.
+  flip_byte(dir_ / "00000001.evl", 20);
+  flip_byte(dir_ / "00000001.evl", 57 + 20);
+  EXPECT_FALSE(kv->get("a").ok());
+  ASSERT_TRUE(kv->put("a", Buffer::zeros(10)).ok());
+  ASSERT_TRUE(kv->erase("b").ok());
+  EXPECT_EQ(kv->value_bytes(), 50u);
+  EXPECT_EQ(kv->logical_value_bytes(), 50u);
+  EXPECT_EQ(kv->dead_bytes(), 2 * 57u + 15u);  // a, b and b's tombstone
+  EXPECT_TRUE(kv->get("a")->content_equals(Buffer::zeros(10)));
+  EXPECT_TRUE(kv->get("c")->content_equals(Buffer::zeros(40)));
+}
+
+TEST_F(LogKvTest, SyncEveryWriteRoundTripsAcrossRolloverAndReopen) {
+  LogKvOptions opt;
+  opt.sync_every_write = true;
+  opt.segment_max_bytes = 64;
+  {
+    auto kv = open(opt);
+    for (int i = 0; i < 12; ++i) {
+      ASSERT_TRUE(
+          kv->put("k" + std::to_string(i), value_of("v" + std::to_string(i)))
+              .ok());
+    }
+    ASSERT_TRUE(kv->erase("k3").ok());
+    EXPECT_GT(kv->segment_count(), 2u);
+    EXPECT_TRUE(kv->get("k7")->content_equals(value_of("v7")));
+  }
+  auto kv = open(opt);
+  EXPECT_EQ(kv->size(), 11u);
+  EXPECT_FALSE(kv->contains("k3"));
+  for (int i = 0; i < 12; ++i) {
+    if (i == 3) continue;
+    auto r = kv->get("k" + std::to_string(i));
+    ASSERT_TRUE(r.ok());
+    EXPECT_TRUE(r->content_equals(value_of("v" + std::to_string(i))));
+  }
+  ASSERT_TRUE(kv->put("k3", value_of("again")).ok());
+  EXPECT_TRUE(kv->get("k3")->content_equals(value_of("again")));
 }
 
 TEST_F(LogKvTest, ManyKeysStressAndReopen) {
