@@ -61,10 +61,11 @@ void BM_GraphSerde(benchmark::State& state) {
 BENCHMARK(BM_GraphSerde);
 
 // What a provider pays to decode an LCP query's graph, once per query leg:
-// the full ArchGraph decode (every LayerDef built) beside the shape-only
-// decode providers run (GraphShape::deserialize). `family` 0 is perfbench
-// lcp_catalog's DeepSpace space, 1 a CANDLE-ATTN candidate; `shape` picks
-// the decoder.
+// the shape encoding queries travel in (GraphShape::deserialize_shape: a
+// signature table, indexes and edges; no layer parsed or hashed) beside the
+// full ArchGraph decode stored models still take (every LayerDef built and
+// hashed). `family` 0 is perfbench lcp_catalog's DeepSpace space, 1 a
+// CANDLE-ATTN candidate; `shape` picks the encoding and its decoder.
 void BM_LcpQueryDecode(benchmark::State& state) {
   const bool candle = state.range(0) != 0;
   const bool shape = state.range(1) != 0;
@@ -83,14 +84,18 @@ void BM_LcpQueryDecode(benchmark::State& state) {
       g = space.decode_graph(space.random(rng));
     }
     common::Serializer s;
-    g.serialize(s);
+    if (shape) {
+      g.serialize_shape(s);
+    } else {
+      g.serialize(s);
+    }
     queries.push_back(std::move(s).take());
   }
   size_t i = 0;
   for (auto _ : state) {
     common::Deserializer d(queries[i++ % queries.size()]);
     if (shape) {
-      benchmark::DoNotOptimize(model::GraphShape::deserialize(d).size());
+      benchmark::DoNotOptimize(model::GraphShape::deserialize_shape(d).size());
     } else {
       benchmark::DoNotOptimize(model::ArchGraph::deserialize(d).size());
     }

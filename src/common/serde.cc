@@ -44,6 +44,19 @@ uint8_t Deserializer::u8() {
   return static_cast<uint8_t>(data_[pos_++]);
 }
 
+uint64_t Deserializer::fixed64() {
+  if (!status_.ok() || data_.size() - pos_ < 8) {
+    fail("fixed64 past end");
+    return 0;
+  }
+  uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) {
+    v |= static_cast<uint64_t>(data_[pos_ + i]) << (8 * i);
+  }
+  pos_ += 8;
+  return v;
+}
+
 double Deserializer::f64() {
   if (!status_.ok() || pos_ + 8 > data_.size()) {
     fail("f64 past end");
@@ -55,16 +68,14 @@ double Deserializer::f64() {
   return v;
 }
 
-std::string Deserializer::str() { return std::string(str_view()); }
-
-std::string_view Deserializer::str_view() {
+std::string Deserializer::str() {
   uint64_t n = checked_varint(UINT64_MAX);
   // NOTE: compare against the remaining byte count; `pos_ + n` could wrap.
   if (!status_.ok() || n > data_.size() - pos_) {
     fail("string past end");
     return {};
   }
-  std::string_view s(reinterpret_cast<const char*>(data_.data() + pos_), n);
+  std::string s(reinterpret_cast<const char*>(data_.data() + pos_), n);
   pos_ += n;
   return s;
 }

@@ -34,6 +34,13 @@ class Serializer {
     std::memcpy(raw, &v, 8);
     out_.insert(out_.end(), raw, raw + 8);
   }
+  /// 8 raw little-endian bytes, for uniformly random values such as hash
+  /// halves, which a varint would spend about 9.5 bytes on.
+  void fixed64(uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      out_.push_back(static_cast<std::byte>(v >> (8 * i)));
+    }
+  }
   void str(std::string_view s) {
     varint(s.size());
     const auto* p = reinterpret_cast<const std::byte*>(s.data());
@@ -80,10 +87,8 @@ class Deserializer {
   int64_t i64() { return unzigzag(checked_varint(UINT64_MAX)); }
   bool boolean() { return u8() != 0; }
   double f64();
+  uint64_t fixed64();
   std::string str();
-  /// `str()` without the copy: a view into the input, valid while the
-  /// source span lives. Fails exactly where `str()` fails.
-  std::string_view str_view();
   Bytes bytes();
   Buffer buffer();
 

@@ -99,7 +99,8 @@ sim::CoTask<Result<wire::LcpQueryResponse>> Client::query_lcp(
   obs::Span span =
       obs::Tracer::maybe_begin(tracer(), "lcp_query", self_, parent);
   double t0 = rpc_->simulation().now();
-  // The query's one copy of `g`: every round encodes from it.
+  // The query's one copy of `g`'s shape (its layers stay behind): every
+  // round encodes from it.
   wire::LcpQueryRequest req;
   req.graph = g;
   req.live = membership_->live_bytes();

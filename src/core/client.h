@@ -360,13 +360,13 @@ class Client {
   /// idempotency token stays stable for the logical operation. Only a
   /// failed call is retried; a response travels back as it is.
   template <typename Response>
-  sim::CoTask<Result<Response>> call_encoded(NodeId to, std::string method,
+  sim::CoTask<Result<Response>> call_encoded(NodeId to, const char* method,
                                              Encoded request,
                                              obs::TraceContext parent = {}) {
     return attempt_loop<Result<Response>>(
         "attempt", config_.retry.max_attempts, "exhausted: ", parent,
-        [this, to, method = std::move(method), request = std::move(request)](
-            int attempt, obs::Span* span) {
+        [this, to, method, request = std::move(request)](int attempt,
+                                                          obs::Span* span) {
           span->tag("method", method);
           span->tag_u64("attempt", static_cast<uint64_t>(attempt));
           return net::typed_call_encoded<Response>(

@@ -295,8 +295,7 @@ PrefixIndex::LookupResult PrefixIndex::lookup(
   r.clean = w.clean && !has_twins(w.admitted);
   size_t top = 0;
   for (size_t i = 0; i < w.admitted.size(); ++i) {
-    const std::vector<common::VertexId>& out =
-        g.out_edges(w.admitted[i].first);
+    const auto out = g.out_edges(w.admitted[i].first);
     if (std::none_of(out.begin(), out.end(), [&](common::VertexId v) {
           return w.at[v].admitted;
         })) {

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cassert>
 #include <concepts>
 #include <cstdint>
 #include <span>
@@ -19,7 +18,6 @@
 #include <tuple>
 #include <type_traits>
 #include <utility>
-#include <variant>
 #include <vector>
 
 #include "common/serde.h"
@@ -818,36 +816,27 @@ struct RepairResponse {
 
 // ---- lcp_query (provider-side collective piece) --------------------------
 
-/// An LCP query's graph (DESIGN.md §7). The client copies or moves its
-/// ArchGraph in (a request never borrows the caller's graph), and it
-/// encodes exactly as ArchGraph::serialize does. A provider decodes only
-/// the shape Algorithm 1 reads (GraphShape::deserialize), without building
-/// any LayerDef; a decoded query is answered, never encoded again.
+/// An LCP query's graph: its shape alone, the only part Algorithm 1 and
+/// the prefix index read (DESIGN.md §7). The client copies the shape of
+/// its ArchGraph in (a request never borrows the caller's graph, and the
+/// layers stay behind); it travels as GraphShape::serialize_shape's
+/// signature table, and a provider decodes it without parsing or hashing
+/// any layer. A decoded query encodes to the same bytes.
 class QueryGraph {
  public:
   QueryGraph() = default;
-  // NOLINTNEXTLINE(google-explicit-constructor): a query is its graph
-  QueryGraph(ArchGraph graph) : graph_(std::move(graph)) {}
+  // NOLINTNEXTLINE(google-explicit-constructor): a query is its graph's shape
+  QueryGraph(model::GraphShape shape) : shape_(std::move(shape)) {}
 
-  /// The shape Algorithm 1 reads, on either side of the wire.
-  const model::GraphShape& shape() const {
-    return std::visit(
-        [](const auto& g) -> const model::GraphShape& { return g; }, graph_);
-  }
+  const model::GraphShape& shape() const { return shape_; }
 
-  void serialize(Serializer& s) const {
-    const ArchGraph* g = std::get_if<ArchGraph>(&graph_);
-    assert(g != nullptr && "a decoded query has no layers to encode");
-    if (g != nullptr) g->serialize(s);
-  }
+  void serialize(Serializer& s) const { shape_.serialize_shape(s); }
   static QueryGraph deserialize(Deserializer& d) {
-    QueryGraph q;
-    q.graph_ = model::GraphShape::deserialize(d);
-    return q;
+    return model::GraphShape::deserialize_shape(d);
   }
 
  private:
-  std::variant<ArchGraph, model::GraphShape> graph_;
+  model::GraphShape shape_;
 };
 
 /// One round of the collective LCP query (DESIGN.md §15). Each provider

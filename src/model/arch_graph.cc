@@ -1,9 +1,7 @@
 #include "model/arch_graph.h"
 
 #include <algorithm>
-#include <iterator>
 #include <queue>
-#include <string_view>
 
 namespace evostore::model {
 
@@ -97,17 +95,16 @@ common::Result<ArchGraph> ArchGraph::flatten(const Architecture& arch) {
 
   ArchGraph g;
   g.defs_.reserve(n);
-  g.out_.assign(n, {});
   for (uint32_t temp : bfs_order) {
     g.defs_.push_back(*tg.leaves[temp]);
   }
+  std::vector<std::pair<VertexId, VertexId>> edges;
   for (uint32_t temp = 0; temp < n; ++temp) {
-    VertexId from = temp_to_final[temp];
     for (uint32_t t : tg.out[temp]) {
-      g.out_[from].push_back(temp_to_final[t]);
+      edges.emplace_back(temp_to_final[temp], temp_to_final[t]);
     }
-    std::sort(g.out_[from].begin(), g.out_[from].end());
   }
+  g.set_edges(n, edges);
   g.finalize();
   return g;
 }
@@ -115,16 +112,14 @@ common::Result<ArchGraph> ArchGraph::flatten(const Architecture& arch) {
 common::Result<ArchGraph> ArchGraph::from_parts(
     std::vector<LayerDef> defs,
     std::vector<std::pair<VertexId, VertexId>> edges) {
-  ArchGraph g;
-  g.defs_ = std::move(defs);
-  g.out_.assign(g.defs_.size(), {});
   for (auto [from, to] : edges) {
-    if (from >= g.defs_.size() || to >= g.defs_.size()) {
+    if (from >= defs.size() || to >= defs.size()) {
       return common::Status::InvalidArgument("edge endpoint out of range");
     }
-    g.out_[from].push_back(to);
   }
-  for (auto& adj : g.out_) std::sort(adj.begin(), adj.end());
+  ArchGraph g;
+  g.defs_ = std::move(defs);
+  g.set_edges(g.defs_.size(), edges);
   g.finalize();
   return g;
 }
@@ -135,28 +130,35 @@ void ArchGraph::finalize() {
   count_in_degrees();
 }
 
+void GraphShape::set_edges(
+    size_t n, const std::vector<std::pair<VertexId, VertexId>>& edges) {
+  // Counting sort by source, then each source's targets in order.
+  offsets_.assign(n + 1, 0);
+  for (auto [from, to] : edges) ++offsets_[from + 1];
+  for (size_t v = 0; v < n; ++v) offsets_[v + 1] += offsets_[v];
+  targets_.resize(edges.size());
+  std::vector<uint32_t> next(offsets_.begin(), offsets_.end() - 1);
+  for (auto [from, to] : edges) targets_[next[from]++] = to;
+  for (size_t v = 0; v < n; ++v) {
+    std::sort(targets_.begin() + offsets_[v],
+              targets_.begin() + offsets_[v + 1]);
+  }
+}
+
 void GraphShape::count_in_degrees() {
   in_degree_.assign(sigs_.size(), 0);
-  for (const auto& adj : out_) {
-    for (VertexId v : adj) ++in_degree_[v];
-  }
+  for (VertexId v : targets_) ++in_degree_[v];
 }
 
 common::Hash128 GraphShape::graph_hash() const {
   common::Hasher128 h(0xa2c4);
   h.u64(size());
-  for (size_t i = 0; i < size(); ++i) {
+  for (VertexId i = 0; i < size(); ++i) {
     h.h128(sigs_[i]);
-    h.u64(out_[i].size());
-    for (VertexId v : out_[i]) h.u64(v);
+    h.u64(out_edges(i).size());
+    for (VertexId v : out_edges(i)) h.u64(v);
   }
   return h.finish();
-}
-
-size_t GraphShape::edge_count() const {
-  size_t n = 0;
-  for (const auto& adj : out_) n += adj.size();
-  return n;
 }
 
 size_t ArchGraph::total_param_bytes(DType dtype) const {
@@ -168,27 +170,35 @@ size_t ArchGraph::total_param_bytes(DType dtype) const {
 void ArchGraph::serialize(common::Serializer& s) const {
   s.u64(defs_.size());
   for (const auto& def : defs_) def.serialize(s);
-  for (const auto& adj : out_) {
-    s.u64(adj.size());
-    for (VertexId v : adj) s.u32(v);
+  write_edges(s);
+}
+
+void GraphShape::write_edges(common::Serializer& s) const {
+  for (VertexId v = 0; v < size(); ++v) {
+    s.u64(out_edges(v).size());
+    for (VertexId t : out_edges(v)) s.u32(t);
   }
 }
 
 bool GraphShape::read_edges(common::Deserializer& d, size_t n) {
-  out_.assign(n, {});
+  offsets_.assign(1, 0);
+  offsets_.reserve(n + 1);
+  targets_.clear();
+  targets_.reserve(n);  // about one edge per vertex
   for (size_t i = 0; i < n && d.ok(); ++i) {
     uint64_t deg = d.u64();
     if (!d.check_count(deg)) break;
-    out_[i].resize(deg);
-    for (auto& v : out_[i]) {
-      v = d.u32();
+    for (uint64_t e = 0; e < deg; ++e) {
+      VertexId v = d.u32();
       if (v >= n) {
         // Malformed input: an edge target outside the vertex range must not
         // reach the in-degree count.
-        (void)d.check_count(UINT64_MAX);  // fail the stream
+        d.corrupt("edge target past the vertex count");
         return false;
       }
+      targets_.push_back(v);
     }
+    offsets_.push_back(static_cast<uint32_t>(targets_.size()));
   }
   return d.ok();
 }
@@ -206,61 +216,60 @@ ArchGraph ArchGraph::deserialize(common::Deserializer& d) {
   return g;
 }
 
-namespace {
-
-// One layer's parameters as encoded: key views into the input.
-template <typename V>
-using ParamViews = std::vector<std::pair<std::string_view, V>>;
-
-// Read `count` (key, value) pairs as LayerDef::deserialize reads them.
-template <typename V, typename ReadValue>
-void read_params(common::Deserializer& d, uint64_t count, ParamViews<V>& out,
-                 ReadValue read_value) {
-  out.clear();
-  for (uint64_t i = 0; i < count && d.ok(); ++i) {
-    std::string_view key = d.str_view();
-    V value = read_value(d);
-    out.emplace_back(key, value);
+void GraphShape::serialize_shape(common::Serializer& s) const {
+  // Number the distinct signatures in first-appearance order, finding a
+  // repeat through a small open-addressing table of entry numbers.
+  const size_t n = size();
+  std::vector<uint32_t> index(n);
+  std::vector<VertexId> first;  // the vertex each entry first appears at
+  size_t mask = 3;
+  while (mask < 2 * n) mask = 2 * mask + 1;
+  std::vector<uint32_t> slots(mask + 1, UINT32_MAX);
+  for (VertexId v = 0; v < n; ++v) {
+    size_t i = static_cast<size_t>(sigs_[v].lo) & mask;
+    while (slots[i] != UINT32_MAX && sigs_[first[slots[i]]] != sigs_[v]) {
+      i = (i + 1) & mask;
+    }
+    if (slots[i] == UINT32_MAX) {
+      slots[i] = static_cast<uint32_t>(first.size());
+      first.push_back(v);
+    }
+    index[v] = slots[i];
   }
-  // LayerDef::set_int / set_float keep the keys sorted and let a repeated
-  // key's last value win. LayerDef::serialize writes them that way, so this
-  // is one comparison pass for every encoding it produced.
-  auto before = [](const auto& a, const auto& b) { return a.first < b.first; };
-  auto not_before = [&](const auto& a, const auto& b) { return !before(a, b); };
-  if (std::adjacent_find(out.begin(), out.end(), not_before) == out.end()) {
-    return;
+  s.u64(n);
+  s.u64(first.size());
+  for (VertexId v : first) {
+    s.fixed64(sigs_[v].hi);
+    s.fixed64(sigs_[v].lo);
   }
-  std::stable_sort(out.begin(), out.end(), before);
-  auto kept = out.begin();
-  for (auto it = out.begin(); it != out.end(); ++it) {
-    auto next = std::next(it);
-    if (next == out.end() || next->first != it->first) *kept++ = *it;
-  }
-  out.erase(kept, out.end());
+  for (uint32_t i : index) s.u32(i);
+  write_edges(s);
 }
 
-}  // namespace
-
-GraphShape GraphShape::deserialize(common::Deserializer& d) {
+GraphShape GraphShape::deserialize_shape(common::Deserializer& d) {
   GraphShape g;
-  uint64_t n = d.u64();
-  if (!d.check_count(n)) return g;
-  g.sigs_.reserve(n);
-  // LayerDef::deserialize's reads, in its order, so the stream fails at the
-  // same byte with the same status.
-  ParamViews<int64_t> ints;
-  ParamViews<double> floats;
-  for (uint64_t i = 0; i < n && d.ok(); ++i) {
-    auto kind = static_cast<LayerKind>(d.u8());
-    (void)d.str_view();  // the display name: never part of the signature
-    uint64_t ni = d.u64();
-    if (!d.ok()) break;
-    read_params(d, ni, ints, [](common::Deserializer& in) { return in.i64(); });
-    uint64_t nf = d.u64();
-    if (!d.ok()) break;
-    read_params(d, nf, floats,
-                [](common::Deserializer& in) { return in.f64(); });
-    g.sigs_.push_back(layer_signature(kind, ints, floats));
+  const uint64_t n = d.u64();
+  const uint64_t table_size = d.u64();
+  // Each vertex takes at least a table index and an out-degree byte.
+  if (!d.check_count(n, 2)) return g;
+  if (table_size > n) {
+    d.corrupt("signature table larger than the vertex count");
+    return g;
+  }
+  if (!d.check_count(table_size, 16)) return g;
+  std::vector<common::Hash128> table(table_size);
+  for (auto& sig : table) {
+    sig.hi = d.fixed64();
+    sig.lo = d.fixed64();
+  }
+  g.sigs_.resize(n);
+  for (auto& sig : g.sigs_) {
+    const uint32_t i = d.u32();
+    if (i >= table_size) {
+      d.corrupt("signature index past the table");
+      return GraphShape{};
+    }
+    sig = table[i];
   }
   if (!d.ok() || !g.read_edges(d, n)) return GraphShape{};
   g.count_in_degrees();

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/hash.h"
@@ -20,10 +21,13 @@ namespace evostore::model {
 using common::VertexId;
 
 /// The part of a flattened graph that LCP matching reads: per vertex the
-/// leaf layer's signature, its in-degree and its sorted out-edges.
+/// leaf layer's signature, its in-degree and its sorted out-edges. The
+/// out-edges are stored CSR-style, one offsets array and one targets array,
+/// so a graph holds two edge buffers however many vertices it has.
 /// Algorithm 1, the prefix index and the Redis baseline's scan read nothing
-/// else, so they take a shape; `ArchGraph` is one. A provider decodes an LCP
-/// query straight into a shape without building any `LayerDef`.
+/// else, so they take a shape; `ArchGraph` is one. An LCP query travels as
+/// a shape alone (`serialize_shape`), and a provider decodes it without
+/// building, parsing or hashing any layer.
 class GraphShape {
  public:
   GraphShape() = default;
@@ -35,32 +39,45 @@ class GraphShape {
   /// Canonical configuration hash of vertex v's leaf layer.
   const common::Hash128& signature(VertexId v) const { return sigs_[v]; }
 
-  const std::vector<VertexId>& out_edges(VertexId v) const { return out_[v]; }
+  std::span<const VertexId> out_edges(VertexId v) const {
+    return {targets_.data() + offsets_[v], targets_.data() + offsets_[v + 1]};
+  }
   uint32_t in_degree(VertexId v) const { return in_degree_[v]; }
-  size_t edge_count() const;
+  size_t edge_count() const { return targets_.size(); }
 
   /// Identity hash of the whole graph (structure + layer configs), computed
   /// on each call.
   common::Hash128 graph_hash() const;
 
-  /// Decode `ArchGraph::serialize`'s bytes into the shape alone: names are
-  /// skipped, and each layer's parameters are hashed straight off the wire
-  /// into `LayerDef::signature()` after LayerDef's normalization (keys
-  /// sorted, a repeated key keeps its last value). Fails the stream
-  /// wherever `ArchGraph::deserialize` does, with the same status.
-  static GraphShape deserialize(common::Deserializer& d);
+  /// The shape's own encoding (DESIGN.md §7): the vertex count, the table
+  /// of distinct signatures (its size, then each signature once as 16 raw
+  /// bytes, in first-appearance order), one table index per vertex, then
+  /// the adjacency block `ArchGraph::serialize` also writes.
+  void serialize_shape(common::Serializer& s) const;
+  /// Decode `serialize_shape`'s bytes: no layer is parsed or hashed. A
+  /// table larger than the vertex count, an index past the table or an
+  /// edge target past the vertices fails the stream with Corruption.
+  static GraphShape deserialize_shape(common::Deserializer& d);
 
   friend bool operator==(const GraphShape&, const GraphShape&) = default;
 
  protected:
-  /// Read the adjacency block that follows `n` encoded layers into `out_`.
-  /// False, with the stream failed, on a malformed block.
+  /// Set the out-edges from (from, to) pairs with endpoints below `n`:
+  /// grouped by source, each source's targets sorted.
+  void set_edges(size_t n,
+                 const std::vector<std::pair<VertexId, VertexId>>& edges);
+  /// Write / read the adjacency block: per vertex its out-degree, then its
+  /// targets. `read_edges` returns false, with the stream failed, on a
+  /// malformed block.
+  void write_edges(common::Serializer& s) const;
   bool read_edges(common::Deserializer& d, size_t n);
-  /// Fill `in_degree_` from `out_`.
+  /// Fill `in_degree_` from the out-edges.
   void count_in_degrees();
 
   std::vector<common::Hash128> sigs_;
-  std::vector<std::vector<VertexId>> out_;
+  // Vertex v's out-edges are targets_[offsets_[v], offsets_[v + 1]).
+  std::vector<uint32_t> offsets_ = {0};
+  std::vector<VertexId> targets_;
   std::vector<uint32_t> in_degree_;
 };
 
@@ -88,7 +105,7 @@ class ArchGraph : public GraphShape {
       std::vector<std::pair<VertexId, VertexId>> edges);
 
  private:
-  void finalize();  // signatures and in-degrees from defs_ and out_
+  void finalize();  // signatures and in-degrees from defs_ and the edges
 
   std::vector<LayerDef> defs_;
 };

@@ -77,7 +77,13 @@ bool LayerDef::has_int(std::string_view key) const {
 }
 
 common::Hash128 LayerDef::signature() const {
-  return layer_signature(kind_, int_params_, float_params_);
+  common::Hasher128 h(0x1a7e5);
+  h.u64(static_cast<uint64_t>(kind_));
+  h.u64(int_params_.size());
+  for (const auto& [k, v] : int_params_) h.str(k).i64(v);
+  h.u64(float_params_.size());
+  for (const auto& [k, v] : float_params_) h.str(k).f64(v);
+  return h.finish();
 }
 
 std::vector<TensorSpec> LayerDef::param_specs(DType dtype) const {

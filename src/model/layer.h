@@ -37,22 +37,6 @@ enum class LayerKind : uint8_t {
 
 std::string_view layer_kind_name(LayerKind k);
 
-/// The canonical configuration hash of a layer: its kind, then its int and
-/// its float parameters, each list sorted by key with every key once.
-/// `LayerDef::signature()` hashes its own lists; `GraphShape::deserialize`
-/// hashes views of the encoded ones, so both must go through here.
-template <typename IntParams, typename FloatParams>
-common::Hash128 layer_signature(LayerKind kind, const IntParams& ints,
-                                const FloatParams& floats) {
-  common::Hasher128 h(0x1a7e5);
-  h.u64(static_cast<uint64_t>(kind));
-  h.u64(ints.size());
-  for (const auto& [k, v] : ints) h.str(k).i64(v);
-  h.u64(floats.size());
-  for (const auto& [k, v] : floats) h.str(k).f64(v);
-  return h.finish();
-}
-
 class LayerDef {
  public:
   LayerDef() = default;

@@ -43,18 +43,24 @@ void RpcSystem::set_service_pool(NodeId node, int slots,
 }
 
 sim::CoTask<Result<Bytes>> RpcSystem::call(NodeId from, NodeId to,
-                                           // NOLINTNEXTLINE(cppcoreguidelines-avoid-reference-coroutine-parameters)
-                                           const std::string& method,
+                                           std::string_view method,
                                            Bytes request, CallOptions options) {
-  if (handlers_.find(std::make_pair(to, method)) == handlers_.end()) {
+  // The one handler lookup. `method` is not read past it: the entry's key
+  // names the method from here on.
+  auto it = handlers_.find(std::pair<NodeId, std::string_view>(to, method));
+  if (it == handlers_.end()) {
     // Unimplemented, not NotFound: an unregistered handler must stay
     // distinguishable from a provider legitimately answering "not found".
-    co_return common::Status::Unimplemented("no handler for '" + method +
-                                            "' on " + fabric_->node_name(to));
+    co_return common::Status::Unimplemented(
+        "no handler for '" + std::string(method) + "' on " +
+        fabric_->node_name(to));
   }
+  const HandlerEntry* entry = &*it;
   double start = simulation().now();
-  obs::Span span =
-      obs::Tracer::maybe_begin(tracer_, "rpc:" + method, from, options.parent);
+  obs::Span span;
+  if (tracer_ != nullptr) {
+    span = tracer_->begin("rpc:" + entry->first.second, from, options.parent);
+  }
   double timeout = options.timeout != 0 ? options.timeout : default_timeout_;
   // Separate statements, NOT a conditional expression: co_await inside ?:
   // makes shipped GCC destroy the CoTask temporary (and the coroutine frame
@@ -62,10 +68,10 @@ sim::CoTask<Result<Bytes>> RpcSystem::call(NodeId from, NodeId to,
   std::optional<Result<Bytes>> result;
   if (timeout > 0) {
     result.emplace(co_await race_deadline(
-        call_inner(from, to, method, std::move(request), span.context()),
-        timeout, method, to));
+        call_inner(from, to, entry, std::move(request), span.context()),
+        timeout, entry, to));
   } else {
-    result.emplace(co_await call_inner(from, to, method, std::move(request),
+    result.emplace(co_await call_inner(from, to, entry, std::move(request),
                                        span.context()));
   }
   if (hist_call_seconds_ != nullptr) {
@@ -78,9 +84,10 @@ sim::CoTask<Result<Bytes>> RpcSystem::call(NodeId from, NodeId to,
 }
 
 sim::CoTask<Result<Bytes>> RpcSystem::call_inner(NodeId from, NodeId to,
-                                                 std::string method,
+                                                 const HandlerEntry* entry,
                                                  Bytes request,
                                                  obs::TraceContext trace) {
+  const std::string& method = entry->first.second;
   ++stats_.calls;
   stats_.request_bytes += static_cast<double>(request.size());
   if (hist_request_bytes_ != nullptr) {
@@ -129,15 +136,11 @@ sim::CoTask<Result<Bytes>> RpcSystem::call_inner(NodeId from, NodeId to,
   }
 
   // Execute the handler, optionally gated by the node's service pool.
-  // (Handler lookup is redone here: a restart hook may have re-registered.)
-  auto it = handlers_.find(std::make_pair(to, method));
-  if (it == handlers_.end()) {
-    co_return common::Status::Unimplemented("no handler for '" + method +
-                                            "' on " + fabric_->node_name(to));
-  }
+  // `entry->second` is read now, not at lookup: a restart hook may have
+  // re-registered the handler while the request was in flight.
   // The serve span opens before any pool wait so queueing time is visible.
-  obs::Span serve =
-      obs::Tracer::maybe_begin(tracer_, "serve:" + method, to, trace);
+  obs::Span serve;
+  if (tracer_ != nullptr) serve = tracer_->begin("serve:" + method, to, trace);
   HandlerContext hctx{serve.context()};
   auto pool_it = pools_.find(to);
   Bytes response;
@@ -145,10 +148,10 @@ sim::CoTask<Result<Bytes>> RpcSystem::call_inner(NodeId from, NodeId to,
     auto& pool = pool_it->second;
     co_await pool.slots->acquire();
     if (pool.overhead > 0) co_await simulation().delay(pool.overhead);
-    response = co_await it->second(std::move(request), hctx);
+    response = co_await entry->second(std::move(request), hctx);
     pool.slots->release();
   } else {
-    response = co_await it->second(std::move(request), hctx);
+    response = co_await entry->second(std::move(request), hctx);
   }
   serve.end();
 
@@ -211,19 +214,19 @@ sim::CoTask<void> drive_inner(sim::Simulation* sim,
 }  // namespace
 
 sim::CoTask<Result<Bytes>> RpcSystem::race_deadline(
-    sim::CoTask<Result<Bytes>> inner, double timeout, std::string method,
-    NodeId to) {
+    sim::CoTask<Result<Bytes>> inner, double timeout,
+    const HandlerEntry* entry, NodeId to) {
   auto& sim = simulation();
   auto st = std::make_shared<RaceState>();
   sim.spawn(drive_inner(&sim, st, std::move(inner)));
   uint64_t token = sim.schedule_callback(
-      sim.now() + timeout, [this, st, timeout, method, to] {
+      sim.now() + timeout, [this, st, timeout, entry, to] {
         if (st->settled) return;
         st->settled = true;
         ++stats_.deadline_exceeded;
         st->result.emplace(common::Status::DeadlineExceeded(
             "deadline (" + std::to_string(timeout) + "s) exceeded calling '" +
-            method + "' on " + fabric_->node_name(to)));
+            entry->first.second + "' on " + fabric_->node_name(to)));
         auto& s = simulation();
         if (st->waiter) s.schedule_handle(s.now(), st->waiter);
       });

@@ -36,6 +36,8 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "common/buffer.h"
 #include "common/serde.h"
@@ -140,8 +142,10 @@ class RpcSystem {
   /// Fails with Unimplemented if no handler is registered (distinct from a
   /// provider legitimately answering NotFound), Unavailable if the target is
   /// down or the message was lost, DeadlineExceeded if the deadline fires.
+  /// `method` is read only before the call first suspends; from then on the
+  /// call uses the name its handler was registered under.
   sim::CoTask<Result<Bytes>> call(NodeId from, NodeId to,
-                                  const std::string& method, Bytes request,
+                                  std::string_view method, Bytes request,
                                   CallOptions options = {});
 
   /// RDMA-style payload movement: `buffer.size()` bytes cross from `from`
@@ -159,23 +163,40 @@ class RpcSystem {
     double overhead = 0;
   };
 
+  // (node, method) -> handler. Looked up by (node, method view), so a call
+  // builds no key string. Handlers are replaced, never erased: an entry,
+  // and the method name its key holds, live as long as the RpcSystem.
+  struct KeyLess {
+    using is_transparent = void;
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const {
+      return std::pair<NodeId, std::string_view>(a.first, a.second) <
+             std::pair<NodeId, std::string_view>(b.first, b.second);
+    }
+  };
+  using HandlerTable =
+      std::map<std::pair<NodeId, std::string>, RpcHandlerCtx, KeyLess>;
+  using HandlerEntry = HandlerTable::value_type;
+
   // The call body without deadline handling (raced against the timer when a
-  // deadline is set; run directly otherwise). Takes `method` BY VALUE: when
-  // the deadline loses the race the abandoned frame keeps running after the
-  // caller's arguments are gone. `trace` is the client span's context, the
-  // parent of the server's `serve:` span.
+  // deadline is set; run directly otherwise). Takes the handler's table
+  // entry, not the caller's method name: when the deadline loses the race
+  // the abandoned frame keeps running after the caller's arguments are
+  // gone, and the entry outlives it. `trace` is the client span's context,
+  // the parent of the server's `serve:` span.
   sim::CoTask<Result<Bytes>> call_inner(NodeId from, NodeId to,
-                                        std::string method, Bytes request,
-                                        obs::TraceContext trace);
+                                        const HandlerEntry* entry,
+                                        Bytes request, obs::TraceContext trace);
   // Race `inner` against a deadline `timeout` seconds from now.
   sim::CoTask<Result<Bytes>> race_deadline(sim::CoTask<Result<Bytes>> inner,
-                                           double timeout, std::string method,
+                                           double timeout,
+                                           const HandlerEntry* entry,
                                            NodeId to);
 
   Fabric* fabric_;
   FaultInjector* injector_ = nullptr;
   double default_timeout_ = 0;
-  std::map<std::pair<NodeId, std::string>, RpcHandlerCtx> handlers_;
+  HandlerTable handlers_;
   std::map<NodeId, ServicePool> pools_;
   RpcStats stats_;
   obs::Tracer* tracer_ = nullptr;
@@ -195,12 +216,13 @@ class RpcSystem {
 /// A malformed response is annotated with the method and target node so the
 /// failure is attributable without a packet trace. The server-side twin is
 /// `register_typed_handler`.
-/// `rpc` is a pointer and `method` a by-value copy because both are used
-/// after the call suspends (EVO-CORO-003: the caller's frame may be gone
-/// when this coroutine resumes).
+/// `rpc` and `method` are pointers because both are used after the call
+/// suspends (EVO-CORO-003: the caller's frame may be gone when this
+/// coroutine resumes). `method` must be a static name, as every method
+/// constant is.
 template <typename Response>
 sim::CoTask<Result<Response>> typed_call_encoded(RpcSystem* rpc, NodeId from,
-                                                 NodeId to, std::string method,
+                                                 NodeId to, const char* method,
                                                  Bytes request,
                                                  CallOptions options = {}) {
   auto raw = co_await rpc->call(from, to, method, std::move(request), options);
@@ -210,7 +232,7 @@ sim::CoTask<Result<Response>> typed_call_encoded(RpcSystem* rpc, NodeId from,
   if (!d.ok()) {
     co_return common::Status(
         d.status().code(),
-        "deserializing '" + method + "' response from " +
+        "deserializing '" + std::string(method) + "' response from " +
             rpc->fabric().node_name(to) + ": " + d.status().message());
   }
   co_return resp;
@@ -222,12 +244,12 @@ sim::CoTask<Result<Response>> typed_call_encoded(RpcSystem* rpc, NodeId from,
 /// encoded here, before this returns, so the task never reads it.
 template <typename Response, typename Request>
 sim::CoTask<Result<Response>> typed_call(RpcSystem* rpc, NodeId from, NodeId to,
-                                         std::string method,
+                                         const char* method,
                                          const Request& request,
                                          CallOptions options = {}) {
   common::Serializer s;
   request.serialize(s);
-  return typed_call_encoded<Response>(rpc, from, to, std::move(method),
+  return typed_call_encoded<Response>(rpc, from, to, method,
                                       std::move(s).take(), options);
 }
 

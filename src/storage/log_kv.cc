@@ -4,8 +4,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <limits>
+#include <span>
+#include <utility>
 
 #include "common/hash.h"
 #include "common/log.h"
@@ -30,6 +34,20 @@ uint64_t get_u64(const unsigned char* p) {
   uint64_t v;
   std::memcpy(&v, p, 8);
   return v;
+}
+
+// Write `bytes` in full at `offset`, resuming after short writes. False on
+// an error, with part of the bytes possibly written.
+bool write_all_at(int fd, std::span<const std::byte> bytes, uint64_t offset) {
+  while (!bytes.empty()) {
+    ssize_t n = ::pwrite(fd, bytes.data(), bytes.size(),
+                         static_cast<off_t>(offset));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    bytes = bytes.subspan(static_cast<size_t>(n));
+    offset += static_cast<uint64_t>(n);
+  }
+  return true;
 }
 
 // fsync the directory `dir`, making the names of files created in it
@@ -69,10 +87,8 @@ Result<std::unique_ptr<LogKv>> LogKv::open(std::filesystem::path dir,
 LogKv::~LogKv() { close_segments(); }
 
 void LogKv::close_segments() {
-  if (active_file_ != nullptr) {
-    std::fclose(active_file_);
-    active_file_ = nullptr;
-  }
+  if (active_fd_ >= 0) ::close(active_fd_);
+  active_fd_ = -1;
   for (auto& [id, seg] : segments_) {
     if (seg.read_fd >= 0) ::close(seg.read_fd);
     seg.read_fd = -1;
@@ -191,9 +207,9 @@ Status LogKv::load() {
   if (ids.empty()) {
     EVO_RETURN_IF_ERROR(roll_segment());
   } else {
-    active_file_ =
-        std::fopen(segment_path(active_segment_).string().c_str(), "ab");
-    if (active_file_ == nullptr) {
+    active_fd_ =
+        ::open(segment_path(active_segment_).c_str(), O_WRONLY | O_CLOEXEC);
+    if (active_fd_ < 0) {
       return Status::IoError("open active segment for append");
     }
     active_offset_ = segments_[active_segment_].bytes;
@@ -202,14 +218,11 @@ Status LogKv::load() {
 }
 
 Status LogKv::roll_segment() {
-  if (active_file_ != nullptr) {
-    std::fclose(active_file_);
-    active_file_ = nullptr;
-  }
+  if (active_fd_ >= 0) ::close(active_fd_);
   ++active_segment_;
-  active_file_ =
-      std::fopen(segment_path(active_segment_).string().c_str(), "wb");
-  if (active_file_ == nullptr) {
+  active_fd_ = ::open(segment_path(active_segment_).c_str(),
+                      O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  if (active_fd_ < 0) {
     return Status::IoError("create segment " +
                            segment_path(active_segment_).string());
   }
@@ -223,38 +236,42 @@ Status LogKv::roll_segment() {
 
 Result<LogKv::Location> LogKv::append_record(std::string_view key,
                                              const Buffer* value) {
+  // The whole record in one buffer, so it is written with one call: the
+  // header is reserved first and filled in once the payload is known.
   common::Serializer s;
+  for (size_t i = 0; i < kHeaderLen; ++i) s.u8(0);
   s.boolean(value == nullptr);
   s.str(key);
   if (value != nullptr) s.buffer(*value);
-  common::Bytes payload = std::move(s).take();
-  if (payload.size() > std::numeric_limits<uint32_t>::max() - kHeaderLen) {
-    return Status::InvalidArgument("record of " +
-                                   std::to_string(payload.size()) +
+  common::Bytes record = std::move(s).take();
+  const size_t plen = record.size() - kHeaderLen;
+  if (plen > std::numeric_limits<uint32_t>::max() - kHeaderLen) {
+    return Status::InvalidArgument("record of " + std::to_string(plen) +
                                    " bytes exceeds the log's u32 length");
   }
-
-  unsigned char header[kHeaderLen];
-  put_u32(header, static_cast<uint32_t>(payload.size()));
-  put_u64(header + 4, common::fnv1a64(payload.data(), payload.size()));
+  auto* header = reinterpret_cast<unsigned char*>(record.data());
+  put_u32(header, static_cast<uint32_t>(plen));
+  put_u64(header + 4, common::fnv1a64(header + kHeaderLen, plen));
 
   if (active_offset_ >= options_.segment_max_bytes) {
     EVO_RETURN_IF_ERROR(roll_segment());
   }
-  if (std::fwrite(header, 1, kHeaderLen, active_file_) != kHeaderLen ||
-      std::fwrite(payload.data(), 1, payload.size(), active_file_) !=
-          payload.size() ||
-      std::fflush(active_file_) != 0) {
+  if (!write_all_at(active_fd_, record, active_offset_)) {
+    // A failed append leaves no bytes behind: the segment is cut back to
+    // its last whole record, so the next record starts there and a reopen
+    // finds no partial one.
+    if (::ftruncate(active_fd_, static_cast<off_t>(active_offset_)) != 0) {
+      return Status::IoError("append failed, and so did truncating it");
+    }
     return Status::IoError("append failed");
   }
   const Location loc{static_cast<uint32_t>(active_segment_),
-                     static_cast<uint32_t>(kHeaderLen + payload.size()),
-                     active_offset_,
+                     static_cast<uint32_t>(record.size()), active_offset_,
                      value != nullptr ? Location::value_of(*value) : 0};
   // The record is in the file whether or not the sync below succeeds.
   active_offset_ += loc.length;
   segments_[active_segment_].bytes = active_offset_;
-  if (options_.sync_every_write && ::fsync(::fileno(active_file_)) != 0) {
+  if (options_.sync_every_write && ::fsync(active_fd_) != 0) {
     return Status::IoError("fsync segment " + std::to_string(active_segment_));
   }
   return loc;
@@ -359,34 +376,50 @@ Result<size_t> LogKv::compact() {
   size_t before = 0;
   for (const auto& [id, seg] : segments_) before += seg.bytes;
 
-  // Snapshot live records.
-  std::vector<std::pair<std::string, Buffer>> live;
-  live.reserve(index_.size());
-  for (const auto& [key, loc] : index_) {
-    auto value = read_record(loc);
-    if (!value.ok()) return value.status();
-    live.emplace_back(key, std::move(value).value());
+  // Copy every live record into new segments after the current ones, and
+  // index the copies beside the live index. Until the switch below the old
+  // segments and the index stay as they were, so a compaction cut short
+  // loses nothing: an error drops the new segments, and a crash leaves
+  // copies that a replay reads after the records they copy.
+  const uint64_t first_new = active_segment_ + 1;
+  const int old_fd = std::exchange(active_fd_, -1);
+  const uint64_t old_offset = active_offset_;
+  std::map<std::string, Location, std::less<>> index;
+  Status st = roll_segment();
+  for (auto it = index_.begin(); st.ok() && it != index_.end(); ++it) {
+    auto value = read_record(it->second);
+    if (!value.ok()) {
+      st = value.status();
+      break;
+    }
+    auto loc = append_record(it->first, &value.value());
+    if (!loc.ok()) {
+      st = loc.status();
+      break;
+    }
+    index.emplace_hint(index.end(), it->first, *loc);
   }
-
-  // Remove all existing segments and start fresh.
-  close_segments();
-  for (const auto& [id, seg] : segments_) {
-    std::error_code ec;
-    std::filesystem::remove(segment_path(id), ec);
+  // Delete the old segments on success, the new ones on failure.
+  auto drop = [&](auto first, auto last) {
+    for (auto it = first; it != last; it = segments_.erase(it)) {
+      if (it->second.read_fd >= 0) ::close(it->second.read_fd);
+      std::error_code ec;
+      std::filesystem::remove(segment_path(it->first), ec);
+    }
+  };
+  if (!st.ok()) {
+    if (active_fd_ >= 0) ::close(active_fd_);
+    drop(segments_.lower_bound(first_new), segments_.end());
+    active_fd_ = old_fd;
+    active_segment_ = first_new - 1;
+    active_offset_ = old_offset;
+    return st;
   }
-  segments_.clear();
-  index_.clear();
-  live_logical_bytes_ = 0;
-  live_physical_bytes_ = 0;
+  // The copies hold the same values, so only the dead bytes change.
+  index_ = std::move(index);
   dead_bytes_ = 0;
-  EVO_RETURN_IF_ERROR(roll_segment());
-
-  for (auto& [key, value] : live) {
-    auto loc = append_record(key, &value);
-    if (!loc.ok()) return loc.status();
-    index_.emplace(key, *loc);
-    add_live(*loc);
-  }
+  ::close(old_fd);
+  drop(segments_.begin(), segments_.lower_bound(first_new));
   size_t after = 0;
   for (const auto& [id, seg] : segments_) after += seg.bytes;
   return before > after ? before - after : size_t{0};

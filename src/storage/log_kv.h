@@ -12,15 +12,19 @@
 //  - `open` rebuilds the index by scanning segments in order. A torn write
 //    at the tail of the *last* segment (crash mid-append) is detected by the
 //    checksum and truncated away; corruption anywhere else is an error.
-//  - `compact` rewrites live records into fresh segments and deletes the
-//    old ones, reclaiming space from overwrites and tombstones.
+//  - A failed append cuts the active segment back to its last whole record
+//    (appends write at the index's end offset), so no partial record sits
+//    under a later one.
+//  - `compact` copies the live records into fresh segments, switches the
+//    index to the copies and only then deletes the old segments, reclaiming
+//    space from overwrites and tombstones. A compaction that fails deletes
+//    its new segments instead and leaves the store as it was.
 //
 // Synthetic buffers are persisted as their (seed, size) descriptors, so a
 // provider spilling simulated multi-GB tensors keeps small logs while dense
 // (test) data round-trips bit-exactly.
 #pragma once
 
-#include <cstdio>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -120,7 +124,7 @@ class LogKv final : public KvStore {
   std::map<std::string, Location, std::less<>> index_;
   std::map<uint64_t, Segment> segments_;
   uint64_t active_segment_ = 0;
-  std::FILE* active_file_ = nullptr;
+  int active_fd_ = -1;  // the active segment, written at active_offset_
   uint64_t active_offset_ = 0;
   size_t live_logical_bytes_ = 0;
   size_t live_physical_bytes_ = 0;

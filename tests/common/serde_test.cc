@@ -42,6 +42,29 @@ TEST(Serde, VarintBoundaries) {
   EXPECT_TRUE(d.finish().ok());
 }
 
+// fixed64 is 8 raw little-endian bytes whatever the value, and a read
+// past the end fails the stream.
+TEST(Serde, Fixed64IsEightLittleEndianBytes) {
+  Serializer s;
+  s.fixed64(0x0102030405060708ULL);
+  s.fixed64(std::numeric_limits<uint64_t>::max());
+  s.fixed64(0);
+  const Bytes data = s.data();
+  ASSERT_EQ(data.size(), 24u);
+  EXPECT_EQ(data[0], std::byte{0x08});
+  EXPECT_EQ(data[7], std::byte{0x01});
+  Deserializer d(data);
+  EXPECT_EQ(d.fixed64(), 0x0102030405060708ULL);
+  EXPECT_EQ(d.fixed64(), std::numeric_limits<uint64_t>::max());
+  EXPECT_EQ(d.fixed64(), 0u);
+  EXPECT_TRUE(d.finish().ok());
+
+  Bytes cut(data.begin(), data.begin() + 7);
+  Deserializer short_read(cut);
+  EXPECT_EQ(short_read.fixed64(), 0u);
+  EXPECT_EQ(short_read.status().code(), ErrorCode::kCorruption);
+}
+
 TEST(Serde, ZigzagExtremes) {
   Serializer s;
   s.i64(std::numeric_limits<int64_t>::min());

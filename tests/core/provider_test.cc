@@ -449,5 +449,42 @@ TEST(Provider, MalformedRequestsAnswerAtOnceAndTouchNothing) {
   EXPECT_EQ(redis.published_count(), 1u);
 }
 
+// A query whose shape does not decode (an index past its signature table,
+// an edge past its vertices, counts past the input, ...) is answered at
+// once with the default answer, by a provider and by the Redis baseline,
+// and is never counted as a query.
+TEST(Provider, MalformedQueryShapesAnswerAtOnce) {
+  ProviderConfig config;
+  config.op_seconds = kOpSeconds;
+  ClusterEnv env(1, config);
+  auto g = chain_graph(2, 8);
+  auto m = model::Model::random(env.repo->allocate_id(), g, 1);
+  ASSERT_TRUE(env.run(store_model(env.client(), m)).ok());
+  baseline::RedisConfig redis_config;
+  redis_config.op_seconds = kOpSeconds;
+  const common::NodeId redis_node = env.fabric.add_node(25e9, 25e9);
+  baseline::RedisQueries redis(env.rpc, redis_node, redis_config);
+  const uint64_t queries_before = env.repo->provider(0).stats().lcp_queries;
+  for (const auto& [what, shape] : testing::malformed_query_shapes()) {
+    // The shape, then a one-provider ring view and no cover list.
+    common::Serializer s;
+    s.raw(shape);
+    s.u64(1);
+    s.u8(1);
+    s.u64(0);
+    for (common::NodeId node : {env.provider_nodes[0], redis_node}) {
+      const double t0 = env.sim.now();
+      auto r = env.run(env.rpc.call(
+          env.worker, node,
+          node == redis_node ? "redis.query" : Provider::kLcpQuery, s.data()));
+      EXPECT_LT(env.sim.now() - t0, kOpSeconds) << what;
+      ASSERT_TRUE(r.ok()) << what << ": " << r.status().to_string();
+      EXPECT_EQ(r.value(), wire::encode(wire::LcpQueryResponse{})) << what;
+    }
+  }
+  EXPECT_EQ(env.repo->provider(0).stats().lcp_queries, queries_before);
+  EXPECT_EQ(redis.stats().queries, 0u);
+}
+
 }  // namespace
 }  // namespace evostore::core

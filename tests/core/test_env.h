@@ -3,7 +3,11 @@
 #pragma once
 
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "common/serde.h"
 #include "core/repository.h"
 #include "net/fabric.h"
 
@@ -64,6 +68,73 @@ inline model::ArchGraph widths_graph(const std::vector<int64_t>& widths) {
   }
   auto g = model::ArchGraph::flatten(model::make_chain(std::move(defs)));
   return std::move(g).value();
+}
+
+/// Hand-built LCP query shapes (GraphShape::serialize_shape's layout) that
+/// must not decode, each named by its fault.
+inline std::vector<std::pair<std::string, common::Bytes>>
+malformed_query_shapes() {
+  using common::Serializer;
+  // The vertex count, the table size and `sigs` whole signatures.
+  auto head = [](Serializer& s, uint64_t n, uint64_t table, uint64_t sigs) {
+    s.u64(n);
+    s.u64(table);
+    for (uint64_t i = 0; i < sigs; ++i) {
+      s.fixed64(0x1234 + i);
+      s.fixed64(0x5678 + i);
+    }
+  };
+  std::vector<std::pair<std::string, common::Bytes>> out;
+  auto add = [&](std::string what, auto build) {
+    Serializer s;
+    build(s);
+    out.emplace_back(std::move(what), std::move(s).take());
+  };
+  add("index at the table size", [&](Serializer& s) {
+    head(s, 2, 1, 1);
+    s.u32(0);
+    s.u32(1);
+    s.u64(1);  // 0 -> 1
+    s.u32(1);
+    s.u64(0);
+  });
+  add("table larger than the vertex count", [&](Serializer& s) {
+    head(s, 1, 2, 2);
+    s.u32(0);
+    s.u64(0);
+  });
+  add("signature cut short", [&](Serializer& s) {
+    head(s, 2, 1, 0);
+    s.fixed64(0x1234);
+    s.u8(0);
+    s.u8(0);
+  });
+  add("edge target at the vertex count", [&](Serializer& s) {
+    head(s, 2, 1, 1);
+    s.u32(0);
+    s.u32(0);
+    s.u64(1);  // 0 -> 2
+    s.u32(2);
+    s.u64(0);
+  });
+  add("vertex count past the input", [&](Serializer& s) {
+    head(s, 1000, 1, 1);
+    s.u32(0);
+    s.u64(0);
+  });
+  add("table size past the input", [&](Serializer& s) {
+    head(s, 3, 3, 1);
+    for (int v = 0; v < 3; ++v) s.u32(0);
+    for (int v = 0; v < 3; ++v) s.u64(0);
+  });
+  add("out-degree past the input", [&](Serializer& s) {
+    head(s, 2, 1, 1);
+    s.u32(0);
+    s.u32(0);
+    s.u64(1000);
+    s.u32(1);
+  });
+  return out;
 }
 
 }  // namespace evostore::core::testing

@@ -2,10 +2,47 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
+#include "workload/deepspace.h"
 
 namespace evostore::model {
 namespace {
+
+using Edges = std::vector<std::pair<VertexId, VertexId>>;
+
+std::vector<VertexId> out_of(const GraphShape& g, VertexId v) {
+  auto out = g.out_edges(v);
+  return {out.begin(), out.end()};
+}
+
+// Every edge of `g`, grouped by source in vertex order.
+Edges edges_of(const GraphShape& g) {
+  Edges edges;
+  for (VertexId v = 0; v < g.size(); ++v) {
+    for (VertexId t : g.out_edges(v)) edges.emplace_back(v, t);
+  }
+  return edges;
+}
+
+// `g`'s out-edges hold exactly `edges`: each vertex's targets sorted, and
+// in-degrees counted from the same list.
+void expect_csr_of(const GraphShape& g, Edges edges) {
+  std::sort(edges.begin(), edges.end());
+  EXPECT_EQ(edges_of(g), edges);
+  EXPECT_EQ(g.edge_count(), edges.size());
+  for (VertexId v = 0; v < g.size(); ++v) {
+    auto out = g.out_edges(v);
+    EXPECT_TRUE(std::is_sorted(out.begin(), out.end())) << "vertex " << v;
+    const auto in = std::count_if(edges.begin(), edges.end(),
+                                  [v](const auto& e) { return e.second == v; });
+    EXPECT_EQ(g.in_degree(v), static_cast<uint32_t>(in)) << "vertex " << v;
+  }
+}
 
 ArchGraph flatten_ok(const Architecture& arch) {
   auto g = ArchGraph::flatten(arch);
@@ -20,8 +57,8 @@ TEST(ArchGraph, ChainFlattensInOrder) {
   EXPECT_EQ(g.def(0).kind(), LayerKind::kInput);
   EXPECT_EQ(g.def(1).kind(), LayerKind::kDense);
   EXPECT_EQ(g.def(2).kind(), LayerKind::kOutput);
-  EXPECT_EQ(g.out_edges(0), (std::vector<VertexId>{1}));
-  EXPECT_EQ(g.out_edges(1), (std::vector<VertexId>{2}));
+  EXPECT_EQ(out_of(g, 0), (std::vector<VertexId>{1}));
+  EXPECT_EQ(out_of(g, 1), (std::vector<VertexId>{2}));
   EXPECT_TRUE(g.out_edges(2).empty());
   EXPECT_EQ(g.in_degree(0), 0u);
   EXPECT_EQ(g.in_degree(1), 1u);
@@ -118,7 +155,7 @@ TEST(ArchGraph, BfsIdsAreDeterministic) {
   ASSERT_EQ(g1.size(), g2.size());
   for (VertexId v = 0; v < g1.size(); ++v) {
     EXPECT_EQ(g1.signature(v), g2.signature(v)) << "vertex " << v;
-    EXPECT_EQ(g1.out_edges(v), g2.out_edges(v));
+    EXPECT_EQ(out_of(g1, v), out_of(g2, v));
   }
   EXPECT_EQ(g1.graph_hash(), g2.graph_hash());
 }
@@ -182,6 +219,67 @@ TEST(ArchGraph, FromPartsValidatesEdges) {
   std::vector<LayerDef> defs{make_input(4), make_dense(4, 4)};
   EXPECT_TRUE(ArchGraph::from_parts(defs, {{0, 1}}).ok());
   EXPECT_FALSE(ArchGraph::from_parts(defs, {{0, 7}}).ok());
+}
+
+// The CSR edges of a flattened, a decoded and a from_parts graph: sorted per
+// vertex, and exactly the edge list each was built from.
+TEST(ArchGraph, CsrEdgesMatchTheirEdgeList) {
+  common::Xoshiro256 rng(63);
+  workload::DeepSpace space;
+  for (int i = 0; i < 20; ++i) {
+    ArchGraph g = space.decode_graph(space.random(rng));
+    const Edges edges = edges_of(g);
+    expect_csr_of(g, edges);
+
+    common::Serializer s;
+    g.serialize(s);
+    common::Deserializer d(s.data());
+    ArchGraph back = ArchGraph::deserialize(d);
+    ASSERT_TRUE(d.finish().ok());
+    expect_csr_of(back, edges);
+    EXPECT_EQ(static_cast<const GraphShape&>(back), g);
+
+    std::vector<LayerDef> defs;
+    for (VertexId v = 0; v < g.size(); ++v) defs.push_back(g.def(v));
+    Edges shuffled = edges;
+    std::reverse(shuffled.begin(), shuffled.end());
+    auto parts = ArchGraph::from_parts(std::move(defs), shuffled);
+    ASSERT_TRUE(parts.ok());
+    expect_csr_of(parts.value(), edges);
+    EXPECT_EQ(static_cast<const GraphShape&>(parts.value()), g);
+    ASSERT_FALSE(HasFailure()) << "graph " << i;
+  }
+  // Random parts with repeated edges and vertices without out-edges.
+  for (int i = 0; i < 50; ++i) {
+    const size_t n = 1 + rng.below(12);
+    std::vector<LayerDef> defs(n, make_dense(4, 4));
+    Edges edges;
+    for (size_t e = rng.below(3 * n); e > 0; --e) {
+      edges.emplace_back(static_cast<VertexId>(rng.below(n)),
+                         static_cast<VertexId>(rng.below(n)));
+    }
+    auto g = ArchGraph::from_parts(std::move(defs), edges);
+    ASSERT_TRUE(g.ok());
+    expect_csr_of(g.value(), edges);
+    ASSERT_FALSE(HasFailure()) << "graph " << i;
+  }
+  expect_csr_of(ArchGraph{}, {});
+}
+
+// graph_hash() values computed before the edges moved to CSR: the hash
+// walks the same vertices, degrees and targets in the same order.
+TEST(ArchGraph, GraphHashPinned) {
+  common::Xoshiro256 rng(61);
+  workload::DeepSpace space;
+  ArchGraph g = space.decode_graph(space.random(rng));
+  ASSERT_EQ(g.size(), 28u);
+  ASSERT_EQ(g.edge_count(), 33u);
+  EXPECT_EQ(g.graph_hash().hex(), "bc075b1c45973376128cf0a58d8d1d20");
+  auto parts = ArchGraph::from_parts(
+      {make_input(8), make_dense(8, 16), make_dense(8, 16), make_add()},
+      {{0, 2}, {2, 3}, {0, 1}, {1, 3}, {0, 2}});
+  ASSERT_TRUE(parts.ok());
+  EXPECT_EQ(parts->graph_hash().hex(), "02de98855f21140c78592518aecbae7a");
 }
 
 TEST(ArchGraph, RootIsVertexZero) {

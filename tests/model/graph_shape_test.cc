@@ -1,10 +1,10 @@
 // GraphShape: the part of an ArchGraph that LCP matching reads, and the
-// shape-only decode a provider runs on every LCP query. The decode must
-// give exactly the decoded ArchGraph's shape (signatures, in-degrees,
-// out-edges) on every graph family the benchmarks query with, hash
-// non-canonical layer encodings the way LayerDef::deserialize normalizes
-// them, and fail the stream wherever ArchGraph::deserialize fails, with
-// the same status.
+// encoding an LCP query travels in (`serialize_shape`): the vertex count,
+// each distinct signature once, one table index per vertex, then the
+// adjacency block. Decoding it must give back exactly the graph's shape
+// (signatures, in-degrees, out-edges) on every graph family the benchmarks
+// query with, re-encode to the same bytes, and fail malformed input with
+// Corruption.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -27,37 +27,45 @@ using common::Deserializer;
 using common::Serializer;
 using common::VertexId;
 
-Bytes encode(const ArchGraph& g) {
+Bytes encode_shape(const GraphShape& g) {
   Serializer s;
-  g.serialize(s);
+  g.serialize_shape(s);
   return std::move(s).take();
 }
 
-// Both decodes of `bytes`: the same status at the same position and, when
-// they succeed, the same shape.
-void expect_same_decode(const Bytes& bytes) {
-  Deserializer full(bytes);
-  ArchGraph g = ArchGraph::deserialize(full);
-  Deserializer shape(bytes);
-  GraphShape s = GraphShape::deserialize(shape);
-  ASSERT_EQ(shape.status(), full.status());
-  ASSERT_EQ(shape.position(), full.position());
-  if (full.ok()) {
-    ASSERT_EQ(s, g);
-    EXPECT_EQ(s.graph_hash(), g.graph_hash());
+// The signature table an encoding carries, read by hand.
+std::vector<common::Hash128> table_of(const Bytes& bytes) {
+  Deserializer d(bytes);
+  (void)d.u64();
+  std::vector<common::Hash128> table(d.u64());
+  for (auto& sig : table) {
+    sig.hi = d.fixed64();
+    sig.lo = d.fixed64();
   }
+  EXPECT_TRUE(d.ok());
+  return table;
 }
 
-void expect_shape_decode(const ArchGraph& g) {
-  Bytes bytes = encode(g);
+// decode(encode(g)) is g's shape, the table holds each distinct signature
+// once in first-appearance order, and the decoded shape encodes to the
+// same bytes.
+void expect_round_trip(const ArchGraph& g) {
+  const Bytes bytes = encode_shape(g);
   Deserializer d(bytes);
-  GraphShape s = GraphShape::deserialize(d);
+  GraphShape s = GraphShape::deserialize_shape(d);
   ASSERT_TRUE(d.finish().ok()) << d.status().to_string();
   ASSERT_EQ(s, g);
+  EXPECT_EQ(s.graph_hash(), g.graph_hash());
+  std::vector<common::Hash128> first_seen;
+  std::set<common::Hash128> seen;
   for (VertexId v = 0; v < g.size(); ++v) {
     EXPECT_EQ(s.signature(v), g.def(v).signature());
+    if (seen.insert(g.signature(v)).second) {
+      first_seen.push_back(g.signature(v));
+    }
   }
-  expect_same_decode(bytes);
+  EXPECT_EQ(table_of(bytes), first_seen);
+  EXPECT_EQ(encode_shape(s), bytes);
 }
 
 TEST(GraphShape, DecodeMatchesDeepSpaceDefaultAndCatalogConfigs) {
@@ -69,8 +77,8 @@ TEST(GraphShape, DecodeMatchesDeepSpaceDefaultAndCatalogConfigs) {
     workload::DeepSpace space(cfg);
     for (int i = 0; i < 150; ++i) {
       auto seq = space.random(rng);
-      expect_shape_decode(space.decode_graph(seq));
-      expect_shape_decode(space.decode_graph(space.mutate(seq, rng)));
+      expect_round_trip(space.decode_graph(seq));
+      expect_round_trip(space.decode_graph(space.mutate(seq, rng)));
       ASSERT_FALSE(HasFailure()) << "graph " << i;
     }
   }
@@ -81,8 +89,8 @@ TEST(GraphShape, DecodeMatchesCandleAttn) {
   common::Xoshiro256 rng(53);
   for (int i = 0; i < 150; ++i) {
     auto seq = space.random(rng);
-    expect_shape_decode(space.decode(seq));
-    expect_shape_decode(space.decode(space.mutate(seq, rng)));
+    expect_round_trip(space.decode(seq));
+    expect_round_trip(space.decode(space.mutate(seq, rng)));
     ASSERT_FALSE(HasFailure()) << "graph " << i;
   }
 }
@@ -90,12 +98,12 @@ TEST(GraphShape, DecodeMatchesCandleAttn) {
 TEST(GraphShape, DecodeMatchesChainsAndRandomParts) {
   common::Xoshiro256 rng(55);
   for (int i = 0; i < 100; ++i) {
-    expect_shape_decode(core::testing::chain_graph(
+    expect_round_trip(core::testing::chain_graph(
         1 + static_cast<int>(rng.below(12)),
         8 * static_cast<int64_t>(1 + rng.below(4)),
         static_cast<int>(rng.below(3))));
     // Random DAG parts: any vertex may feed any later one, with repeated
-    // edges, extra sources and dropout's float-quantized parameters.
+    // edges, extra sources and repeated layer configs.
     size_t n = 1 + rng.below(10);
     std::vector<LayerDef> defs;
     defs.push_back(make_input(8));
@@ -119,151 +127,62 @@ TEST(GraphShape, DecodeMatchesChainsAndRandomParts) {
     }
     auto g = ArchGraph::from_parts(std::move(defs), std::move(edges));
     ASSERT_TRUE(g.ok());
-    expect_shape_decode(g.value());
+    expect_round_trip(g.value());
     ASSERT_FALSE(HasFailure()) << "graph " << i;
   }
-  expect_shape_decode(ArchGraph{});
+  expect_round_trip(ArchGraph{});
 }
 
-// One layer as LayerDef::serialize lays it out, with the parameter lists
-// exactly as given: out of order or repeated when a test says so.
-void put_layer(Serializer& s, LayerKind kind, std::string_view name,
-               const std::vector<std::pair<std::string, int64_t>>& ints,
-               const std::vector<std::pair<std::string, double>>& floats) {
-  s.u8(static_cast<uint8_t>(kind));
-  s.str(name);
-  s.u64(ints.size());
-  for (const auto& [k, v] : ints) {
-    s.str(k);
-    s.i64(v);
-  }
-  s.u64(floats.size());
-  for (const auto& [k, v] : floats) {
-    s.str(k);
-    s.f64(v);
-  }
-}
-
-// A chain 0 -> 1 -> ... over the layers `put_layers` writes.
-template <typename PutLayers>
-Bytes chain_bytes(size_t n, PutLayers put_layers) {
-  Serializer s;
-  s.u64(n);
-  put_layers(s);
-  for (size_t v = 0; v < n; ++v) {
-    s.u64(v + 1 < n ? 1 : 0);
-    if (v + 1 < n) s.u32(static_cast<uint32_t>(v + 1));
-  }
-  return std::move(s).take();
-}
-
+// The table carries the signatures the client's LayerDefs hash to, so a
+// graph decoded from non-canonical layer encodings (keys out of order, a
+// repeated key) sends the query its canonical twin sends.
 TEST(GraphShape, NonCanonicalLayersHashLikeLayerDefDeserialize) {
   using Ints = std::vector<std::pair<std::string, int64_t>>;
-  using Floats = std::vector<std::pair<std::string, double>>;
-  struct Case {
-    LayerKind kind;
-    Ints ints;
-    Floats floats;
-  };
-  const std::vector<Case> cases = {
-      {LayerKind::kDense, {{"out", 16}, {"in", 8}, {"bias", 1}}, {}},
-      {LayerKind::kDense, {{"in", 8}, {"out", 4}, {"in", 9}}, {}},
-      {LayerKind::kConv2D, {{"k", 3}, {"k", 5}, {"in_ch", 2}, {"k", 7}}, {}},
-      {LayerKind::kDropout, {}, {{"rate", 0.25}, {"alpha", -1.5}}},
-      {LayerKind::kDropout, {{"z", 1}}, {{"rate", 0.5}, {"rate", 0.75}}},
-      {LayerKind::kActivation, {{"", 0}, {"fn", 2}, {"", 3}}, {{"", 1.0}}},
-      {static_cast<LayerKind>(200), {{"b", 1}, {"a", 2}}, {}},
-  };
-  for (size_t i = 0; i < cases.size(); ++i) {
-    const Case& c = cases[i];
-    Serializer one;
-    put_layer(one, c.kind, "layer" + std::to_string(i), c.ints, c.floats);
-    Deserializer d(one.data());
-    const common::Hash128 expected = LayerDef::deserialize(d).signature();
-    ASSERT_TRUE(d.finish().ok());
-
-    Bytes bytes = chain_bytes(2, [&](Serializer& s) {
-      put_layer(s, LayerKind::kInput, "in", {{"dim", 8}}, {});
-      put_layer(s, c.kind, "layer" + std::to_string(i), c.ints, c.floats);
-    });
-    Deserializer sd(bytes);
-    GraphShape shape = GraphShape::deserialize(sd);
-    ASSERT_TRUE(sd.finish().ok()) << "case " << i;
-    EXPECT_EQ(shape.signature(1), expected) << "case " << i;
-    expect_same_decode(bytes);
-  }
-  // Normalization is what makes these equal: the same parameters in
-  // canonical order, under another name, decode to the same shape.
   auto dense = [](std::string_view name, const Ints& ints) {
-    return chain_bytes(2, [&](Serializer& s) {
-      put_layer(s, LayerKind::kInput, "in", {{"dim", 8}}, {});
-      put_layer(s, LayerKind::kDense, name, ints, {});
-    });
-  };
-  Bytes unsorted = dense("x", {{"out", 16}, {"in", 7}, {"in", 8}});
-  Bytes canonical = dense("y", {{"in", 8}, {"out", 16}});
-  Deserializer du(unsorted);
-  Deserializer dc(canonical);
-  EXPECT_EQ(GraphShape::deserialize(du), GraphShape::deserialize(dc));
-}
-
-TEST(GraphShape, MalformedBytesFailWhereArchGraphFails) {
-  auto put_dense = [](Serializer& s) {
-    put_layer(s, LayerKind::kInput, "in", {{"dim", 8}}, {});
-    put_layer(s, LayerKind::kDense, "d", {{"in", 8}, {"out", 8}}, {});
-  };
-  // An edge target outside the vertex range.
-  {
     Serializer s;
     s.u64(2);
-    put_dense(s);
-    s.u64(1);
-    s.u32(2);
+    make_input(8).serialize(s);
+    s.u8(static_cast<uint8_t>(LayerKind::kDense));
+    s.str(name);
+    s.u64(ints.size());
+    for (const auto& [k, v] : ints) {
+      s.str(k);
+      s.i64(v);
+    }
+    s.u64(0);
+    s.u64(1);  // 0 -> 1
+    s.u32(1);
     s.u64(0);
     Deserializer d(s.data());
-    (void)GraphShape::deserialize(d);
-    EXPECT_FALSE(d.ok());
-    expect_same_decode(s.data());
+    ArchGraph g = ArchGraph::deserialize(d);
+    EXPECT_TRUE(d.finish().ok()) << d.status().to_string();
+    return g;
+  };
+  const ArchGraph unsorted = dense("x", {{"out", 16}, {"in", 7}, {"in", 8}});
+  const ArchGraph canonical = dense("y", {{"in", 8}, {"out", 16}});
+  EXPECT_EQ(unsorted.signature(1),
+            LayerDef(LayerKind::kDense).set_int("out", 16).set_int("in", 8)
+                .signature());
+  EXPECT_EQ(encode_shape(unsorted), encode_shape(canonical));
+  expect_round_trip(unsorted);
+}
+
+// Every malformed shape fails with Corruption, and so does every truncation
+// of a valid encoding, which cuts counts, signatures, indexes and edges.
+TEST(GraphShape, MalformedShapeFailsWithCorruption) {
+  for (const auto& [what, bytes] : core::testing::malformed_query_shapes()) {
+    Deserializer d(bytes);
+    GraphShape s = GraphShape::deserialize_shape(d);
+    EXPECT_EQ(d.status().code(), common::ErrorCode::kCorruption) << what;
+    EXPECT_TRUE(s.empty()) << what;
   }
-  // Counts past the end: vertices, parameters, out-degree.
-  {
-    Serializer s;
-    s.u64(1000);
-    put_dense(s);
-    expect_same_decode(s.data());
-  }
-  {
-    Serializer s;
-    s.u64(1);
-    s.u8(static_cast<uint8_t>(LayerKind::kDense));
-    s.str("d");
-    s.u64(1u << 30);
-    s.str("in");
-    s.i64(8);
-    expect_same_decode(s.data());
-  }
-  {
-    Serializer s;
-    s.u64(2);
-    put_dense(s);
-    s.u64(1u << 30);
-    s.u32(1);
-    expect_same_decode(s.data());
-  }
-  // Every truncation of a valid encoding, which cuts keys, names, values
-  // and edges at each byte.
-  Bytes valid = chain_bytes(3, [&](Serializer& s) {
-    put_dense(s);
-    put_layer(s, LayerKind::kDropout, "drop", {{"z", 1}, {"a", 2}},
-              {{"rate", 0.5}});
-  });
+  const Bytes valid = encode_shape(core::testing::chain_graph(3, 8, 1));
   for (size_t len = 0; len < valid.size(); ++len) {
     Bytes cut(valid.begin(), valid.begin() + static_cast<long>(len));
     Deserializer d(cut);
-    (void)GraphShape::deserialize(d);
-    EXPECT_FALSE(d.finish().ok()) << "length " << len;
-    expect_same_decode(cut);
-    ASSERT_FALSE(HasFailure()) << "length " << len;
+    (void)GraphShape::deserialize_shape(d);
+    EXPECT_EQ(d.status().code(), common::ErrorCode::kCorruption)
+        << "length " << len;
   }
 }
 

@@ -1,9 +1,11 @@
 #include "storage/log_kv.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <array>
+#include <csignal>
 #include <filesystem>
 #include <fstream>
 
@@ -46,6 +48,35 @@ void flip_byte(const std::filesystem::path& path, std::streamoff offset) {
   f.seekp(offset);
   f.put(static_cast<char>(c ^ 0x5a));
 }
+
+// Caps this process's file size (RLIMIT_FSIZE) with SIGXFSZ ignored, so a
+// write past `bytes` fails with EFBIG after writing what fits. `lift()`, or
+// the destructor, restores the old limit and signal disposition.
+class FileSizeCap {
+ public:
+  explicit FileSizeCap(rlim_t bytes) {
+    EXPECT_EQ(::getrlimit(RLIMIT_FSIZE, &old_), 0);
+    old_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+    rlimit capped = old_;
+    capped.rlim_cur = bytes;
+    EXPECT_EQ(::setrlimit(RLIMIT_FSIZE, &capped), 0);
+  }
+  ~FileSizeCap() { lift(); }
+  FileSizeCap(const FileSizeCap&) = delete;
+  FileSizeCap& operator=(const FileSizeCap&) = delete;
+
+  void lift() {
+    if (lifted_) return;
+    lifted_ = true;
+    EXPECT_EQ(::setrlimit(RLIMIT_FSIZE, &old_), 0);
+    std::signal(SIGXFSZ, old_handler_);
+  }
+
+ private:
+  rlimit old_{};
+  void (*old_handler_)(int) = SIG_DFL;
+  bool lifted_ = false;
+};
 
 TEST_F(LogKvTest, PutGetRoundTrip) {
   auto kv = open();
@@ -202,6 +233,85 @@ TEST_F(LogKvTest, CorruptPayloadDetectedByChecksum) {
   // Single (= last) segment: recovery truncates the corrupt tail.
   auto kv = open();
   EXPECT_FALSE(kv->contains("x"));
+}
+
+// A put that fails part-way leaves no partial record: the next put lands
+// at the failed one's offset and reads back, before and after a reopen.
+TEST_F(LogKvTest, FailedAppendLeavesNoPartialRecord) {
+  auto kv = open();
+  ASSERT_TRUE(kv->put("first", value_of("one")).ok());
+  const size_t before = kv->disk_bytes();
+  {
+    FileSizeCap cap(before + 40);  // part of the next record fits
+    EXPECT_EQ(kv->put("big", value_of(std::string(4096, 'b'))).code(),
+              common::ErrorCode::kIoError);
+  }
+  EXPECT_EQ(kv->disk_bytes(), before);
+  EXPECT_FALSE(kv->contains("big"));
+  ASSERT_TRUE(kv->put("next", value_of("after")).ok());
+  auto r = kv->get("next");
+  ASSERT_TRUE(r.ok()) << r.status().to_string();
+  EXPECT_TRUE(r->content_equals(value_of("after")));
+  kv.reset();
+  kv = open();
+  EXPECT_EQ(kv->size(), 2u);
+  EXPECT_TRUE(kv->get("first")->content_equals(value_of("one")));
+  r = kv->get("next");
+  ASSERT_TRUE(r.ok()) << r.status().to_string();
+  EXPECT_TRUE(r->content_equals(value_of("after")));
+}
+
+// A compaction that fails part-way keeps every key: the old segments are
+// deleted only after the copies are complete, so the open store and a
+// reopen of what is on disk both hold every live key.
+TEST_F(LogKvTest, FailedCompactionKeepsEveryKey) {
+  auto value = [](int i, int round) {
+    return value_of("value-" + std::to_string(i) + "-" +
+                    std::to_string(round) + std::string(40, 'x'));
+  };
+  auto expect_all = [&](LogKv& kv) {
+    EXPECT_EQ(kv.size(), 200u);
+    for (int i = 0; i < 200; ++i) {
+      auto r = kv.get("k" + std::to_string(i));
+      ASSERT_TRUE(r.ok()) << "k" << i << ": " << r.status().to_string();
+      EXPECT_TRUE(r->content_equals(value(i, i % 2))) << "k" << i;
+    }
+  };
+  auto kv = open();
+  for (int round = 0; round < 2; ++round) {
+    for (int i = round; i < 200; i += 1 + round) {
+      ASSERT_TRUE(kv->put("k" + std::to_string(i), value(i, round)).ok());
+    }
+  }
+  const size_t disk = kv->disk_bytes();
+  const size_t dead = kv->dead_bytes();
+  const size_t segments = kv->segment_count();
+  ASSERT_GT(dead, 0u);
+  {
+    FileSizeCap cap(4096);  // the copies outgrow one capped segment
+    auto reclaimed = kv->compact();
+    EXPECT_FALSE(reclaimed.ok());
+    cap.lift();
+    expect_all(*kv);
+  }
+  EXPECT_EQ(kv->disk_bytes(), disk);
+  EXPECT_EQ(kv->dead_bytes(), dead);
+  EXPECT_EQ(kv->segment_count(), segments);
+  size_t files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    (void)entry;
+    ++files;
+  }
+  EXPECT_EQ(files, segments);
+  // The store still takes writes, and a reopen replays the old segments.
+  ASSERT_TRUE(kv->put("k0", value(0, 0)).ok());
+  kv.reset();
+  LogKvOptions no_sweep;
+  no_sweep.compact_on_open_ratio = 0;
+  kv = open(no_sweep);
+  expect_all(*kv);
+  ASSERT_TRUE(kv->compact().ok());
+  expect_all(*kv);
 }
 
 TEST_F(LogKvTest, KeysSorted) {
