@@ -13,7 +13,9 @@
 // Reported: physical bytes with the delta codec alone (pre-dedup) vs. with
 // chunk dedup (deduped), their ratio, and the chunk-store counters — both
 // from direct provider introspection and through the GetStats RPC path so
-// the wire plumbing is exercised too. The expected ratio is roughly
+// the wire plumbing is exercised too. The run fails unless the RPC path's
+// bytes and every provider and chunk-store counter equal the providers'
+// own. The expected ratio is roughly
 // (families / providers) on backbone bytes: each provider stores the shared
 // backbone's chunks once however many of its resident roots carry them.
 //
@@ -29,8 +31,10 @@
 //                        bit-identical content (exit 1 on any mismatch)
 //   --no-dedup           disable chunking (baseline sanity: deduped ==
 //                        pre-dedup physical)
-//   --metrics-out FILE   JSON metrics snapshot (the shared registry:
-//                        provider.chunk_payload_bytes, rpc.*, ...)
+//   --metrics-out FILE   JSON metrics snapshot (the shared registry: rpc.*,
+//                        client.*; the providers' histograms, chunk sizes
+//                        among them, reach the cluster view only through
+//                        GetStats)
 #include <cstdio>
 #include <vector>
 
@@ -159,13 +163,24 @@ int main(int argc, char** argv) {
   const auto& t = stats->totals;
   std::printf("\nvia GetStats: hits %llu, misses %llu, freed %llu, "
               "physical %llu (pre-dedup %llu)\n",
-              static_cast<unsigned long long>(t.chunk_hits),
-              static_cast<unsigned long long>(t.chunk_misses),
-              static_cast<unsigned long long>(t.chunks_freed),
+              static_cast<unsigned long long>(t.chunks.hits),
+              static_cast<unsigned long long>(t.chunks.misses),
+              static_cast<unsigned long long>(t.chunks.freed),
               static_cast<unsigned long long>(t.physical_bytes),
               static_cast<unsigned long long>(t.pre_dedup_physical_bytes));
   if (t.physical_bytes != post || t.pre_dedup_physical_bytes != pre) {
     std::printf("FATAL: RPC-path stats disagree with direct introspection\n");
+    return 1;
+  }
+  core::ProviderStats provider_sum;
+  storage::ChunkStoreStats chunk_sum;
+  for (size_t i = 0; i < repo.provider_count(); ++i) {
+    core::wire::sum_counters(provider_sum, repo.provider(i).stats());
+    core::wire::sum_counters(chunk_sum, repo.provider(i).chunk_store().stats());
+  }
+  if (t.provider != provider_sum || t.chunks != chunk_sum) {
+    std::printf("FATAL: RPC-path counters disagree with direct "
+                "introspection\n");
     return 1;
   }
 

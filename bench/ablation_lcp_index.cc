@@ -14,8 +14,8 @@
 //    --verify) — run the same metadata-only catalog, the same query storm,
 //    and a retire + drain churn step; every response is compared field by
 //    field and folded into a digest. Latency quantiles come from the
-//    provider-side `lcp.seconds` histogram via the stats fan-out, index
-//    footprint from the StatsResponse fields.
+//    provider-side `lcp.seconds` histograms, merged exactly by the stats
+//    fan-out; index footprint from the StatsResponse fields.
 //  * direct mode (larger sizes, up to 1M+): in-process PrefixIndex vs. the
 //    catalog scan, with graphs regenerated on demand so memory stays
 //    bounded by the index itself. One pass over the catalog builds the
@@ -313,15 +313,14 @@ ClusterRun run_cluster_one(const Shape& shape, uint64_t size, int query_count,
   auto stats = cluster.sim.run_until_complete(
       repo.client(cluster.workers[0]).collect_stats());
   if (stats.ok()) {
-    for (const auto& h : stats->totals.histograms) {
-      if (h.name == "lcp.seconds") {
-        out.p50 = h.p50;
-        out.p99 = h.p99;
-      }
+    const auto& hists = stats->totals.histograms;
+    if (auto it = hists.find("lcp.seconds"); it != hists.end()) {
+      out.p50 = it->second.quantile(0.5);
+      out.p99 = it->second.quantile(0.99);
     }
     out.index_nodes = stats->totals.lcp_index_nodes;
     out.index_bytes = stats->totals.lcp_index_bytes;
-    out.fallbacks = stats->totals.lcp_index_fallback_scans;
+    out.fallbacks = stats->totals.provider.lcp_index_fallback_scans;
   }
   for (size_t p = 0; p < repo.provider_count(); ++p) {
     out.oracle_mismatches +=

@@ -13,6 +13,7 @@
 #include <array>
 #include <cstdint>
 #include <string_view>
+#include <tuple>
 
 #include "common/serde.h"
 #include "common/status.h"
@@ -98,6 +99,12 @@ struct CodecUsage {
   uint64_t segments = 0;
   uint64_t logical_bytes = 0;
   uint64_t physical_bytes = 0;
+
+  friend bool operator==(const CodecUsage&, const CodecUsage&) = default;
+  /// Every counter, in wire order (wire::StatsResponse).
+  static auto fields(auto& m) {
+    return std::tie(m.segments, m.logical_bytes, m.physical_bytes);
+  }
 };
 using CodecUsageTable = std::array<CodecUsage, kCodecCount>;
 

@@ -1198,16 +1198,6 @@ sim::CoTask<Status> Client::retire(ModelId id) {
 
 // ---- stats -----------------------------------------------------------------
 
-sim::CoTask<Result<wire::StatsResponse>> Client::provider_stats(
-    common::ProviderId provider) {
-  auto r = co_await call_encoded<wire::StatsResponse>(
-      provider_node(provider), Provider::kGetStats,
-      encode_once(wire::StatsRequest{}));
-  if (!r.ok()) co_return finish_op(r.status());
-  if (!r->status.ok()) co_return r->status;
-  co_return std::move(r).value();
-}
-
 sim::CoTask<Result<Client::ClusterStats>> Client::collect_stats() {
   const Encoded request = encode_once(wire::StatsRequest{});
   auto legs = spawn_legs<Result<wire::StatsResponse>>(

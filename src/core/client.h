@@ -235,15 +235,12 @@ class Client {
   /// refcount decremented (parallel fan-out); payloads freed at zero.
   sim::CoTask<Status> retire(ModelId id);
 
-  /// Fetch one provider's operation counters and live stored volume
-  /// (logical/physical bytes, per-codec breakdown).
-  sim::CoTask<Result<wire::StatsResponse>> provider_stats(
-      common::ProviderId provider);
-
-  /// Cluster-wide stats: one parallel GetStats fan-out over every provider.
-  /// `per_provider` is in provider-id order; `totals` sums the counters and
-  /// merges the per-provider histogram digests by name (see
-  /// wire::merge_stats).
+  /// Cluster-wide stats: one parallel GetStats fan-out over every provider,
+  /// each answering with its counters, live stored volume and local
+  /// histograms whole. `per_provider` is in provider-id order; `totals` is
+  /// their exact sum: every counter added, and each histogram merged by name
+  /// into the one histogram every provider's values would have fed,
+  /// quantiles included (see wire::merge_stats).
   struct ClusterStats {
     std::vector<wire::StatsResponse> per_provider;
     wire::StatsResponse totals;

@@ -46,15 +46,6 @@ Provider::Provider(net::RpcSystem& rpc, common::NodeId node,
   hist_lcp_seconds_ = metrics_.histogram("lcp.seconds");
   hist_refs_seconds_ = metrics_.histogram("refs.seconds");
   hist_chunk_bytes_ = metrics_.histogram("chunk.payload_bytes");
-  if (obs::MetricsRegistry* shared = rpc.metrics()) {
-    shared_put_seconds_ = shared->histogram("provider.put_seconds");
-    shared_put_bytes_ = shared->histogram("provider.put_physical_bytes");
-    shared_read_seconds_ = shared->histogram("provider.read_seconds");
-    shared_read_bytes_ = shared->histogram("provider.read_physical_bytes");
-    shared_lcp_seconds_ = shared->histogram("provider.lcp_seconds");
-    shared_refs_seconds_ = shared->histogram("provider.refs_seconds");
-    shared_chunk_bytes_ = shared->histogram("provider.chunk_payload_bytes");
-  }
   if (records_.attached()) restore_from_backend();
   register_handlers(rpc);
 }
@@ -124,8 +115,7 @@ void Provider::maybe_chunk(compress::CompressedSegment& env) {
     // env.physical_bytes, so dedup-free accounting is unchanged.
     uint64_t cost = physical * end / total - physical * start / total;
     if (!chunk_store_.add_ref(digest, piece, cost)) ++dedup_hits;
-    record(hist_chunk_bytes_, shared_chunk_bytes_,
-           static_cast<double>(piece.size()));
+    hist_chunk_bytes_->add(static_cast<double>(piece.size()));
     env.chunks.push_back(
         compress::ChunkRef{digest, static_cast<uint32_t>(piece.size())});
     start = end;
@@ -567,8 +557,8 @@ sim::CoTask<wire::PutModelResponse> Provider::handle_put(
       records_.put(kSegRecord, key, entry);
     }
   }
-  record(hist_put_seconds_, shared_put_seconds_, sim_->now() - t0);
-  record(hist_put_bytes_, shared_put_bytes_, static_cast<double>(physical));
+  hist_put_seconds_->add(sim_->now() - t0);
+  hist_put_bytes_->add(static_cast<double>(physical));
   resp.status = Status::Ok();
   co_return resp;
 }
@@ -667,9 +657,8 @@ sim::CoTask<wire::ReadSegmentsResponse> Provider::handle_read_segments(
     fetch.tag_u64("physical_bytes", resp.payload_bytes);
     co_await charge_pool(static_cast<double>(resp.payload_bytes));
   }
-  record(hist_read_seconds_, shared_read_seconds_, sim_->now() - t0);
-  record(hist_read_bytes_, shared_read_bytes_,
-         static_cast<double>(resp.payload_bytes));
+  hist_read_seconds_->add(sim_->now() - t0);
+  hist_read_bytes_->add(static_cast<double>(resp.payload_bytes));
   resp.status = Status::Ok();
   co_return resp;
 }
@@ -698,7 +687,7 @@ sim::CoTask<wire::ModifyRefsResponse> Provider::handle_modify_refs(
     for (const auto& key : req.keys) pin_remove(req.pin_epoch, key);
     resp.status = Status::Ok();
     span.tag("pin_consume", "true");
-    record(hist_refs_seconds_, shared_refs_seconds_, sim_->now() - t0);
+    hist_refs_seconds_->add(sim_->now() - t0);
     dedup_store(req.token, wire::encode(resp));
     co_return resp;
   }
@@ -739,7 +728,7 @@ sim::CoTask<wire::ModifyRefsResponse> Provider::handle_modify_refs(
                    obs::EventLog::u64(resp.freed_bases.size())}});
     }
   }
-  record(hist_refs_seconds_, shared_refs_seconds_, sim_->now() - t0);
+  hist_refs_seconds_->add(sim_->now() - t0);
   dedup_store(req.token, wire::encode(resp));
   co_return resp;
 }
@@ -920,7 +909,7 @@ sim::CoTask<wire::LcpQueryResponse> Provider::handle_lcp_query(
                   {"fallback", hit.needs_scan() ? "1" : "0"}});
     }
   }
-  record(hist_lcp_seconds_, shared_lcp_seconds_, sim_->now() - t0);
+  hist_lcp_seconds_->add(sim_->now() - t0);
   co_return resp;
 }
 
@@ -1456,55 +1445,25 @@ sim::CoTask<wire::StatsResponse> Provider::handle_get_stats(
     wire::StatsRequest, net::HandlerContext) {
   ++stats_.stat_gets;
   co_await sim_->delay(config_.op_seconds);
-  wire::StatsResponse resp;
-  resp.puts = stats_.puts;
-  resp.segment_reads = stats_.segment_reads;
-  resp.refs_added = stats_.refs_added;
-  resp.refs_removed = stats_.refs_removed;
-  resp.segments_freed = stats_.segments_freed;
-  resp.live_models = models_.size();
-  resp.live_segments = segments_.size();
-  resp.logical_bytes = payload_bytes_;
-  resp.physical_bytes = stored_physical_bytes();
-  resp.pre_dedup_physical_bytes = physical_bytes_;
-  resp.live_chunks = chunk_store_.chunk_count();
-  resp.chunk_physical_bytes = chunk_store_.physical_bytes();
-  const storage::ChunkStoreStats& cs = chunk_store_.stats();
-  resp.chunk_hits = cs.hits;
-  resp.chunk_misses = cs.misses;
-  resp.chunks_freed = cs.freed;
-  resp.dedup_saved_bytes = cs.saved_bytes;
-  resp.not_modified_reads = stats_.not_modified_reads;
-  resp.redirects_issued = stats_.redirects_issued;
-  resp.pins_reaped = stats_.pins_reaped;
-  resp.handoff_recorded = stats_.hints_recorded;
-  resp.handoff_replayed = stats_.hints_replayed;
-  resp.handoff_discarded = stats_.hints_discarded;
-  resp.replica_installed_models = stats_.replica_installed_models;
-  resp.replica_installed_segments = stats_.replica_installed_segments;
-  resp.replica_chunks_fetched = stats_.replica_chunks_fetched;
-  resp.drain_models_moved = stats_.drain_models_moved;
-  resp.drain_segments_moved = stats_.drain_segments_moved;
-  resp.lcp_index_answers = stats_.lcp_index_answers;
-  resp.lcp_index_fallback_scans = stats_.lcp_index_fallback_scans;
-  resp.lcp_index_nodes = lcp_index_.node_count();
-  resp.lcp_index_bytes = config_.lcp_index ? lcp_index_.memory_bytes() : 0;
-  for (size_t i = 0; i < compress::kCodecCount; ++i) {
-    const auto& u = codec_usage_[i];
-    if (u.segments == 0) continue;
-    resp.codecs.push_back(wire::CodecUsageEntry{
-        static_cast<compress::CodecId>(i), u.segments, u.logical_bytes,
-        u.physical_bytes});
-  }
-  // Local histogram digests, name-ordered (the registry iterates a
-  // std::map), so the wire encoding is deterministic.
+  wire::StatsResponse resp{
+      .status = Status::Ok(),
+      .provider = stats_,
+      .chunks = chunk_store_.stats(),
+      .codecs = codec_usage_,
+      .live_models = models_.size(),
+      .live_segments = segments_.size(),
+      .logical_bytes = payload_bytes_,
+      .physical_bytes = stored_physical_bytes(),
+      .pre_dedup_physical_bytes = physical_bytes_,
+      .live_chunks = chunk_store_.chunk_count(),
+      .chunk_physical_bytes = chunk_store_.physical_bytes(),
+      .lcp_index_nodes = lcp_index_.node_count(),
+      .lcp_index_bytes = config_.lcp_index ? lcp_index_.memory_bytes() : 0,
+      .histograms = {},
+  };
   for (const auto& [name, hist] : metrics_.histograms()) {
-    obs::HistogramSummary s = hist->summary();
-    resp.histograms.push_back(wire::HistogramSummaryEntry{
-        std::string(name), s.count, s.sum, s.min, s.max, s.p50, s.p95,
-        s.p99});
+    resp.histograms.emplace(name, *hist);
   }
-  resp.status = Status::Ok();
   co_return resp;
 }
 

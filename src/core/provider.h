@@ -29,6 +29,7 @@
 #include "compress/codec.h"
 #include "compress/compressed_segment.h"
 #include "core/prefix_index.h"
+#include "core/provider_stats.h"
 #include "core/records.h"
 #include "core/wire.h"
 #include "net/rpc.h"
@@ -71,65 +72,6 @@ struct ProviderConfig {
   /// charged for the index path only, so verified runs keep index-shaped
   /// timing.
   bool lcp_index_verify = false;
-};
-
-struct ProviderStats {
-  uint64_t puts = 0;
-  uint64_t meta_gets = 0;
-  uint64_t segment_reads = 0;
-  uint64_t lcp_queries = 0;
-  uint64_t lcp_models_scanned = 0;
-  uint64_t lcp_vertex_visits = 0;
-  uint64_t retires = 0;
-  uint64_t refs_added = 0;
-  uint64_t refs_removed = 0;
-  uint64_t segments_freed = 0;
-  uint64_t stat_gets = 0;
-  /// Tokened requests answered from the dedup cache (retries that would
-  /// have double-applied without idempotency).
-  uint64_t deduped_replays = 0;
-  /// Crash-recovery cycles this provider went through (restart() calls).
-  uint64_t restarts = 0;
-  /// Cumulative payload volume ingested by puts (logical = decoded tensor
-  /// content, physical = post-compression envelope payload).
-  uint64_t logical_bytes_ingested = 0;
-  uint64_t physical_bytes_ingested = 0;
-  // Cooperative cache + pin ledger (DESIGN.md §14).
-  /// Validation handshakes answered with kNotModified (no payload moved).
-  uint64_t not_modified_reads = 0;
-  /// Reads answered with a kRedirect hint to a peer client's cache.
-  uint64_t redirects_issued = 0;
-  /// Transfer pins recorded in the durable pin ledger.
-  uint64_t pins_recorded = 0;
-  /// Stale-epoch pins reaped when a newer client incarnation appeared (the
-  /// leaked pins of a client that crashed mid-transfer).
-  uint64_t pins_reaped = 0;
-  // Replication fault model (DESIGN.md §15).
-  /// Hinted handoffs parked here for a down replica.
-  uint64_t hints_recorded = 0;
-  /// Hints replayed to their target after it recovered.
-  uint64_t hints_replayed = 0;
-  /// Hints discarded because a full repair push subsumed them.
-  uint64_t hints_discarded = 0;
-  /// Metadata records installed via evostore.replicate (repair/drain pushes).
-  uint64_t replica_installed_models = 0;
-  /// Segments installed via evostore.replicate.
-  uint64_t replica_installed_segments = 0;
-  /// Chunk bodies pulled from peers while installing replicated manifests.
-  uint64_t replica_chunks_fetched = 0;
-  /// Catalog entries this provider migrated away when drained.
-  uint64_t drain_models_moved = 0;
-  uint64_t drain_segments_moved = 0;
-  // Catalog prefix index (DESIGN.md §16).
-  /// LCP queries answered from the index without scanning the catalog.
-  uint64_t lcp_index_answers = 0;
-  /// Queries the index handed to the scan: an unclean query or catalog,
-  /// several maximal found vertices, or a confirm-run mismatch.
-  uint64_t lcp_index_fallback_scans = 0;
-  /// Oracle disagreements seen under `lcp_index_verify` (should stay 0).
-  uint64_t lcp_index_verify_mismatches = 0;
-
-  friend bool operator==(const ProviderStats&, const ProviderStats&) = default;
 };
 
 /// Full metadata of a stored model: what `Client::get_meta` returns and,
@@ -439,12 +381,6 @@ class Provider {
   /// The attached flight recorder, if any (replication lifecycle events:
   /// hints, drain, repair, replica installs, dedup and GC activity).
   obs::EventLog* events() { return rpc_->events(); }
-  /// Record `v` into the local histogram and, when a cluster registry is
-  /// attached to the RpcSystem, the shared one.
-  void record(obs::Histogram* local, obs::Histogram* shared, double v) {
-    local->add(v);
-    if (shared != nullptr) shared->add(v);
-  }
 
   sim::Simulation* sim_;
   net::RpcSystem* rpc_;
@@ -510,7 +446,8 @@ class Provider {
 
   // Local per-operation histograms (sim-time seconds / payload bytes), fed
   // unconditionally: every value is simulation-derived, so the registry's
-  // contents — and the digests exported over the wire — are deterministic.
+  // contents — exported whole over the wire and merged exactly by
+  // Client::collect_stats — are deterministic.
   obs::MetricsRegistry metrics_;
   obs::Histogram* hist_put_seconds_;
   obs::Histogram* hist_put_bytes_;
@@ -521,14 +458,6 @@ class Provider {
   // Chunk dedup observability: payload size of every chunk an ingest
   // produced (hit/miss counts live in the chunk store's stats).
   obs::Histogram* hist_chunk_bytes_;
-  // Cluster-wide mirrors in the RpcSystem's registry (null when detached).
-  obs::Histogram* shared_put_seconds_ = nullptr;
-  obs::Histogram* shared_put_bytes_ = nullptr;
-  obs::Histogram* shared_read_seconds_ = nullptr;
-  obs::Histogram* shared_read_bytes_ = nullptr;
-  obs::Histogram* shared_lcp_seconds_ = nullptr;
-  obs::Histogram* shared_refs_seconds_ = nullptr;
-  obs::Histogram* shared_chunk_bytes_ = nullptr;
 };
 
 }  // namespace evostore::core

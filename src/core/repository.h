@@ -95,9 +95,11 @@ class EvoStoreRepository final : public ModelRepository {
 
   /// Cluster-wide stats through the RPC path: one GetStats fan-out over
   /// every provider from `node`'s client, reduced via wire::merge_stats —
-  /// the wire-visible digests a monitoring client would see. Benches use it
-  /// to cross-check direct provider introspection; their `--metrics-out`
-  /// snapshot is the shared registry instead, not this.
+  /// the exact cluster view of the providers' counters and histograms, as a
+  /// monitoring client would see it. Benches use it to cross-check direct
+  /// provider introspection and for the providers' latency quantiles; their
+  /// `--metrics-out` snapshot is the shared registry (RPC, client and cache
+  /// metrics), which holds no provider histogram.
   sim::CoTask<Result<Client::ClusterStats>> collect_stats(NodeId node);
 
   size_t provider_count() const { return providers_.size(); }

@@ -11,8 +11,10 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <concepts>
 #include <cstdint>
+#include <map>
 #include <span>
 #include <string>
 #include <tuple>
@@ -26,8 +28,11 @@
 #include "compress/codec.h"
 #include "compress/compressed_segment.h"
 #include "core/owner_map.h"
+#include "core/provider_stats.h"
 #include "model/arch_graph.h"
 #include "model/model.h"
+#include "obs/metrics.h"
+#include "storage/chunk_store.h"
 
 namespace evostore::core::wire {
 
@@ -203,8 +208,26 @@ struct Codec<std::vector<T>> {
   static constexpr size_t min_bytes() { return 1; }
 };
 
-/// The field list of T: its own `fields` for the messages below, or a
-/// specialization for the common/ value types that travel inside them.
+/// Encoded as the vector of its (key, value) pairs, so in ascending key
+/// order; keys that do not ascend fail the decode.
+template <typename K, typename V>
+struct Codec<std::map<K, V>> {
+  static void put(Serializer& s, const std::map<K, V>& m) {
+    s.u64(m.size());
+    for (const auto& entry : m) wire::put(s, entry);
+  }
+  static void get(Deserializer& d, std::map<K, V>& m) {
+    for (auto& [k, v] : wire::read<std::vector<std::pair<K, V>>>(d)) {
+      if (!m.empty() && k <= m.rbegin()->first) d.corrupt("keys not ascending");
+      m.emplace_hint(m.end(), std::move(k), std::move(v));
+    }
+  }
+  static constexpr size_t min_bytes() { return 1; }
+};
+
+/// The field list of T: its own `fields` for the messages below and the
+/// counter structs they carry, or a specialization for the common/ value
+/// types that travel inside them.
 template <typename T>
 struct Schema {
   template <typename M>
@@ -224,6 +247,24 @@ template <>
 struct Schema<common::Hash128> {
   static auto fields(auto& m) { return std::tie(m.hi, m.lo); }
 };
+/// A fixed array: its N elements, no count.
+template <typename T, size_t N>
+struct Schema<std::array<T, N>> {
+  static auto fields(auto& a) {
+    return std::apply([](auto&... e) { return std::tie(e...); }, a);
+  }
+};
+
+/// A counter struct lists every member it holds, so none can miss the wire
+/// or the cluster sum.
+template <typename T>
+constexpr bool kListsEveryCounter =
+    sizeof(T) ==
+    sizeof(uint64_t) *
+        std::tuple_size_v<decltype(Schema<T>::fields(std::declval<T&>()))>;
+static_assert(kListsEveryCounter<ProviderStats> &&
+              kListsEveryCounter<storage::ChunkStoreStats> &&
+              kListsEveryCounter<compress::CodecUsage>);
 
 template <typename T>
 concept HasFields = requires(T& m) { Schema<T>::fields(m); };
@@ -351,21 +392,21 @@ struct Codec<Local<T>> {
   static constexpr size_t min_bytes() { return 0; }
 };
 
-/// Add every uint64_t member of `part` into `total`. In the stats messages
-/// every such member is a counter or a gauge that sums across providers.
+/// Add `part` into `total`: a uint64_t adds, and a type with a field list (a
+/// fixed array lists its elements) adds field by field; anything else (a
+/// status, a histogram map) is left alone. In the stats messages every
+/// uint64_t is a counter or a gauge that sums across providers.
 template <typename T>
 void sum_counters(T& total, const T& part) {
-  auto to = T::fields(total);
-  auto from = T::fields(part);
-  [&]<size_t... I>(std::index_sequence<I...>) {
-    auto add = [](auto& a, const auto& b) {
-      if constexpr (std::is_same_v<std::remove_cvref_t<decltype(a)>,
-                                   uint64_t>) {
-        a += b;
-      }
-    };
-    (add(std::get<I>(to), std::get<I>(from)), ...);
-  }(std::make_index_sequence<std::tuple_size_v<decltype(to)>>{});
+  if constexpr (std::is_same_v<T, uint64_t>) {
+    total += part;
+  } else if constexpr (HasFields<T>) {
+    auto to = Schema<T>::fields(total);
+    auto from = Schema<T>::fields(part);
+    [&]<size_t... I>(std::index_sequence<I...>) {
+      (sum_counters(std::get<I>(to), std::get<I>(from)), ...);
+    }(std::make_index_sequence<std::tuple_size_v<decltype(to)>>{});
+  }
 }
 
 inline void serialize_status(Serializer& s, const common::Status& st) {
@@ -900,55 +941,51 @@ struct StatsRequest {
   EVOSTORE_WIRE_SERDE(StatsRequest)
 };
 
-/// One named histogram digest from a provider's local metrics registry
-/// (obs::HistogramSummary + its name). Quantiles are bucket-interpolated
-/// provider-side; merging across providers (see merge_stats) keeps exact
-/// count/sum/min/max and count-weights the quantiles.
-struct HistogramSummaryEntry {
-  std::string name;
-  uint64_t count = 0;
-  double sum = 0;
-  double min = 0;
-  double max = 0;
-  double p50 = 0;
-  double p95 = 0;
-  double p99 = 0;
-
-  friend bool operator==(const HistogramSummaryEntry&,
-                         const HistogramSummaryEntry&) = default;
-
-  static auto fields(auto& m) {
-    return std::tie(m.name, m.count, m.sum, m.min, m.max, m.p50, m.p95,
-                    m.p99);
+/// A histogram travels whole, as its obs::Histogram::Parts. Bucket indexes
+/// past the range or not ascending, counts that do not add up to `count`,
+/// or a min above the max fail the decode with Corruption.
+template <>
+struct Codec<obs::Histogram> {
+  using Parts = obs::Histogram::Parts;
+  static void put(Serializer& s, const obs::Histogram& h) {
+    wire::put(s, h.parts());
   }
-  EVOSTORE_WIRE_SERDE(HistogramSummaryEntry)
+  static obs::Histogram read(Deserializer& d) {
+    const Parts p = wire::read<Parts>(d);
+    // The values no count has claimed yet: a claim never takes more than
+    // that, so no sum can wrap.
+    uint64_t left = p.count;
+    auto claim = [&](uint64_t n) {
+      if (n > left) d.corrupt("histogram counts past its count");
+      left -= std::min(n, left);
+    };
+    claim(p.underflow);
+    uint64_t next = 0;  // the lowest index the next bucket may take
+    for (const auto& [b, n] : p.buckets) {
+      if (b < next || b >= uint64_t{obs::Histogram::kBucketCount}) {
+        d.corrupt("histogram bucket indexes not ascending in range");
+      }
+      next = uint64_t{b} + 1;
+      claim(n);
+    }
+    if (left != 0) d.corrupt("histogram counts short of its count");
+    if (p.count > 0 && p.min > p.max) d.corrupt("histogram min above max");
+    return d.ok() ? obs::Histogram::from_parts(p) : obs::Histogram{};
+  }
+  static void get(Deserializer& d, obs::Histogram& h) { h = read(d); }
+  static size_t min_bytes() { return wire::min_bytes<Parts>(); }
 };
 
-/// Live per-codec stored volume on one provider.
-struct CodecUsageEntry {
-  compress::CodecId codec = compress::CodecId::kRaw;
-  uint64_t segments = 0;
-  uint64_t logical_bytes = 0;
-  uint64_t physical_bytes = 0;
-
-  friend bool operator==(const CodecUsageEntry&,
-                         const CodecUsageEntry&) = default;
-  static auto fields(auto& m) {
-    return std::tie(m.codec, m.segments, m.logical_bytes, m.physical_bytes);
-  }
-};
-
-/// Every uint64_t member is a counter or gauge that sums across providers
-/// (merge_stats); a new one needs only its declaration and a place in
-/// `fields`.
+/// One provider's stats as it keeps them: its own counters, its chunk
+/// store's counters and its per-codec stored volume, each struct whole; the
+/// live-state gauges; and its local histograms whole, by name. Every
+/// uint64_t sums across providers (merge_stats), so a new counter needs only
+/// its declaration and its place in its struct's field list.
 struct StatsResponse {
   common::Status status;
-  // Operation counters (cumulative).
-  uint64_t puts = 0;
-  uint64_t segment_reads = 0;
-  uint64_t refs_added = 0;
-  uint64_t refs_removed = 0;
-  uint64_t segments_freed = 0;
+  ProviderStats provider;
+  storage::ChunkStoreStats chunks;
+  compress::CodecUsageTable codecs{};
   // Live stored state.
   uint64_t live_models = 0;
   uint64_t live_segments = 0;
@@ -961,100 +998,30 @@ struct StatsResponse {
   uint64_t pre_dedup_physical_bytes = 0;
   uint64_t live_chunks = 0;
   uint64_t chunk_physical_bytes = 0;  // the chunk-store share of physical
-  uint64_t chunk_hits = 0;            // cumulative dedup hits on ingest
-  uint64_t chunk_misses = 0;          // cumulative newly stored chunks
-  uint64_t chunks_freed = 0;          // chunks whose last reference died
-  uint64_t dedup_saved_bytes = 0;     // cumulative modeled bytes not stored
-  // Cooperative cache + pin ledger (DESIGN.md §14).
-  uint64_t not_modified_reads = 0;  // validation handshakes answered cheaply
-  uint64_t redirects_issued = 0;    // reads pointed at a peer cache
-  uint64_t pins_reaped = 0;         // stale-epoch pins released on the ledger
-  // Replication fault model (DESIGN.md §15).
-  uint64_t handoff_recorded = 0;    // hints parked for a down replica
-  uint64_t handoff_replayed = 0;    // hints delivered on target recovery
-  uint64_t handoff_discarded = 0;   // hints subsumed by a full repair push
-  uint64_t replica_installed_models = 0;    // metas installed via replicate
-  uint64_t replica_installed_segments = 0;  // segments installed via replicate
-  uint64_t replica_chunks_fetched = 0;      // chunk bodies pulled from peers
-  uint64_t drain_models_moved = 0;          // metas migrated by evostore.drain
-  uint64_t drain_segments_moved = 0;        // segments migrated by drain
   // Catalog prefix index (DESIGN.md §16).
-  uint64_t lcp_index_answers = 0;         // queries answered without a scan
-  uint64_t lcp_index_fallback_scans = 0;  // index handed the query to the scan
-  uint64_t lcp_index_nodes = 0;           // distinct indexed hashes
-  uint64_t lcp_index_bytes = 0;           // index memory footprint model
-  std::vector<CodecUsageEntry> codecs;
-  // Per-provider histogram digests (name-ordered: providers export their
-  // registry with std::map iteration, so the wire order is deterministic).
-  std::vector<HistogramSummaryEntry> histograms;
+  uint64_t lcp_index_nodes = 0;  // distinct indexed hashes
+  uint64_t lcp_index_bytes = 0;  // index memory footprint model
+  std::map<std::string, obs::Histogram> histograms;
 
   static auto fields(auto& m) {
-    return std::tie(
-        m.status, m.puts, m.segment_reads, m.refs_added, m.refs_removed,
-        m.segments_freed, m.live_models, m.live_segments, m.logical_bytes,
-        m.physical_bytes, m.pre_dedup_physical_bytes, m.live_chunks,
-        m.chunk_physical_bytes, m.chunk_hits, m.chunk_misses, m.chunks_freed,
-        m.dedup_saved_bytes, m.not_modified_reads, m.redirects_issued,
-        m.pins_reaped, m.handoff_recorded, m.handoff_replayed,
-        m.handoff_discarded, m.replica_installed_models,
-        m.replica_installed_segments, m.replica_chunks_fetched,
-        m.drain_models_moved, m.drain_segments_moved, m.lcp_index_answers,
-        m.lcp_index_fallback_scans, m.lcp_index_nodes, m.lcp_index_bytes,
-        m.codecs, m.histograms);
+    return std::tie(m.status, m.provider, m.chunks, m.codecs, m.live_models,
+                    m.live_segments, m.logical_bytes, m.physical_bytes,
+                    m.pre_dedup_physical_bytes, m.live_chunks,
+                    m.chunk_physical_bytes, m.lcp_index_nodes,
+                    m.lcp_index_bytes, m.histograms);
   }
   EVOSTORE_WIRE_SERDE(StatsResponse)
 };
 
-/// Cluster-wide aggregation of per-provider stats (used by
-/// Client::collect_stats). Counters sum exactly; codec usage merges by
-/// codec id; histogram digests merge by name with exact count/sum/min/max
-/// and count-weighted quantiles (an approximation — the exact quantile of
-/// a union is not recoverable from per-provider digests).
+/// The cluster view of per-provider stats (Client::collect_stats): every
+/// counter and gauge sums, and each histogram merges by name into the one
+/// histogram that every provider's values would have fed.
 inline StatsResponse merge_stats(const std::vector<StatsResponse>& parts) {
   StatsResponse total;
-  std::vector<CodecUsageEntry> codecs;
-  std::vector<HistogramSummaryEntry> hists;
   for (const StatsResponse& p : parts) {
     sum_counters(total, p);
-    for (const CodecUsageEntry& c : p.codecs) {
-      auto it = std::find_if(codecs.begin(), codecs.end(),
-                             [&](const auto& e) { return e.codec == c.codec; });
-      if (it == codecs.end()) {
-        codecs.push_back(c);
-      } else {
-        sum_counters(*it, c);
-      }
-    }
-    for (const HistogramSummaryEntry& h : p.histograms) {
-      auto it = std::find_if(hists.begin(), hists.end(),
-                             [&](const auto& e) { return e.name == h.name; });
-      if (it == hists.end()) {
-        hists.push_back(h);
-        continue;
-      }
-      if (h.count == 0) continue;
-      if (it->count == 0) {
-        *it = h;
-        continue;
-      }
-      double wa = static_cast<double>(it->count);
-      double wb = static_cast<double>(h.count);
-      it->p50 = (it->p50 * wa + h.p50 * wb) / (wa + wb);
-      it->p95 = (it->p95 * wa + h.p95 * wb) / (wa + wb);
-      it->p99 = (it->p99 * wa + h.p99 * wb) / (wa + wb);
-      it->min = std::min(it->min, h.min);
-      it->max = std::max(it->max, h.max);
-      it->count += h.count;
-      it->sum += h.sum;
-    }
+    for (const auto& [name, h] : p.histograms) total.histograms[name].merge(h);
   }
-  std::sort(codecs.begin(), codecs.end(), [](const auto& a, const auto& b) {
-    return static_cast<uint8_t>(a.codec) < static_cast<uint8_t>(b.codec);
-  });
-  std::sort(hists.begin(), hists.end(),
-            [](const auto& a, const auto& b) { return a.name < b.name; });
-  total.codecs = std::move(codecs);
-  total.histograms = std::move(hists);
   return total;
 }
 

@@ -196,6 +196,12 @@ bool GraphShape::read_edges(common::Deserializer& d, size_t n) {
         d.corrupt("edge target past the vertex count");
         return false;
       }
+      if (e > 0 && v < targets_.back()) {
+        // LCP matching binds candidates in out-edge order: a descending
+        // list would break its smallest-id rule. Repeats stay legal.
+        d.corrupt("out-edge targets not ascending");
+        return false;
+      }
       targets_.push_back(v);
     }
     offsets_.push_back(static_cast<uint32_t>(targets_.size()));

@@ -55,8 +55,9 @@ class GraphShape {
   /// the adjacency block `ArchGraph::serialize` also writes.
   void serialize_shape(common::Serializer& s) const;
   /// Decode `serialize_shape`'s bytes: no layer is parsed or hashed. A
-  /// table larger than the vertex count, an index past the table or an
-  /// edge target past the vertices fails the stream with Corruption.
+  /// table larger than the vertex count, an index past the table, an edge
+  /// target past the vertices or below the one before it fails the stream
+  /// with Corruption.
   static GraphShape deserialize_shape(common::Deserializer& d);
 
   friend bool operator==(const GraphShape&, const GraphShape&) = default;
@@ -67,8 +68,8 @@ class GraphShape {
   void set_edges(size_t n,
                  const std::vector<std::pair<VertexId, VertexId>>& edges);
   /// Write / read the adjacency block: per vertex its out-degree, then its
-  /// targets. `read_edges` returns false, with the stream failed, on a
-  /// malformed block.
+  /// targets, ascending. `read_edges` returns false, with the stream failed,
+  /// on a malformed block.
   void write_edges(common::Serializer& s) const;
   bool read_edges(common::Deserializer& d, size_t n);
   /// Fill `in_degree_` from the out-edges.

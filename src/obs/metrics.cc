@@ -87,6 +87,38 @@ void Histogram::add(double v) {
   ++buckets_[static_cast<size_t>(bucket_of(v))];
 }
 
+void Histogram::merge(const Histogram& other) {
+  if (other.count_ == 0) return;
+  min_ = count_ == 0 ? other.min_ : std::min(min_, other.min_);
+  max_ = count_ == 0 ? other.max_ : std::max(max_, other.max_);
+  count_ += other.count_;
+  sum_ += other.sum_;
+  underflow_ += other.underflow_;
+  if (other.buckets_.empty()) return;
+  buckets_.resize(kBucketCount);
+  for (size_t b = 0; b < buckets_.size(); ++b) buckets_[b] += other.buckets_[b];
+}
+
+Histogram::Parts Histogram::parts() const {
+  Parts p{count_, sum_, min(), max(), underflow_, {}};
+  for (uint32_t b = 0; b < buckets_.size(); ++b) {
+    if (buckets_[b] != 0) p.buckets.emplace_back(b, buckets_[b]);
+  }
+  return p;
+}
+
+Histogram Histogram::from_parts(const Parts& p) {
+  Histogram h;
+  h.count_ = p.count;
+  h.sum_ = p.sum;
+  h.min_ = p.min;
+  h.max_ = p.max;
+  h.underflow_ = p.underflow;
+  if (!p.buckets.empty()) h.buckets_.resize(kBucketCount);
+  for (const auto& [b, n] : p.buckets) h.buckets_[b] = n;
+  return h;
+}
+
 double Histogram::quantile(double q) const {
   if (count_ == 0) return 0;
   q = std::clamp(q, 0.0, 1.0);

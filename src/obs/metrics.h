@@ -25,6 +25,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 namespace evostore::obs {
@@ -48,10 +49,9 @@ class Gauge {
   double value_ = 0;
 };
 
-/// The fixed-size digest of a histogram that travels on the wire
-/// (wire::StatsResponse) and lands in JSON snapshots. Quantiles are
-/// bucket-interpolated, so two histograms fed the same values in any order
-/// produce the same summary.
+/// The fixed-size digest of a histogram that lands in JSON snapshots.
+/// Quantiles are bucket-interpolated, so two histograms fed the same values
+/// in any order produce the same summary.
 struct HistogramSummary {
   uint64_t count = 0;
   double sum = 0;
@@ -78,8 +78,30 @@ class Histogram {
   static constexpr int kSubBuckets = 8;
   static constexpr int kMinExp = -44;  // frexp exponent; 2^-45 ~ 2.8e-14
   static constexpr int kMaxExp = 51;   // 2^50 ~ 1.1e15
+  static constexpr int kBucketCount = (kMaxExp - kMinExp) * kSubBuckets;
+
+  /// A histogram's whole state, as it travels (wire::StatsResponse): the
+  /// values <= 0 or NaN in `underflow`, and every non-empty bucket as its
+  /// (index, count) pair, in ascending index order.
+  struct Parts {
+    uint64_t count = 0;
+    double sum = 0;
+    double min = 0;
+    double max = 0;
+    uint64_t underflow = 0;
+    std::vector<std::pair<uint32_t, uint64_t>> buckets;
+
+    friend bool operator==(const Parts&, const Parts&) = default;
+    static auto fields(auto& m) {
+      return std::tie(m.count, m.sum, m.min, m.max, m.underflow, m.buckets);
+    }
+  };
 
   void add(double v);
+  /// Fold `other` in. Afterwards this histogram equals one fed both value
+  /// streams, this one's first: count, min, max, underflow, buckets and so
+  /// every quantile bit for bit, the sum up to rounding.
+  void merge(const Histogram& other);
 
   uint64_t count() const { return count_; }
   double sum() const { return sum_; }
@@ -95,9 +117,13 @@ class Histogram {
 
   HistogramSummary summary() const;
 
- private:
-  static constexpr int kBucketCount = (kMaxExp - kMinExp) * kSubBuckets;
+  Parts parts() const;
+  /// The histogram that holds `p`. The caller has checked `p`: every index
+  /// below kBucketCount, and the underflow and bucket counts adding up to
+  /// the count.
+  static Histogram from_parts(const Parts& p);
 
+ private:
   static int bucket_of(double v);
   static double bucket_lower(int b);
   static double bucket_upper(int b);
@@ -119,7 +145,7 @@ class MetricsRegistry {
   Gauge* gauge(std::string_view name);
   Histogram* histogram(std::string_view name);
 
-  /// Histograms in name order (for wire export of per-provider summaries).
+  /// Histograms in name order (a provider's GetStats export).
   std::vector<std::pair<std::string_view, const Histogram*>> histograms()
       const;
 

@@ -42,6 +42,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "common/buffer.h"
@@ -60,6 +61,13 @@ struct ChunkStoreStats {
   uint64_t freed = 0;
   /// Modeled physical bytes that dedup hits avoided storing.
   uint64_t saved_bytes = 0;
+
+  friend bool operator==(const ChunkStoreStats&,
+                         const ChunkStoreStats&) = default;
+  /// Every counter, in wire order (wire::StatsResponse).
+  static auto fields(auto& m) {
+    return std::tie(m.hits, m.misses, m.freed, m.saved_bytes);
+  }
 };
 
 class ChunkStore {

@@ -164,6 +164,49 @@ TEST(Fuzz, ShapeDecodeStaysInRange) {
   EXPECT_LT(ok_count, 4000);
 }
 
+// GetStats replies, random and mutated: the decoder never crashes, a
+// failure is Corruption, and every histogram it accepts holds together: the
+// underflow and bucket counts add up to its count, min <= max, and every
+// quantile lies between them.
+TEST(Fuzz, StatsResponseDecodeStaysInRange) {
+  Xoshiro256 rng(6);
+  core::wire::StatsResponse reply;
+  reply.provider.puts = 9;
+  reply.chunks.hits = 4;
+  for (double v : {0.0, -2.0, 1e-20, 0.002, 0.002, 0.5, 3e9, 1e300}) {
+    reply.histograms["put.seconds"].add(v);
+    reply.histograms["read.physical_bytes"].add(std::abs(v) * 4096);
+  }
+  reply.histograms["lcp.seconds"];  // exported, never fed
+  const Bytes valid = core::wire::encode(reply);
+  int accepted = 0;
+  for (int iter = 0; iter < 6000; ++iter) {
+    const Bytes input =
+        iter % 3 == 0 ? random_bytes(rng, 96) : mutate_bytes(valid, rng);
+    auto out = core::wire::decode<core::wire::StatsResponse>(input);
+    if (!out.ok()) {
+      ASSERT_EQ(out.status().code(), common::ErrorCode::kCorruption);
+      continue;
+    }
+    ++accepted;
+    for (const auto& [name, h] : out->histograms) {
+      const obs::Histogram::Parts parts = h.parts();
+      uint64_t counted = parts.underflow;
+      for (const auto& [b, n] : parts.buckets) counted += n;
+      ASSERT_EQ(counted, h.count()) << "iteration " << iter;
+      if (h.count() == 0) continue;
+      ASSERT_FALSE(h.min() > h.max()) << "iteration " << iter;
+      for (double q : {0.0, 0.5, 0.99, 1.0}) {
+        const double v = h.quantile(q);
+        ASSERT_FALSE(v < h.min() || v > h.max()) << "iteration " << iter;
+      }
+    }
+  }
+  // Both outcomes ran: bit flips inside a sum or a counter decode fine.
+  EXPECT_GT(accepted, 100);
+  EXPECT_LT(accepted, 3000);
+}
+
 TEST(Fuzz, WireMessagesSurviveMutation) {
   Xoshiro256 rng(3);
   core::wire::PutModelRequest req;

@@ -46,7 +46,7 @@ struct CacheReadTest : ::testing::Test {
   uint64_t totals_not_modified(ClusterEnv& env) {
     auto stats = env.run(env.client().collect_stats());
     EXPECT_TRUE(stats.ok());
-    return stats->totals.not_modified_reads;
+    return stats->totals.provider.not_modified_reads;
   }
 };
 
@@ -126,7 +126,7 @@ TEST_F(CacheReadTest, PeerRedirectServesFromAnotherClientsCache) {
   EXPECT_EQ(bs.peer_misses, 0u);
   auto stats = env.run(env.client().collect_stats());
   ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->totals.redirects_issued, vertices);
+  EXPECT_EQ(stats->totals.provider.redirects_issued, vertices);
 
   // B's copy is now first-class: a repeat read revalidates locally.
   double b1 = env.rpc.stats().bulk_bytes;
@@ -158,7 +158,7 @@ TEST_F(CacheReadTest, CrashedPeerFallsBackToProvider) {
   EXPECT_EQ(bs.misses, m.vertex_count());
   auto stats = env.run(cli_b.collect_stats());
   ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->totals.redirects_issued, 0u);
+  EXPECT_EQ(stats->totals.provider.redirects_issued, 0u);
 }
 
 TEST_F(CacheReadTest, FaultedRunIsDeterministicAcrossReplays) {
@@ -192,8 +192,8 @@ TEST_F(CacheReadTest, FaultedRunIsDeterministicAcrossReplays) {
                   bs.peer_hits,
                   bs.peer_misses,
                   bs.revalidations,
-                  stats->totals.not_modified_reads,
-                  stats->totals.redirects_issued};
+                  stats->totals.provider.not_modified_reads,
+                  stats->totals.provider.redirects_issued};
   };
   Digest first = run_once();
   Digest second = run_once();

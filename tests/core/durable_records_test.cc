@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -45,12 +46,12 @@ ProviderConfig chunked_config() {
   return cfg;
 }
 
-/// One backend mutation: which backend, put or erase, key, value (hex).
+/// One backend mutation: which backend, put or erase, key, value.
 struct WriteOp {
   size_t backend = 0;
   std::string op;
   std::string key;
-  std::string value;
+  common::Bytes value;
 };
 
 /// A MemKv that appends every put and erase, in call order, to a log shared
@@ -60,15 +61,17 @@ class RecordingKv final : public storage::KvStore {
   RecordingKv(size_t id, std::vector<WriteOp>* log) : id_(id), log_(log) {}
 
   common::Status put(std::string_view key, common::Buffer value) override {
+    const common::Buffer dense = value.materialize();
+    const auto bytes = dense.dense_span();
     log_->push_back(WriteOp{id_, "put", std::string(key),
-                            hex(value.materialize().dense_span())});
+                            common::Bytes(bytes.begin(), bytes.end())});
     return inner_.put(key, std::move(value));
   }
   common::Result<common::Buffer> get(std::string_view key) const override {
     return inner_.get(key);
   }
   common::Status erase(std::string_view key) override {
-    log_->push_back(WriteOp{id_, "erase", std::string(key), ""});
+    log_->push_back(WriteOp{id_, "erase", std::string(key), {}});
     return inner_.erase(key);
   }
   bool contains(std::string_view key) const override {
@@ -267,18 +270,36 @@ TEST(DurableRecords, BackendWriteStreamIsPinned) {
       return op.op == "put" && op.key == p.key;
     });
     ASSERT_NE(w, log.end()) << p.key;
-    EXPECT_EQ(w->value, p.value) << p.key;
+    EXPECT_EQ(hex(w->value), p.value) << p.key;
   }
 
+  // The digest sees each meta/ record with its simulated store_time zeroed,
+  // and the store times are pinned on their own: a change in the size of an
+  // earlier message moves them, while no record encoding changes.
+  std::vector<std::string> store_times;
   common::Hasher128 h;
   for (const WriteOp& w : log) {
-    h.u64(w.backend).str(w.op).str(w.key).str(w.value);
+    common::Bytes value = w.value;
+    if (w.op == "put" && w.key.starts_with("meta/")) {
+      auto meta = wire::decode<ModelMeta>(value);
+      ASSERT_TRUE(meta.ok()) << w.key;
+      char t[32];
+      std::snprintf(t, sizeof(t), "%.17g", meta->store_time);
+      store_times.push_back(std::to_string(w.backend) + " " + w.key + " " + t);
+      meta->store_time = 0;
+      value = wire::encode(*meta);
+    }
+    h.u64(w.backend).str(w.op).str(w.key).bytes(value);
   }
   EXPECT_EQ(log.size(), 174u);
-  // The stream carries simulated times (a meta/ record's store_time), so a
-  // change to the bytes any earlier message moves re-pins it: the LCP query
-  // shape encoding stored the child 6 ns sooner, and nothing else changed.
-  EXPECT_EQ(h.finish().hex(), "0c49d5aae46d5531ab94beca1c120b88");
+  EXPECT_EQ(store_times, (std::vector<std::string>{
+                             "0 meta/1 1.9014240000000001e-05",
+                             "2 meta/1 1.9014240000000001e-05",
+                             "0 meta/2 5.4670908571428579e-05",
+                             "1 meta/2 5.4670908571428579e-05",
+                             "1 meta/1 1.9014240000000001e-05",
+                         }));
+  EXPECT_EQ(h.finish().hex(), "53f96c37e253ab9a9b6b71e6df08f4b0");
 }
 
 TEST(DurableRecords, CustodianRestartKeepsParkedHintsAndReplaysOnce) {

@@ -228,96 +228,188 @@ TEST(Wire, ModifyRefs) {
   EXPECT_EQ(rout.freed_bases, resp.freed_bases);
 }
 
+// Two histograms hold the same state: count, sum, min, max, underflow and
+// every bucket.
+void expect_same_histogram(const obs::Histogram& a, const obs::Histogram& b) {
+  EXPECT_TRUE(a.parts() == b.parts());
+}
+
 TEST(Wire, StatsMessages) {
   auto reqout = round_trip(StatsRequest{});
   (void)reqout;
 
   StatsResponse resp;
   resp.status = common::Status::Ok();
-  resp.puts = 10;
-  resp.segment_reads = 20;
-  resp.refs_added = 5;
-  resp.refs_removed = 3;
-  resp.segments_freed = 2;
+  resp.provider.puts = 10;
+  resp.provider.segment_reads = 20;
+  resp.provider.refs_added = 5;
+  resp.provider.not_modified_reads = 6;
+  resp.provider.lcp_index_answers = 31;
+  resp.chunks.hits = 7;
+  resp.chunks.saved_bytes = 4096;
+  resp.codecs[compress::codec_index(compress::CodecId::kDeltaVsAncestor)] = {
+      16, 1 << 20, 1 << 18};
   resp.live_models = 4;
   resp.live_segments = 16;
   resp.logical_bytes = 1 << 20;
   resp.physical_bytes = 1 << 18;
-  resp.not_modified_reads = 6;
-  resp.redirects_issued = 2;
-  resp.pins_reaped = 1;
-  resp.lcp_index_answers = 31;
-  resp.lcp_index_fallback_scans = 2;
   resp.lcp_index_nodes = 120;
   resp.lcp_index_bytes = 9000;
-  resp.codecs.push_back(
-      {compress::CodecId::kDeltaVsAncestor, 16, 1 << 20, 1 << 18});
-  resp.histograms.push_back(
-      {"provider.kv_commit_seconds", 42, 1.5, 0.001, 0.25, 0.01, 0.2, 0.24});
-  resp.histograms.push_back(
-      {"provider.segment_write_bytes", 7, 7.0 * 4096, 512, 65536, 4096, 60000,
-       65000});
+  for (double v : {0.001, 0.25, 0.01, 0.2, 0.24}) {
+    resp.histograms["provider.kv_commit_seconds"].add(v);
+  }
+  for (double v : {512.0, 4096.0, 65536.0, 0.0}) {
+    resp.histograms["provider.segment_write_bytes"].add(v);
+  }
   auto out = round_trip(resp);
-  EXPECT_EQ(out.puts, 10u);
-  EXPECT_EQ(out.segment_reads, 20u);
-  EXPECT_EQ(out.refs_added, 5u);
-  EXPECT_EQ(out.refs_removed, 3u);
-  EXPECT_EQ(out.segments_freed, 2u);
+  EXPECT_EQ(out.provider, resp.provider);
+  EXPECT_EQ(out.chunks, resp.chunks);
+  EXPECT_EQ(out.codecs, resp.codecs);
   EXPECT_EQ(out.live_models, 4u);
   EXPECT_EQ(out.live_segments, 16u);
   EXPECT_EQ(out.logical_bytes, 1u << 20);
   EXPECT_EQ(out.physical_bytes, 1u << 18);
-  EXPECT_EQ(out.not_modified_reads, 6u);
-  EXPECT_EQ(out.redirects_issued, 2u);
-  EXPECT_EQ(out.pins_reaped, 1u);
-  EXPECT_EQ(out.lcp_index_answers, 31u);
-  EXPECT_EQ(out.lcp_index_fallback_scans, 2u);
   EXPECT_EQ(out.lcp_index_nodes, 120u);
   EXPECT_EQ(out.lcp_index_bytes, 9000u);
-  EXPECT_EQ(out.codecs, resp.codecs);
-  EXPECT_EQ(out.histograms, resp.histograms);
+  ASSERT_EQ(out.histograms.size(), 2u);
+  for (const auto& [name, h] : resp.histograms) {
+    expect_same_histogram(out.histograms.at(name), h);
+  }
 
   // Default response carries no histograms and still round-trips.
   EXPECT_TRUE(round_trip(StatsResponse{}).histograms.empty());
 }
 
+// A histogram crosses the wire whole: the decoded one holds the same state,
+// so every quantile comes out bit for bit, and it re-encodes to the same
+// bytes.
+TEST(Wire, HistogramRoundTripsExactly) {
+  obs::Histogram h;
+  for (double v : {0.0, -3.0, 1e-15, 2.5e-6, 0.004, 0.004, 1.0, 7e12, 3e16}) {
+    h.add(v);
+  }
+  const Bytes bytes = encode(h);
+  auto back = decode<obs::Histogram>(bytes);
+  ASSERT_TRUE(back.ok()) << back.status().to_string();
+  expect_same_histogram(*back, h);
+  for (double q : {0.0, 0.01, 0.5, 0.95, 0.99, 1.0}) {
+    EXPECT_EQ(back->quantile(q), h.quantile(q)) << q;
+  }
+  EXPECT_EQ(encode(*back), bytes);
+
+  auto empty = decode<obs::Histogram>(encode(obs::Histogram{}));
+  ASSERT_TRUE(empty.ok());
+  expect_same_histogram(*empty, obs::Histogram{});
+}
+
+// The encoding of a histogram with these parts, whether they hold together
+// or not.
+Bytes histogram_bytes(uint64_t count, uint64_t underflow,
+                      std::vector<std::pair<uint32_t, uint64_t>> buckets,
+                      double min = 0.5, double max = 2.0) {
+  return encode(
+      obs::Histogram::Parts{count, 1.0, min, max, underflow, buckets});
+}
+
+// Each rule the decoder enforces, and every truncation of a valid encoding,
+// fails with Corruption; so does a stats reply whose histogram names are
+// out of order.
+TEST(Wire, MalformedHistogramFailsWithCorruption) {
+  constexpr uint32_t kPast = obs::Histogram::kBucketCount;
+  constexpr uint64_t kMax = ~uint64_t{0};
+  auto whole = decode<obs::Histogram>(
+      histogram_bytes(4, 1, {{5, 1}, {kPast - 1, 2}}, 0.0, 2.0));
+  ASSERT_TRUE(whole.ok()) << whole.status().to_string();
+  EXPECT_EQ(whole->count(), 4u);
+  const std::pair<const char*, Bytes> cases[] = {
+      {"bucket index past the range", histogram_bytes(1, 0, {{kPast, 1}})},
+      {"bucket indexes descending", histogram_bytes(2, 0, {{5, 1}, {3, 1}})},
+      {"bucket index repeated", histogram_bytes(2, 0, {{5, 1}, {5, 1}})},
+      {"counts short of the count", histogram_bytes(3, 1, {{5, 1}})},
+      {"counts past the count", histogram_bytes(1, 1, {{5, 1}})},
+      {"counts wrapping around", histogram_bytes(1, 0, {{3, 2}, {5, kMax}})},
+      {"underflow past the count", histogram_bytes(1, 2, {})},
+      {"min above max", histogram_bytes(1, 0, {{5, 1}}, 3.0, 2.0)},
+  };
+  for (const auto& [what, bytes] : cases) {
+    auto h = decode<obs::Histogram>(bytes);
+    EXPECT_EQ(h.status().code(), common::ErrorCode::kCorruption) << what;
+  }
+  obs::Histogram valid;
+  for (double v : {0.0, 0.5, 2.0, 2.0, 1e9}) valid.add(v);
+  const Bytes bytes = encode(valid);
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    auto h = decode<obs::Histogram>(std::span(bytes).first(len));
+    EXPECT_EQ(h.status().code(), common::ErrorCode::kCorruption)
+        << "length " << len;
+  }
+
+  Serializer s;
+  StatsResponse{}.serialize(s);
+  Bytes stats = std::move(s).take();
+  stats.pop_back();  // the empty histogram map's count
+  Serializer tail;
+  tail.u64(2);
+  for (const char* name : {"b", "a"}) {
+    put(tail, std::string(name));
+    put(tail, valid);
+  }
+  stats.insert(stats.end(), tail.data().begin(), tail.data().end());
+  EXPECT_EQ(decode<StatsResponse>(stats).status().code(),
+            common::ErrorCode::kCorruption);
+}
+
+// merge_stats sums every counter and gauge, and merges each histogram by
+// name into the one histogram fed every provider's values: its quantiles
+// are exact, not weighted by count.
 TEST(Wire, MergeStatsHistograms) {
   StatsResponse a;
   a.status = common::Status::Ok();
-  a.puts = 3;
-  a.lcp_index_answers = 2;
+  a.provider.puts = 3;
+  a.provider.lcp_index_answers = 2;
+  a.chunks.hits = 1;
+  a.codecs[1].segments = 2;
   a.lcp_index_nodes = 100;
-  a.histograms.push_back({"rpc.call_seconds", 10, 1.0, 0.05, 0.3, 0.1, 0.2,
-                          0.25});
-  a.histograms.push_back({"zeta.only_in_a", 1, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0});
   StatsResponse b;
   b.status = common::Status::Ok();
-  b.puts = 4;
-  b.lcp_index_answers = 5;
+  b.provider.puts = 4;
+  b.provider.lcp_index_answers = 5;
+  b.chunks.hits = 2;
+  b.codecs[1].segments = 3;
   b.lcp_index_nodes = 40;
-  b.histograms.push_back({"rpc.call_seconds", 30, 6.0, 0.01, 0.9, 0.2, 0.5,
-                          0.8});
+  // a serves ten fast calls, b thirty slow ones: the median of all forty is
+  // one of b's.
+  obs::Histogram whole;
+  for (int i = 1; i <= 10; ++i) {
+    a.histograms["rpc.call_seconds"].add(0.001 * i);
+    whole.add(0.001 * i);
+  }
+  for (int i = 1; i <= 30; ++i) {
+    b.histograms["rpc.call_seconds"].add(0.1 * i);
+    whole.add(0.1 * i);
+  }
+  a.histograms["zeta.only_in_a"].add(2.0);
 
   auto total = merge_stats({a, b});
-  EXPECT_EQ(total.puts, 7u);
-  EXPECT_EQ(total.lcp_index_answers, 7u);
+  EXPECT_EQ(total.provider.puts, 7u);
+  EXPECT_EQ(total.provider.lcp_index_answers, 7u);
+  EXPECT_EQ(total.chunks.hits, 3u);
+  EXPECT_EQ(total.codecs[1].segments, 5u);
   EXPECT_EQ(total.lcp_index_nodes, 140u);
   ASSERT_EQ(total.histograms.size(), 2u);
-  // Name-sorted output.
-  EXPECT_EQ(total.histograms[0].name, "rpc.call_seconds");
-  EXPECT_EQ(total.histograms[1].name, "zeta.only_in_a");
-  const auto& m = total.histograms[0];
-  // Exact merges.
-  EXPECT_EQ(m.count, 40u);
-  EXPECT_DOUBLE_EQ(m.sum, 7.0);
-  EXPECT_DOUBLE_EQ(m.min, 0.01);
-  EXPECT_DOUBLE_EQ(m.max, 0.9);
-  // Count-weighted quantile approximation: (10*q_a + 30*q_b) / 40.
-  EXPECT_DOUBLE_EQ(m.p50, (10 * 0.1 + 30 * 0.2) / 40.0);
-  EXPECT_DOUBLE_EQ(m.p95, (10 * 0.2 + 30 * 0.5) / 40.0);
-  EXPECT_DOUBLE_EQ(m.p99, (10 * 0.25 + 30 * 0.8) / 40.0);
+  const obs::Histogram& m = total.histograms.at("rpc.call_seconds");
+  EXPECT_EQ(m.count(), 40u);
+  EXPECT_DOUBLE_EQ(m.sum(), whole.sum());
+  EXPECT_EQ(m.min(), 0.001);
+  EXPECT_EQ(m.max(), 3.0);
+  EXPECT_TRUE(m.parts().buckets == whole.parts().buckets);
+  for (double q : {0.0, 0.01, 0.5, 0.95, 0.99, 1.0}) {
+    EXPECT_EQ(m.quantile(q), whole.quantile(q)) << q;
+  }
+  EXPECT_NEAR(m.quantile(0.5), 1.0, 0.125);
   // Entries present on only one side pass through unchanged.
-  EXPECT_EQ(total.histograms[1], a.histograms[1]);
+  expect_same_histogram(total.histograms.at("zeta.only_in_a"),
+                        a.histograms.at("zeta.only_in_a"));
 }
 
 TEST(Wire, RetireMessages) {
@@ -500,29 +592,29 @@ TEST(Wire, RepairMessages) {
 TEST(Wire, StatsReplicationCounters) {
   StatsResponse resp;
   resp.status = common::Status::Ok();
-  resp.handoff_recorded = 5;
-  resp.handoff_replayed = 4;
-  resp.handoff_discarded = 1;
-  resp.replica_chunks_fetched = 9;
-  resp.drain_models_moved = 2;
-  resp.drain_segments_moved = 20;
+  resp.provider.hints_recorded = 5;
+  resp.provider.hints_replayed = 4;
+  resp.provider.hints_discarded = 1;
+  resp.provider.replica_chunks_fetched = 9;
+  resp.provider.drain_models_moved = 2;
+  resp.provider.drain_segments_moved = 20;
   auto out = round_trip(resp);
-  EXPECT_EQ(out.handoff_recorded, 5u);
-  EXPECT_EQ(out.handoff_replayed, 4u);
-  EXPECT_EQ(out.handoff_discarded, 1u);
-  EXPECT_EQ(out.replica_chunks_fetched, 9u);
-  EXPECT_EQ(out.drain_models_moved, 2u);
-  EXPECT_EQ(out.drain_segments_moved, 20u);
+  EXPECT_EQ(out.provider.hints_recorded, 5u);
+  EXPECT_EQ(out.provider.hints_replayed, 4u);
+  EXPECT_EQ(out.provider.hints_discarded, 1u);
+  EXPECT_EQ(out.provider.replica_chunks_fetched, 9u);
+  EXPECT_EQ(out.provider.drain_models_moved, 2u);
+  EXPECT_EQ(out.provider.drain_segments_moved, 20u);
 
   StatsResponse other;
   other.status = common::Status::Ok();
-  other.handoff_recorded = 1;
-  other.replica_chunks_fetched = 1;
-  other.drain_segments_moved = 2;
+  other.provider.hints_recorded = 1;
+  other.provider.replica_chunks_fetched = 1;
+  other.provider.drain_segments_moved = 2;
   auto total = merge_stats({resp, other});
-  EXPECT_EQ(total.handoff_recorded, 6u);
-  EXPECT_EQ(total.replica_chunks_fetched, 10u);
-  EXPECT_EQ(total.drain_segments_moved, 22u);
+  EXPECT_EQ(total.provider.hints_recorded, 6u);
+  EXPECT_EQ(total.provider.replica_chunks_fetched, 10u);
+  EXPECT_EQ(total.provider.drain_segments_moved, 22u);
 }
 
 TEST(Wire, LcpQueryMessages) {
@@ -737,17 +829,21 @@ TEST(WireGolden, ReplicationMessages) {
 
 TEST(WireGolden, StatsMessages) {
   expect_golden(StatsRequest{}, "");
-  HistogramSummaryEntry hist{"put.seconds", 2, 1.5, 0.5, 1.0, 0.5, 1.0, 1.0};
-  expect_golden(hist, "0b7075742e7365636f6e647302000000000000f83f000000000000e03f000000000000f03f000000000000e03f000000000000f03f000000000000f03f");
-  // Every counter gets a distinct value (1..31 in declaration order), so a
-  // reordering anywhere in the list shows.
-  StatsResponse stats{common::Status::Unavailable("s"),
-                      1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16,
-                      17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30,
-                      31,
-                      {{compress::CodecId::kDeltaVsAncestor, 1, 300, 3}},
-                      {hist}};
-  expect_golden(stats, "0801730102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f010201ac0203010b7075742e7365636f6e647302000000000000f83f000000000000e03f000000000000f03f000000000000e03f000000000000f03f000000000000f03f");
+  // Every counter and gauge gets a distinct value (1..52 in declaration
+  // order), so a reordering anywhere in a field list shows. put.seconds
+  // holds 0 (the underflow count), 0.5 (bucket 352) and 1.0 (bucket 360).
+  StatsResponse stats{
+      common::Status::Unavailable("s"),
+      ProviderStats{1,  2,  3,  4,  5,  6,  7,  8,  9,  10,
+                    11, 12, 13, 14, 15, 16, 17, 18, 19, 20,
+                    21, 22, 23, 24, 25, 26, 27, 28, 29, 30},
+      storage::ChunkStoreStats{31, 32, 33, 34},
+      {{{35, 36, 37}, {38, 39, 40}, {41, 42, 43}}},
+      44, 45, 46, 47, 48, 49, 50, 51, 52,
+      {}};
+  for (double v : {0.0, 0.5, 1.0}) stats.histograms["put.seconds"].add(v);
+  stats.histograms["lcp.seconds"];  // exported, never fed
+  expect_golden(stats, "0801730102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f202122232425262728292a2b2c2d2e2f3031323334020b6c63702e7365636f6e64730000000000000000000000000000000000000000000000000000000b7075742e7365636f6e647303000000000000f83f0000000000000000000000000000f03f0102e00201e80201");
 }
 
 sim::CoTask<Bytes> reply_with(Bytes reply) { co_return reply; }

@@ -282,6 +282,54 @@ TEST(ArchGraph, GraphHashPinned) {
   EXPECT_EQ(parts->graph_hash().hex(), "02de98855f21140c78592518aecbae7a");
 }
 
+// The adjacency block of the diamond 0 -> {first, second}, 1 -> 3, 2 -> 3.
+common::Bytes diamond_edges(VertexId first, VertexId second) {
+  common::Serializer s;
+  s.u64(2);
+  s.u32(first);
+  s.u32(second);
+  for (int v = 1; v <= 2; ++v) {
+    s.u64(1);
+    s.u32(3);
+  }
+  s.u64(0);
+  return std::move(s).take();
+}
+
+// Both decoders take out-edges only in ascending order, since LCP matching
+// binds candidates in that order: a diamond whose equal layers 1 and 2 are
+// listed 2 before 1 fails with Corruption, a repeated target still decodes.
+TEST(ArchGraph, DecodersRejectDescendingOutEdges) {
+  std::vector<LayerDef> defs{make_input(4), make_dense(4, 4), make_dense(4, 4),
+                             make_add()};
+  auto g = ArchGraph::from_parts(defs, {{0, 1}, {0, 2}, {1, 3}, {2, 3}});
+  ASSERT_TRUE(g.ok());
+  const common::Bytes sorted = diamond_edges(1, 2);
+  auto with_edges = [&](const common::Bytes& valid, const common::Bytes& tail) {
+    EXPECT_TRUE(std::equal(sorted.rbegin(), sorted.rend(), valid.rbegin()));
+    common::Bytes out(valid.begin(),
+                      valid.end() - static_cast<long>(sorted.size()));
+    out.insert(out.end(), tail.begin(), tail.end());
+    return out;
+  };
+  common::Serializer full;
+  g->serialize(full);
+  common::Serializer shape;
+  g->serialize_shape(shape);
+  for (const auto& [tail, code] :
+       {std::pair{diamond_edges(2, 1), common::ErrorCode::kCorruption},
+        std::pair{diamond_edges(1, 1), common::ErrorCode::kOk}}) {
+    common::Bytes bytes = with_edges(full.data(), tail);
+    common::Deserializer d(bytes);
+    (void)ArchGraph::deserialize(d);
+    EXPECT_EQ(d.finish().code(), code);
+    bytes = with_edges(shape.data(), tail);
+    common::Deserializer ds(bytes);
+    (void)GraphShape::deserialize_shape(ds);
+    EXPECT_EQ(ds.finish().code(), code);
+  }
+}
+
 TEST(ArchGraph, RootIsVertexZero) {
   auto g = flatten_ok(make_chain({make_input(8), make_dense(8, 8)}));
   EXPECT_EQ(g.root(), 0u);

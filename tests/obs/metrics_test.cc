@@ -112,6 +112,47 @@ TEST(Histogram, SummaryIsOrderIndependent) {
   EXPECT_DOUBLE_EQ(a.p99, b.p99);
 }
 
+// Histograms fed the parts of one value stream merge into the histogram fed
+// all of it: count, min, max, underflow, buckets and so every quantile bit
+// for bit, the sum up to rounding. The values reach the underflow bucket
+// (zeros, negatives) and past both ends of the bucket range.
+TEST(Histogram, MergeEqualsOneHistogramFedEverything) {
+  std::mt19937_64 rng(24);
+  std::uniform_real_distribution<double> exponent(Histogram::kMinExp - 4,
+                                                  Histogram::kMaxExp + 2);
+  auto value = [&]() -> double {
+    switch (rng() % 8) {
+      case 0: return 0.0;
+      case 1: return -std::exp2(exponent(rng));
+      case 2: return std::ldexp(1.0, Histogram::kMinExp - 1);  // lowest
+      case 3: return std::ldexp(1.0, Histogram::kMaxExp - 1);  // highest
+      default: return std::exp2(exponent(rng));
+    }
+  };
+  for (int trial = 0; trial < 200; ++trial) {
+    const size_t parts = 1 + rng() % 8;
+    std::vector<Histogram> part(parts);
+    Histogram whole;
+    for (size_t i = 0, n = 1 + rng() % 300; i < n; ++i) {
+      const double v = value();
+      whole.add(v);
+      part[rng() % parts].add(v);
+    }
+    Histogram merged;
+    for (const Histogram& p : part) merged.merge(p);
+    EXPECT_EQ(merged.count(), whole.count());
+    EXPECT_EQ(merged.min(), whole.min());
+    EXPECT_EQ(merged.max(), whole.max());
+    EXPECT_EQ(merged.parts().underflow, whole.parts().underflow);
+    EXPECT_TRUE(merged.parts().buckets == whole.parts().buckets) << trial;
+    for (double q : {0.0, 0.01, 0.5, 0.95, 0.99, 1.0}) {
+      EXPECT_EQ(merged.quantile(q), whole.quantile(q)) << trial << " q " << q;
+    }
+    EXPECT_NEAR(merged.sum(), whole.sum(), std::abs(whole.sum()) * 1e-12)
+        << trial;
+  }
+}
+
 TEST(MetricsRegistry, PointersAreStableAndShared) {
   MetricsRegistry reg;
   Counter* c1 = reg.counter("a.count");

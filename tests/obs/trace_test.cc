@@ -268,27 +268,22 @@ TEST(Trace, CollectStatsMergesProviderHistograms) {
   ASSERT_TRUE(stats.ok()) << stats.status().to_string();
   EXPECT_EQ(stats->per_provider.size(), 4u);
 
-  // Every provider exports its local registry; the merged totals must carry
-  // a put-latency digest whose count equals the sum of the parts.
+  // Every provider exports its local registry whole; the totals carry each
+  // histogram once, holding every provider's part of it (Histogram.Merge*
+  // tests that a merge equals one histogram fed every value).
   uint64_t put_count_parts = 0;
+  Histogram parts_merged;
   for (const auto& p : stats->per_provider) {
-    for (const auto& h : p.histograms) {
-      if (h.name == "put.seconds") put_count_parts += h.count;
-    }
+    EXPECT_EQ(p.histograms.size(), stats->totals.histograms.size());
+    const Histogram& h = p.histograms.at("put.seconds");
+    put_count_parts += h.count();
+    parts_merged.merge(h);
   }
   EXPECT_GT(put_count_parts, 0u);
-  const core::wire::HistogramSummaryEntry* merged = nullptr;
-  for (const auto& h : stats->totals.histograms) {
-    if (h.name == "put.seconds") merged = &h;
-  }
-  ASSERT_NE(merged, nullptr);
-  EXPECT_EQ(merged->count, put_count_parts);
-  EXPECT_GT(merged->max, 0.0);
-  // Totals are name-sorted (deterministic export order).
-  for (size_t i = 1; i < stats->totals.histograms.size(); ++i) {
-    EXPECT_LT(stats->totals.histograms[i - 1].name,
-              stats->totals.histograms[i].name);
-  }
+  const Histogram& merged = stats->totals.histograms.at("put.seconds");
+  EXPECT_EQ(merged.count(), put_count_parts);
+  EXPECT_GT(merged.max(), 0.0);
+  EXPECT_TRUE(merged.parts() == parts_merged.parts());
 }
 
 }  // namespace

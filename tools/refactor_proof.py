@@ -23,8 +23,10 @@ least code"). This script checks exactly that:
      issue, which the untraced fingerprint does not cover.
 
 Prints one table row per artifact and exits non-zero on any difference or
-failed run. Feature and performance changes alter these outputs on purpose;
-a pure refactor must not.
+failed run. For each DIFFERENT row it also prints to stderr the first line
+that differs, both sides cut to 160 characters, so an intended difference
+can be reviewed from the tool's own output. Feature and performance changes
+alter these outputs on purpose; a pure refactor must not.
 
 Usage (from anywhere inside the repository):
   python3 tools/refactor_proof.py --base <rev> [--workdir DIR]
@@ -179,6 +181,27 @@ def verdict(ran, same):
     return "identical" if same else "DIFFERENT"
 
 
+def show_first_difference(name, base, head):
+    """Print to stderr the first line where the two texts differ: its number
+    and both sides, each cut to 160 characters."""
+    base, head = base.splitlines(), head.splitlines()
+    for i in range(max(len(base), len(head))):
+        sides = [lines[i] if i < len(lines) else "<no line>"
+                 for lines in (base, head)]
+        if sides[0] != sides[1]:
+            print(f"refactor_proof: {name}: first difference at line {i + 1}"
+                  f"\n  base: {sides[0][:160]}\n  head: {sides[1][:160]}",
+                  file=sys.stderr)
+            return
+    print(f"refactor_proof: {name}: the lines agree, the line endings differ",
+          file=sys.stderr)
+
+
+def read_text(path):
+    with open(path, errors="replace") as f:
+        return f.read()
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, help="git revision to compare to")
@@ -205,15 +228,20 @@ def main():
     for key in artifacts["head"]:
         leg = key.split()[0]
         ran = leg not in failed["base"] and leg not in failed["head"]
-        rows.append((key, verdict(ran, ran and filecmp.cmp(
-            artifacts["base"][key], artifacts["head"][key], shallow=False))))
+        base, head = artifacts["base"][key], artifacts["head"][key]
+        rows.append((key, verdict(ran, ran and filecmp.cmp(base, head,
+                                                           shallow=False))))
+        if rows[-1][1] == "DIFFERENT":
+            show_first_difference(key, read_text(base), read_text(head))
     for workload, trace in PERFBENCH_RUNS:
         for seed in SEEDS:
             base, head = (perfbench_digest(src, workload, seed, trace)
                           for src in sides.values())
             ran = base is not None and head is not None
-            rows.append((f"perfbench {workload} --trace {trace} seed {seed}",
-                         verdict(ran, base == head)))
+            name = f"perfbench {workload} --trace {trace} seed {seed}"
+            rows.append((name, verdict(ran, base == head)))
+            if rows[-1][1] == "DIFFERENT":
+                show_first_difference(name, base, head)
 
     width = max(len(name) for name, _ in rows)
     vwidth = max(len(result) for _, result in rows)
